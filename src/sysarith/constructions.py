@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .errors import InputError, NoCandidateError
+from .errors import InputError, NoCandidateError, SysarithError
 from .gaussian import (
     SPLIT,
     GaussianInt,
@@ -42,7 +42,7 @@ from .real_quadratic import (
     splitting_type_q,
     squarefree_part,
 )
-from .search import _MaskMatrix, _sweep_range_full, max_ram_cardinality
+from .search import _certify_q, _minimal_sets
 
 _COVER_DISC_CAP = 10_000_000
 _PRIMORIAL_CAP = 100_000_000
@@ -243,11 +243,12 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
     discs = [f.disc for f in fields]
     full_mask = (1 << len(fields)) - 1
 
+    tables = _accel.character_tables(discs)
     window = max(1000, 3 * max(discs, default=0))
     while True:
         primes = [int(p) for p in _accel.primes_up_to(window)]
         words = _accel.build_split_masks(
-            np.array(primes, dtype=np.int64), discs)
+            np.array(primes, dtype=np.int64), tables)
         rows = _accel.masks_to_ints(words)
         covered_any = 0
         for r in rows:
@@ -264,7 +265,8 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
         lambda i, unc: bin(rows[i] & unc).count("1"),
         lambda i: rows[i],
         full_mask)
-    assert picks is not None
+    if picks is None:
+        raise SysarithError("internal: the covering prime window left a field uncovered")
     ram = [primes[i] for i in picks]
     roles = [(p, ROLE_COVER) for p in sorted(ram)]
 
@@ -278,12 +280,9 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
         roles.append((parity, ROLE_PARITY))
 
     algebra = algebra_q(ram)
-    certificate = {
-        f: next(p for p in algebra.ram_sorted if splitting_type_q(f, p) == "split")
-        for f in fields
-    }
     return CoverResult(algebra=algebra, fields=tuple(fields),
-                       certificate=certificate, roles=tuple(roles))
+                       certificate=_certify_q(algebra.ram_sorted, fields),
+                       roles=tuple(roles))
 
 
 def _torsion_additions_2d(ram: list[int], window_primes: list[int]) -> list[int]:
@@ -302,32 +301,12 @@ def _torsion_additions_2d(ram: list[int], window_primes: list[int]) -> list[int]
 def _exact_cover_2d(x: float, fields, require_torsion_free: bool) -> CoverResult:
     if x > 1.5:
         raise InputError(f"exact cover is supported only for x <= 1.5, got {x}")
-    greedy = cover_algebra_2d(x, require_torsion_free, exact=False)
-    bound = greedy.factor + 1
-    primes = _accel.primes_up_to(bound)
-    facs = [int(p) - 1 for p in primes]
-    facs_np = np.asarray(facs, dtype=np.int64)
-    discs = [f.disc for f in fields]
-    masks = _MaskMatrix(primes, discs, require_torsion_free)
-    cards = list(range(2, max_ram_cardinality(bound) + 1, 2))
-    lo = 2
-    while lo < bound:
-        hi = min(lo * 2, bound)
-        best, winners, _ = _sweep_range_full(masks, facs, facs_np, cards, lo, hi)
-        if best is not None:
-            idxs = min(winners)
-            ram = [int(primes[i]) for i in idxs]
-            algebra = algebra_q(ram)
-            certificate = {
-                f: next(p for p in algebra.ram_sorted
-                        if splitting_type_q(f, p) == "split")
-                for f in fields
-            }
-            return CoverResult(
-                algebra=algebra, fields=tuple(fields), certificate=certificate,
-                roles=tuple((p, ROLE_COVER) for p in sorted(ram)), exact=True)
-        lo = hi
-    raise AssertionError("internal: greedy cover factor not rediscovered")
+    _, sets, _ = _minimal_sets([f.disc for f in fields], require_torsion_free)
+    algebra = algebra_q(sets[0])
+    return CoverResult(
+        algebra=algebra, fields=tuple(fields),
+        certificate=_certify_q(algebra.ram_sorted, fields),
+        roles=tuple((p, ROLE_COVER) for p in algebra.ram_sorted), exact=True)
 
 
 def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResult:
@@ -368,7 +347,8 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
         lambda i, unc: bin(rows[i] & unc).count("1"),
         lambda i: rows[i],
         full_mask)
-    assert picks is not None
+    if picks is None:
+        raise SysarithError("internal: the covering ideal window left an extension uncovered")
     ram = [pool[i] for i in picks]
     roles = [(P, ROLE_COVER) for P in sorted(ram, key=_ideal_key)]
 

@@ -1,11 +1,14 @@
 """Minimal-coarea searches for quaternion algebras with prescribed systole bound.
 
-The surface search composes four steps: list the real quadratic fields whose
-regulator falls below the target, find some candidate algebra obstructing all
-of them inside a small prime pool, convert its area factor into cardinality
-and prime-pool bounds, and exhaustively test every admissible prime set below
-the candidate factor.  The 3-manifold variant over Q(i) is budgeted and
-best-effort: it certifies its output but does not claim minimality.
+The surface search lists the real quadratic fields whose regulator falls
+below the target and then sweeps the area-factor ranges [2, 4), [4, 8), ...
+in order.  Each range sieves only the primes it can use, allows every even
+cardinality whose smallest set fits, and tests every prime set in it
+against packed split masks, counting the sets it tests on the way; the
+first range holding a passing set yields the optimum with all its ties.
+The exact cover over Q runs the same sweep.  The 3-manifold variant over
+Q(i) is budgeted and best-effort: it certifies its output but does not
+claim minimality.
 """
 
 from __future__ import annotations
@@ -13,13 +16,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _accel
-from .errors import InadmissibleAlgebraError, InputError, NoCandidateError
+from .errors import (
+    InadmissibleAlgebraError,
+    InputError,
+    NoCandidateError,
+    SysarithError,
+)
 from .gaussian import (
     SPLIT,
     GaussianPrimeIdeal,
@@ -37,7 +44,6 @@ from .real_quadratic import (
     splitting_type_q,
 )
 from .volume import volume_qi
-
 
 
 # ---------------------------------------------------------------------------
@@ -147,31 +153,36 @@ def enumerate_prime_sets(factor_bound: int, cardinality: int):
 # p = 1 mod 3) must be covered as well.
 
 class _MaskMatrix:
-    """Lazily materialized packed split-mask rows for a prime pool."""
+    """Packed split-mask rows for an ascending prime array, built on demand.
+
+    `primes` may be replaced by a longer array with the same prefix (the
+    sweep does so for every range); rows already built stay valid, and the
+    character tables are built once.
+    """
 
     def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool,
                  block: int = 1 << 16):
         self.primes = primes
-        self.discs = discs
+        self.n_fields = len(discs)
+        self.tables = _accel.character_tables(discs)
         self.torsion = torsion
         self.block = block
-        self.bits = len(discs) + (2 if torsion else 0)
-        self.width = max(1, (self.bits + 63) // 64)
-        # one sentinel all-zero row at index len(primes) for padded gathers
+        bits = len(discs) + (2 if torsion else 0)
+        self.width = max(1, (bits + 63) // 64)
         self._rows = np.zeros((0, self.width), dtype=np.uint64)
         full = np.zeros(self.width, dtype=np.uint64)
-        for b in range(self.bits):
+        for b in range(bits):
             full[b // 64] |= np.uint64(1 << (b % 64))
         self.target = full
 
     def _build(self, lo: int, hi: int) -> np.ndarray:
         chunk = self.primes[lo:hi]
-        words = _accel.build_split_masks(chunk, self.discs)
+        words = _accel.build_split_masks(chunk, self.tables)
         if words.shape[1] < self.width:
             pad = np.zeros((len(chunk), self.width - words.shape[1]), dtype=np.uint64)
             words = np.hstack([words, pad])
         if self.torsion:
-            b4, b3 = len(self.discs), len(self.discs) + 1
+            b4, b3 = self.n_fields, self.n_fields + 1
             words[:, b4 // 64] |= np.where(
                 chunk % 4 == 1, np.uint64(1 << (b4 % 64)), np.uint64(0))
             words[:, b3 // 64] |= np.where(
@@ -187,71 +198,21 @@ class _MaskMatrix:
         return self._rows
 
 
-# ---------------------------------------------------------------------------
-# step 2: candidate algebra from a fixed small pool (ordered stream)
-
-_POOL_STAGES = ((25, (2, 4, 6)), (50, (2, 4, 6, 8)))
-
-
-def _first_n_primes(n: int) -> list[int]:
-    out = []
-    p = 1
-    for _ in range(n):
-        p = _next_prime(p)
-        out.append(p)
-    return out
-
-
-def _candidate_set(discs: list[int], require_torsion_free: bool):
-    """Least-factor pool set obstructing every disc (lex-least tie), or None.
-
-    Each pool stage is exhausted by the memoryless range sweep, so a None
-    really does mean the stage's pool contains no valid set.
-    """
-    for pool_size, cards in _POOL_STAGES:
-        primes = np.array(_first_n_primes(pool_size), dtype=np.int64)
-        masks = _MaskMatrix(primes, discs, require_torsion_free)
-        facs = [int(p) - 1 for p in primes]
-        facs_np = np.asarray(facs, dtype=np.int64)
-        max_factor = math.prod(facs[-max(cards):])
-        lo = 2
-        while lo <= max_factor:
-            best, winners, _ = _sweep_range_full(
-                masks, facs, facs_np, cards, lo, lo * 2)
-            if best is not None:
-                idxs = min(winners)
-                return tuple(int(primes[i]) for i in idxs), best
-            lo *= 2
-    return None
-
-
-def candidate_algebra_2d(l: float, require_torsion_free: bool = False) -> QuaternionAlgebraQ:
-    """Some admissible algebra obstructing every field with regulator < l.
-
-    Drawn from a fixed pool (first 25 primes, cardinality 2/4/6; widened once
-    to 50 primes and cardinality 8), first in area-factor order.
-    """
-    _check_l(l)
-    fields = fields_with_regulator_below(l)
-    found = _candidate_set([f.disc for f in fields], require_torsion_free)
-    if found is None:
-        raise NoCandidateError(
-            f"no candidate algebra for systole bound {l} in the widened prime pool")
-    return algebra_q(found[0])
-
-
 def _check_l(l: float) -> None:
     if not (isinstance(l, (int, float)) and math.isfinite(l) and l > 0):
         raise InputError(f"systole bound must be a positive finite real, got {l!r}")
 
 
 # ---------------------------------------------------------------------------
-# step 4: exhaustive sweep below the candidate factor
+# the range sweep
 #
 # Factor ranges [2^k, 2^(k+1)) are processed in order; within a range, sets
 # are enumerated by prefix descent and the final coordinate is tested as one
 # vectorized slice.  The first range containing a passing set holds the
 # optimum and all its ties; earlier ranges were exhausted without a pass.
+
+_SLICE_CHUNK = 1 << 20  # rows OR-ed per vectorized step, bounds temporaries
+
 
 def _slice_bounds(facs_np, prod, lo, hi, after):
     """Index range [j0, j1) with lo <= prod*facs[j] < hi and j > after."""
@@ -260,58 +221,41 @@ def _slice_bounds(facs_np, prod, lo, hi, after):
     return max(j0, after + 1), j1
 
 
-def _sweep_range_full(masks, facs, facs_np, cards, lo, hi, executor=None,
-                      slice_chunk=1 << 20, count_below=None):
-    """Scan [lo, hi): return (best_factor, winner_index_tuples, n_below).
+def _first_pass(masks, prefix, j0, j1):
+    """Least j in [j0, j1) whose row OR the prefix rows covers every bit."""
+    rows = masks.ensure(j1)
+    prefix_or = np.zeros(masks.width, dtype=np.uint64)
+    for i in prefix:
+        prefix_or |= rows[i]
+    for s0 in range(j0, j1, _SLICE_CHUNK):
+        ok = ((rows[s0:min(j1, s0 + _SLICE_CHUNK)] | prefix_or)
+              == masks.target).all(axis=1)
+        k = int(ok.argmax())
+        if ok[k]:
+            return s0 + k
+    return None
 
-    n_below counts enumerated sets with factor < count_below (all sets when
-    count_below is None is not needed, so None counts everything in range).
+
+def _sweep_range_full(masks, facs, facs_np, cards, lo, hi):
+    """Test every prime set with factor in [lo, hi): (best, winners, n_below).
+
+    A set is a prefix found by descent over the Python ints `facs` plus one
+    last index from a slice of the sorted int64 `facs_np`, tested in one
+    vectorized step.  `facs` need only reach the last factor below sqrt(hi)
+    plus max(cards) more entries: no prefix reads further.  Cardinalities
+    are swept in the given order, and each hit lowers the limit to
+    best + 1, so later slices stop at the running optimum and its ties.
+
+    best is the least passing factor (None if no set passes), winners the
+    index tuples of every set with factor best, and n_below the number of
+    sets with factor below best (all sets of the range if none passes).
+    It is read from the (prod, j0, j1) kept for each slice: facs_np is
+    sorted, so the sets below best form a prefix of every slice.
     """
     best = None
     winners: list[tuple] = []
-    n_counted = 0
-    jobs = []
-
-    def eval_slice(prefix_idxs, prod, j0, j1):
-        rows = masks.ensure(j1)
-        prefix_or = np.zeros(masks.width, dtype=np.uint64)
-        for i in prefix_idxs:
-            prefix_or |= rows[i]
-        local_best = None
-        local_winners = []
-        local_count = 0
-        for s0 in range(j0, j1, slice_chunk):
-            s1 = min(j1, s0 + slice_chunk)
-            sub = rows[s0:s1] | prefix_or
-            ok = (sub == masks.target).all(axis=1)
-            fvec = prod * facs_np[s0:s1]
-            if count_below is None:
-                local_count += s1 - s0
-            else:
-                local_count += int(np.count_nonzero(fvec < count_below))
-            hits = np.flatnonzero(ok)
-            if hits.size:
-                hf = fvec[hits]
-                fmin = int(hf.min())
-                if local_best is None or fmin < local_best:
-                    local_best = fmin
-                    local_winners = []
-                if fmin == local_best:
-                    for j in (hits[hf == fmin] + s0):
-                        local_winners.append(prefix_idxs + (int(j),))
-        return local_best, local_winners, local_count
-
-    def submit(prefix_idxs, prod, j0, j1):
-        # materialize rows in the submitting thread: workers only read
-        masks.ensure(j1)
-        if executor is None:
-            jobs.append(eval_slice(prefix_idxs, prod, j0, j1))
-        else:
-            jobs.append(executor.submit(eval_slice, prefix_idxs, prod, j0, j1))
-
-    for card in sorted(set(cards)):
-        if card < 2 or card > len(facs):
-            continue
+    slices = []
+    for card in cards:
         stack = [((), 1, 0)]
         while stack:
             prefix, prod, start = stack.pop()
@@ -319,29 +263,69 @@ def _sweep_range_full(masks, facs, facs_np, cards, lo, hi, executor=None,
             for i in range(start, len(facs)):
                 prod2 = prod * facs[i]
                 rest = prod2
-                for j in range(i + 1, i + 1 + (card - 1 - depth)):
+                for j in range(i + 1, i + card - depth):
                     if j >= len(facs):
                         rest = None
                         break
                     rest *= facs[j]
                 if rest is None or rest >= hi:
                     break
-                if depth == card - 2:
-                    j0, j1 = _slice_bounds(facs_np, prod2, lo, hi, i)
-                    if j0 < j1:
-                        submit(prefix + (i,), prod2, j0, j1)
-                else:
+                if depth < card - 2:
                     stack.append((prefix + (i,), prod2, i + 1))
+                    continue
+                j0, j1 = _slice_bounds(facs_np, prod2, lo, hi, i)
+                if j0 >= j1:
+                    continue
+                slices.append((prod2, j0, j1))
+                j = _first_pass(masks, prefix + (i,), j0, j1)
+                if j is None:
+                    continue
+                factor = prod2 * int(facs_np[j])
+                if best is None or factor < best:
+                    best, winners, hi = factor, [], factor + 1
+                winners.append(prefix + (i, j))
+    if not slices:
+        return best, winners, 0
+    prods, j0s, j1s = np.array(slices, dtype=np.int64).T
+    if best is not None:
+        j1s = np.clip(np.searchsorted(facs_np, (best - 1) // prods, side="right"),
+                      j0s, j1s)
+    return best, winners, int((j1s - j0s).sum())
 
-    for job in jobs:
-        b, w, c = job if executor is None else job.result()
-        n_counted += c
-        if b is not None and (best is None or b < best):
-            best = b
-            winners = []
-        if b is not None and b == best:
-            winners.extend(w)
-    return best, winners, n_counted
+
+def _minimal_sets(discs: list[int], torsion: bool):
+    """(factor, sets, n_below) for the least-factor even prime sets in which
+    every disc has a split prime (and, with `torsion`, some p = 1 mod 4 and
+    some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
+
+    Range [lo, 2lo) needs the primes p <= 2lo and the cardinalities up to
+    max_ram_cardinality(2lo), nothing more.  The loop ends: every field has
+    split primes and a prime = 1 mod 12 meets both torsion bits, so some
+    even set passes.
+    """
+    masks = _MaskMatrix(np.empty(0, dtype=np.int64), discs, torsion)
+    n_below = 0
+    lo = 2
+    while True:
+        hi = 2 * lo
+        primes = _accel.primes_up_to(hi)
+        masks.primes = primes
+        facs_np = primes - 1
+        top = max_ram_cardinality(hi)
+        short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + top
+        best, winners, n = _sweep_range_full(
+            masks, facs_np[:short].tolist(), facs_np, range(top, 1, -2), lo, hi)
+        n_below += n
+        if best is not None:
+            sets = sorted(tuple(int(primes[i]) for i in w) for w in winners)
+            return best, sets, n_below
+        lo = hi
+
+
+def candidate_algebra_2d(l: float, require_torsion_free: bool = False) -> QuaternionAlgebraQ:
+    """The first minimal-factor algebra of minimal_algebra_2d(l): admissible,
+    obstructing every field with regulator < l, lex-least among its ties."""
+    return algebra_q(minimal_algebra_2d(l, require_torsion_free).sets[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +375,10 @@ def _certify_q(primes: tuple[int, ...], fields) -> dict:
     cert = {}
     for f in fields:
         witness = next((p for p in primes if splitting_type_q(f, p) == "split"), None)
-        assert witness is not None, "internal: passing set lost its certificate"
+        if witness is None:
+            raise SysarithError(
+                f"internal: no prime of {primes} splits in Q(sqrt {f.d}); "
+                "the passing set lost its certificate")
         cert[f] = witness
     return cert
 
@@ -400,64 +387,27 @@ def _certify_qi(ideals: tuple[GaussianPrimeIdeal, ...], exts) -> dict:
     cert = {}
     for e in exts:
         witness = next((P for P in ideals if splitting_in_ext(P, e) == SPLIT), None)
-        assert witness is not None, "internal: passing set lost its certificate"
+        if witness is None:
+            raise SysarithError(
+                f"internal: no ideal of the set splits in Q(i)(sqrt {e.delta}); "
+                "the passing set lost its certificate")
         cert[e] = witness
     return cert
 
 
-def minimal_algebra_2d(l: float, require_torsion_free: bool = False,
-                       workers: int = 1) -> SearchResult:
+def minimal_algebra_2d(l: float, require_torsion_free: bool = False) -> SearchResult:
     """All minimal-area-factor admissible prime sets obstructing every field
     with regulator < l (optionally also torsion-free), with certificates.
     """
     _check_l(l)
-    if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
     fields = fields_with_regulator_below(l)
-    discs = [f.disc for f in fields]
-    found = _candidate_set(discs, require_torsion_free)
-    if found is None:
-        raise NoCandidateError(
-            f"no candidate algebra for systole bound {l} in the widened prime pool")
-    cand_factor = found[1]
-    bound = cand_factor + 1  # the sweep uses strict <, so include the candidate
-    cards = list(range(2, max_ram_cardinality(bound) + 1, 2))
-    primes = _accel.primes_up_to(bound + 1)
-    facs = [int(p) - 1 for p in primes]
-    facs_np = np.array(facs, dtype=np.int64)
-    masks = _MaskMatrix(primes, discs, require_torsion_free)
-
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        best = None
-        winners: list[tuple] = []
-        tested_below = 0
-        lo = 2
-        while lo < bound:
-            hi = min(lo * 2, bound)
-            b, w, c = _sweep_range_full(masks, facs, facs_np, cards, lo, hi,
-                                        executor=executor)
-            if b is None:
-                tested_below += c
-                lo = hi
-                continue
-            best, winners = b, w
-            _, _, below = _sweep_range_full(masks, facs, facs_np, cards, lo, hi,
-                                            executor=executor, count_below=best)
-            tested_below += below
-            break
-        assert best is not None, "internal: candidate factor not rediscovered"
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-    prime_list = [int(p) for p in primes]
-    sets = sorted(tuple(prime_list[i] for i in idxs) for idxs in winners)
+    factor, sets, n_below = _minimal_sets(
+        [f.disc for f in fields], require_torsion_free)
     certs = tuple(_certify_q(s, fields) for s in sets)
     return SearchResult(
-        l=float(l), base="Q", factor=best, sets=tuple(sets),
+        l=float(l), base="Q", factor=factor, sets=tuple(sets),
         excluded_fields=tuple(fields), certificates=certs,
-        exhaustive=True, best_effort=False, tested_below_optimum=tested_below)
+        exhaustive=True, best_effort=False, tested_below_optimum=n_below)
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,6 @@ def test_search2d_torsion_free(capsys):
     assert out.splitlines()[1] == "0.5,{2,61},60"
 
 
-def test_search2d_workers_byte_identical(capsys):
-    _, out1, _ = run(capsys, "search2d", "--systole", "1.25", "--format", "json")
-    _, out2, _ = run(capsys, "search2d", "--systole", "1.25", "--format",
-                     "json", "--workers", "2")
-    assert out1 == out2
-
-
 def test_search3d_csv(capsys):
     code, out, _ = run(capsys, "search3d", "--systole", "1",
                        "--norm-bound", "30", "--format", "csv")
@@ -181,6 +174,7 @@ def test_volume(capsys):
     ["volume", "--base", "q"],                       # missing --ram
     ["volume", "--base", "qi", "--ram-norms", "2,7"],  # unrealizable norm
     ["search2d", "--systole", "1", "--format", "xml"],
+    ["search2d", "--systole", "1", "--workers", "2"],  # no such option
     ["family", "--ram", "2,x", "--count", "1"],      # malformed list
 ])
 def test_input_errors_exit_1(capsys, args):

@@ -3,14 +3,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from sysarith import search
 from sysarith.errors import (
     InadmissibleAlgebraError,
     InputError,
     NoCandidateError,
+    SysarithError,
 )
+from sysarith.gaussian import ideal_above, quad_exts_with_disc_below
 from sysarith.search import (
+    _MaskMatrix,
     candidate_algebra_2d,
     enumerate_prime_sets,
     max_ram_cardinality,
@@ -24,6 +29,7 @@ from oracles import (
     brute_splitting_q,
     brute_symbol_qi,
     naive_prime_sets,
+    sieve_primes,
 )
 
 # (bound, factor, minimizer sets, tested_below_optimum) regression pins;
@@ -37,6 +43,12 @@ MINIMAL_ROWS = [
     (2.0, 480, ((3, 5, 7, 11),), 238),
     (2.25, 1560, ((2, 3, 7, 131),), 775),
     (2.5, 2240, ((2, 3, 17, 71),), 1115),
+]
+
+# the same with the torsion filter on; l=2.2 has two tied minimizers
+TORSION_FREE_ROWS = [
+    (1.0, 120, ((5, 31),), 58),
+    (2.2, 1920, ((2, 3, 5, 241), (2, 11, 13, 17)), 955),
 ]
 
 
@@ -100,7 +112,9 @@ def test_minimal_algebra_2d_rows(l, factor, sets, tested_below):
 
 
 def test_minimal_tested_below_matches_naive_count():
-    for l, factor, _, tested_below in MINIMAL_ROWS[:4]:
+    # the count is of sets tested, passing or not, so the torsion filter
+    # does not enter it
+    for l, factor, _, tested_below in MINIMAL_ROWS + TORSION_FREE_ROWS:
         cards = range(2, max_ram_cardinality(factor + 1) + 1, 2)
         naive = sum(len(naive_prime_sets(factor, c)) for c in cards)
         assert naive == tested_below, l
@@ -112,21 +126,41 @@ def test_minimal_factor_monotone_in_bound():
 
 
 def test_minimal_torsion_free_variant():
-    res = minimal_algebra_2d(1.0, require_torsion_free=True)
-    assert res.factor == 120
-    assert res.sets == ((5, 31),)
-    # 5 = 1 mod 4 kills 2-torsion, 31 = 1 mod 3 kills 3-torsion
-    assert all(any(p % 4 == 1 for p in s) and any(p % 3 == 1 for p in s)
-               for s in res.sets)
+    for l, factor, sets, tested_below in TORSION_FREE_ROWS:
+        res = minimal_algebra_2d(l, require_torsion_free=True)
+        assert (res.factor, res.sets, res.tested_below_optimum) == \
+            (factor, sets, tested_below), l
+        # e.g. 5 = 1 mod 4 kills 2-torsion, 31 = 1 mod 3 kills 3-torsion
+        assert all(any(p % 4 == 1 for p in s) and any(p % 3 == 1 for p in s)
+                   for s in res.sets)
 
 
-def test_minimal_workers_output_identical():
-    one = minimal_algebra_2d(1.5, workers=1)
-    three = minimal_algebra_2d(1.5, workers=3)
-    assert json.dumps(one.to_json(), sort_keys=True) == \
-        json.dumps(three.to_json(), sort_keys=True)
-    with pytest.raises(InputError):
-        minimal_algebra_2d(1.0, workers=0)
+def test_lost_certificate_raises_a_package_error(monkeypatch):
+    # a real exception, not an assert, so the guard also holds under python -O
+    monkeypatch.setattr(search, "splitting_type_q", lambda field, p: "inert")
+    with pytest.raises(SysarithError, match="certificate"):
+        minimal_algebra_2d(1.0)
+    monkeypatch.setattr(search, "splitting_in_ext", lambda P, ext: "inert")
+    with pytest.raises(SysarithError, match="certificate"):
+        search._certify_qi((ideal_above(2), ideal_above(5)),
+                           quad_exts_with_disc_below(20))
+
+
+@pytest.mark.parametrize("n_fields", [3, 63])
+def test_mask_matrix_torsion_bits(n_fields):
+    # with 63 fields the two torsion bits straddle the word boundary
+    primes = np.array(sieve_primes(2999), dtype=np.int64)
+    masks = _MaskMatrix(primes, [5] * n_fields, torsion=True)
+    rows = masks.ensure(len(primes))
+    assert rows.shape == (len(primes), 1 if n_fields == 3 else 2)
+
+    def bit(b):
+        word = rows[:, b // 64] >> np.uint64(b % 64)
+        return (word & np.uint64(1)).astype(bool).tolist()
+
+    assert bit(n_fields) == [p % 4 == 1 for p in primes.tolist()]
+    assert bit(n_fields + 1) == [p % 3 == 1 for p in primes.tolist()]
+    assert sum(bin(int(w)).count("1") for w in masks.target) == n_fields + 2
 
 
 def test_minimal_result_json_roundtrips():
