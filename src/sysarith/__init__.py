@@ -74,18 +74,15 @@ from .quaternion import (
 from .real_quadratic import (
     FundamentalUnit,
     QuadFieldQ,
-    clear_caches,
     fields_with_regulator_below,
     fundamental_discriminant,
     fundamental_unit,
     is_prime,
     is_squarefree,
     kronecker_symbol,
-    load_unit_cache,
     quad_field,
     regulator,
     regulator_lower_bound,
-    save_unit_cache,
     splitting_type_q,
     squarefree_part,
 )

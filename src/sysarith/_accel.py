@@ -1,11 +1,5 @@
-"""Numeric kernels with numba-jitted hot paths and pure-numpy fallbacks.
-
-Path selection: setting the environment variable SYSARITH_NO_NUMBA to a
-nonempty value other than "0" forces the numpy fallbacks; otherwise the
-jitted kernels are used whenever numba imports cleanly.  Integer kernels
-return bit-identical results on both paths; the floating-point lattice sum
-agrees to ~1e-14 relative (summation order differs).  The script
-scripts/bench_kernels.py compares the paths and times both.
+"""Numeric kernels in numpy: the prime sieve, character tables and packed
+split masks.
 
 Only machine-word arithmetic lives here.  Anything needing big integers
 (fundamental units, subset products) stays in pure Python elsewhere.
@@ -14,67 +8,29 @@ Only machine-word arithmetic lives here.  Anything needing big integers
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("SYSARITH_NO_NUMBA", "0")
-_want_jit = _flag in ("", "0")
-if _want_jit:
-    try:
-        from numba import njit
-    except Exception:  # pragma: no cover - only hit when numba is absent
-        _want_jit = False
+from .real_quadratic import kronecker
 
-JIT_ENABLED = _want_jit
+# There is one kernel path.  bench/child.py records this flag in the
+# provenance of every benchmark run, so it stays until that record drops it.
+JIT_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
 # prime sieve
 
-def _primes_mask_np(n: int) -> np.ndarray:
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as an int64 array."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=np.bool_)
     mask[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return mask
-
-
-def _primes_np(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(_primes_mask_np(n))[0].astype(np.int64)
-
-
-if JIT_ENABLED:
-
-    @njit(cache=True)
-    def _primes_mask_jit(n):  # pragma: no cover - compiled
-        mask = np.ones(n + 1, dtype=np.bool_)
-        mask[0] = False
-        mask[1] = False
-        p = 2
-        while p * p <= n:
-            if mask[p]:
-                q = p * p
-                while q <= n:
-                    mask[q] = False
-                    q += p
-            p += 1
-        return mask
-
-    def _primes_jit(n: int) -> np.ndarray:
-        if n < 2:
-            return np.empty(0, dtype=np.int64)
-        return np.nonzero(_primes_mask_jit(n))[0].astype(np.int64)
-
-
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an int64 array."""
-    if JIT_ENABLED:
-        return _primes_jit(n)
-    return _primes_np(n)
+    return np.nonzero(mask)[0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -94,56 +50,14 @@ def smallest_factor_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kronecker symbol table for one field, as a periodic character mod |disc|
 
-if JIT_ENABLED:
+def character_table(disc: int, spf: np.ndarray) -> np.ndarray:
+    """chi[r] = (disc/r) for 0 <= r < |disc|, disc a fundamental discriminant.
 
-    @njit(cache=True)
-    def _kronecker_jit(a, n):  # pragma: no cover - compiled
-        if n == 0:
-            if a == 1 or a == -1:
-                return 1
-            return 0
-        r = 1
-        while n % 2 == 0:
-            n //= 2
-            if a % 2 == 0:
-                return 0
-            m = a % 8
-            if m == 3 or m == 5:
-                r = -r
-        a %= n
-        while a != 0:
-            while a % 2 == 0:
-                a //= 2
-                m = n % 8
-                if m == 3 or m == 5:
-                    r = -r
-            t = a
-            a = n
-            n = t
-            if a % 4 == 3 and n % 4 == 3:
-                r = -r
-            a %= n
-        if n == 1:
-            return r
-        return 0
-
-    @njit(cache=True)
-    def _char_table_jit(disc, spf):  # pragma: no cover - compiled
-        d = disc if disc > 0 else -disc
-        chi = np.zeros(d, dtype=np.int8)
-        chi[1 % d] = 1
-        for r in range(2, d):
-            p = spf[r]
-            if p == r:
-                chi[r] = _kronecker_jit(disc, r)
-            else:
-                chi[r] = chi[p] * chi[r // p]
-        return chi
-
-
-def _char_table_py(disc: int, spf: np.ndarray) -> np.ndarray:
-    from .real_quadratic import kronecker
-
+    chi is the completely multiplicative extension of the Kronecker symbol,
+    periodic mod |disc|, so chi[p mod |disc|] answers split/inert for any
+    prime p not dividing disc.  spf is a smallest-factor table reaching
+    |disc| - 1 (see smallest_factor_table).
+    """
     d = abs(disc)
     chi = np.zeros(d, dtype=np.int8)
     chi[1 % d] = 1
@@ -154,20 +68,6 @@ def _char_table_py(disc: int, spf: np.ndarray) -> np.ndarray:
         else:
             chi[r] = chi[p] * chi[r // p]
     return chi
-
-
-def character_table(disc: int, spf: np.ndarray | None = None) -> np.ndarray:
-    """chi[r] = (disc/r) for 0 <= r < |disc|, disc a fundamental discriminant.
-
-    chi is the completely multiplicative extension of the Kronecker symbol,
-    periodic mod |disc|, so chi[p mod |disc|] answers split/inert for any
-    prime p not dividing disc.
-    """
-    if spf is None:
-        spf = smallest_factor_table(abs(disc))
-    if JIT_ENABLED:
-        return _char_table_jit(disc, spf)
-    return _char_table_py(disc, spf)
 
 
 def character_tables(discs: list[int]) -> list[np.ndarray]:
@@ -200,46 +100,3 @@ def masks_to_ints(words: np.ndarray) -> list[int]:
     """Collapse each uint64 row into one arbitrary-width Python int."""
     le = np.ascontiguousarray(words, dtype="<u8")
     return [int.from_bytes(row.tobytes(), "little") for row in le]
-
-
-# ---------------------------------------------------------------------------
-# lattice partial sum of the Dedekind zeta value at 2 over Z[i]
-#
-# Nonzero Gaussian integers split into orbits of size 4 under multiplication
-# by i; the quarter {a >= 1, b >= 0} hits each orbit once, and orbits
-# correspond to nonzero ideals.  So the sum below converges to zeta_{Q(i)}(2).
-
-def _zeta_qi_np(norm_bound: int) -> float:
-    total = 0.0
-    amax = math.isqrt(norm_bound)
-    for a in range(1, amax + 1):
-        bmax = math.isqrt(norm_bound - a * a)
-        b = np.arange(0, bmax + 1, dtype=np.float64)
-        n = a * a + b * b
-        total += float(np.sum(1.0 / (n * n)))
-    return total
-
-
-if JIT_ENABLED:
-
-    @njit(cache=True)
-    def _zeta_qi_jit(norm_bound):  # pragma: no cover - compiled
-        total = 0.0
-        a = 1
-        while a * a <= norm_bound:
-            b = 0
-            while a * a + b * b <= norm_bound:
-                n = a * a + b * b
-                total += 1.0 / (n * n)
-                b += 1
-            a += 1
-        return total
-
-
-def zeta_qi_lattice_sum(norm_bound: int) -> float:
-    """Sum of norm(z)^-2 over one quarter-lattice representative per ideal."""
-    if norm_bound < 1:
-        return 0.0
-    if JIT_ENABLED:
-        return float(_zeta_qi_jit(norm_bound))
-    return _zeta_qi_np(norm_bound)

@@ -2,9 +2,7 @@
 
 Subcommands run the minimal-factor searches, the same-systole family
 generator, the cover constructions, systole queries, bound evaluators, and
-volume computations, emitting aligned tables, CSV, or JSON.  A plain-text
-unit cache (``--cache`` or ``SYSARITH_CACHE``) persists fundamental units
-between runs; results are identical with or without it.
+volume computations, emitting aligned tables, CSV, or JSON.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import Counter
 
@@ -33,7 +30,7 @@ from .errors import (
 )
 from .geodesics import MODE_PAPER, MODE_TRACE, exact_systole_q
 from .quaternion import algebra_q
-from .real_quadratic import load_unit_cache, quad_field, save_unit_cache
+from .real_quadratic import quad_field
 from .search import _norm_choices, minimal_algebra_2d, valid_algebra_3d
 from .volume import coarea_q, format_volume, volume_constant_qi, volume_qi
 
@@ -229,8 +226,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table",
                         help="output format (default: table)")
-    common.add_argument("--cache", default=None,
-                        help="unit cache path (overrides SYSARITH_CACHE)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -313,20 +308,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INPUT_ERROR
-    cache_path = args.cache or os.environ.get("SYSARITH_CACHE")
-    if cache_path and os.path.exists(cache_path):
-        load_unit_cache(cache_path)
     try:
-        code = args.func(args)
+        return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NoCandidateError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_CANDIDATE
-    if cache_path:
-        save_unit_cache(cache_path)
-    return code
 
 
 if __name__ == "__main__":

@@ -126,8 +126,10 @@ def same_systole_family_q(B: QuaternionAlgebraQ, L: QuadFieldQ,
         ram = tuple(sorted(base | {p0, pi}))
         algebra = algebra_q(ram)
         factor = math.prod(p - 1 for p in ram)
-        assert factor == base_factor * (p0 - 1) * (pi - 1), \
-            "internal: factor identity violated"
+        if factor != base_factor * (p0 - 1) * (pi - 1):
+            raise SysarithError(
+                f"factor {factor} of {ram} breaks the identity "
+                f"{base_factor} * ({p0} - 1) * ({pi} - 1)")
         entries.append(FamilyEntry(
             index=i, ram=ram, factor=factor, p0=p0, pi=pi,
             embeds_certified=embeds_q(L, algebra),

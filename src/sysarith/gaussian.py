@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateExtensionError, InputError
+from .errors import DegenerateExtensionError, InputError, SysarithError
 from .real_quadratic import INERT, RAMIFIED, SPLIT, is_prime
 
 from . import _accel
@@ -118,7 +118,10 @@ def _sum_two_squares(p: int) -> tuple[int, int]:
         a, b = b, a % b
     a = a % b
     lo, hi = sorted((abs(a), abs(b)))
-    assert lo * lo + hi * hi == p and lo > 0
+    if lo * lo + hi * hi != p or lo == 0:
+        raise SysarithError(
+            f"Cornacchia step gave {lo}^2 + {hi}^2, not a sum of two "
+            f"nonzero squares equal to {p}")
     return hi, lo
 
 
@@ -188,7 +191,10 @@ def quad_residue_symbol(delta: GaussianInt, P: GaussianPrimeIdeal) -> int:
     if delta.a % q == 0 and delta.b % q == 0:
         return 0
     ra, rb = _gauss_pow_mod(delta.a, delta.b, (q * q - 1) // 2, q)
-    assert rb == 0 and ra in (1, q - 1)
+    if rb != 0 or ra not in (1, q - 1):
+        raise SysarithError(
+            f"Euler power of {delta} mod the inert prime {q} is {ra} + {rb}i, "
+            "not +-1")
     return 1 if ra == 1 else -1
 
 
@@ -222,7 +228,9 @@ def factor_gaussian(z: GaussianInt) -> tuple[GaussianInt, list[tuple[GaussianInt
     if rest > 1:
         z, ex = _strip_odd_prime(z, rest)
         factors.extend(ex)
-    assert z.norm == 1
+    if z.norm != 1:
+        raise SysarithError(
+            f"factorization left the remainder {z} of norm {z.norm}, not a unit")
     factors.sort(key=lambda t: (t[0].norm, t[0].b, t[0].a))
     return z, factors
 
@@ -343,9 +351,11 @@ def _ext_from_parts(unit_exp: int, gens: tuple[GaussianInt, ...]) -> GaussianQua
             two_exp, two_kind = 0, SPLIT
         elif defect == 4:
             two_exp, two_kind = 0, INERT
-        else:
-            assert defect in (1, 3)
+        elif defect in (1, 3):
             two_exp, two_kind = 5 - defect, RAMIFIED
+        else:
+            raise SysarithError(
+                f"2-adic defect of {delta} is {defect}, expected 1 or 3")
     odd_part = ONE
     for g in odd:
         odd_part = odd_part * g
@@ -379,7 +389,9 @@ def splitting_in_ext(P: GaussianPrimeIdeal, ext: GaussianQuadExt) -> str:
     if P.gen in ext.gens:
         return RAMIFIED
     s = quad_residue_symbol(ext.delta, P)
-    assert s != 0
+    if s == 0:
+        raise SysarithError(
+            f"residue symbol of {ext.delta} at unramified {P.gen} is 0")
     return SPLIT if s == 1 else INERT
 
 

@@ -9,14 +9,13 @@ size.  Units satisfy x^2 - disc*y^2 = +-4 with the unit equal to
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
-import threading
 from dataclasses import dataclass
 
 import mpmath
 
-from .errors import InputError
+from .errors import InputError, SysarithError
 
 SPLIT = "split"
 INERT = "inert"
@@ -189,10 +188,6 @@ class _ExceedsCutoff:
 
 EXCEEDS_CUTOFF = _ExceedsCutoff()
 
-_lock = threading.Lock()
-_unit_cache: dict[int, FundamentalUnit] = {}
-_reg_cache: dict[int, float] = {}
-
 
 def _pqa_unit(D: int, cutoff: float | None):
     """Continued fraction of (P0 + sqrt(D))/2 for the discriminant D.
@@ -225,7 +220,10 @@ def _pqa_unit(D: int, cutoff: float | None):
         g_prev2, g_prev = g_prev, g
         b_prev2, b_prev = b_prev, b
     norm = 1 if length % 2 == 0 else -1
-    assert g * g - D * b * b == 4 * norm
+    if g * g - D * b * b != 4 * norm:
+        raise SysarithError(
+            f"continued fraction of discriminant {D} ended off the unit "
+            f"equation: {g}^2 - {D}*{b}^2 != {4 * norm}")
     return FundamentalUnit(g, b, norm)
 
 
@@ -239,32 +237,17 @@ def _unit_log(u: FundamentalUnit, disc: int) -> float:
 def fundamental_unit(d: int, cutoff: float | None = None):
     """Fundamental unit of Q(sqrt(d)), or EXCEEDS_CUTOFF if its log > cutoff."""
     _check_field_d(d)
-    with _lock:
-        u = _unit_cache.get(d)
-    if u is None:
-        res = _pqa_unit(fundamental_discriminant(d), cutoff)
-        if res is EXCEEDS_CUTOFF:
-            return EXCEEDS_CUTOFF
-        u = res
-        with _lock:
-            _unit_cache.setdefault(d, u)
-    if cutoff is not None and regulator(d) > cutoff:
+    u = _pqa_unit(fundamental_discriminant(d), cutoff)
+    if u is EXCEEDS_CUTOFF or (cutoff is not None and regulator(d) > cutoff):
         return EXCEEDS_CUTOFF
     return u
 
 
+@functools.cache
 def regulator(d: int) -> float:
-    """log of the fundamental unit (norm -1 units included)."""
+    """log of the fundamental unit (norm -1 units included), memoized."""
     _check_field_d(d)
-    with _lock:
-        r = _reg_cache.get(d)
-    if r is not None:
-        return r
-    u = fundamental_unit(d)
-    r = _unit_log(u, fundamental_discriminant(d))
-    with _lock:
-        _reg_cache.setdefault(d, r)
-    return r
+    return _unit_log(fundamental_unit(d), fundamental_discriminant(d))
 
 
 def regulator_lower_bound(d: int) -> float:
@@ -298,62 +281,3 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
                 out.append(quad_field(d))
         d += 1
     return sorted(out, key=lambda f: f.d)
-
-
-# ---------------------------------------------------------------------------
-# unit cache persistence
-
-CACHE_HEADER = "sysarith-units 1"
-
-
-def save_unit_cache(path: str) -> int:
-    """Write every in-memory fundamental unit as 'd<TAB>x<TAB>y<TAB>norm'."""
-    with _lock:
-        items = sorted(_unit_cache.items())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(CACHE_HEADER + "\n")
-        for d, u in items:
-            fh.write(f"{d}\t{u.x}\t{u.y}\t{u.norm}\n")
-    return len(items)
-
-
-def load_unit_cache(path: str) -> int:
-    """Load a unit cache; regulators are recomputed lazily from the units.
-
-    A malformed file is ignored in full with a warning, never trusted in
-    part: a wrong unit would silently corrupt every search built on it.
-    """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        print(f"warning: cannot read unit cache {path}: {e}", file=sys.stderr)
-        return 0
-    if not lines or lines[0] != CACHE_HEADER:
-        print(f"warning: ignoring unit cache {path}: bad header", file=sys.stderr)
-        return 0
-    loaded: dict[int, FundamentalUnit] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        try:
-            d, x, y, norm = (int(v) for v in line.split("\t"))
-        except ValueError:
-            print(f"warning: ignoring unit cache {path}: bad row {line!r}", file=sys.stderr)
-            return 0
-        if norm not in (1, -1) or d < 2 or not is_squarefree(d):
-            print(f"warning: ignoring unit cache {path}: bad row {line!r}", file=sys.stderr)
-            return 0
-        if x * x - fundamental_discriminant(d) * y * y != 4 * norm:
-            print(f"warning: ignoring unit cache {path}: inconsistent row for d={d}", file=sys.stderr)
-            return 0
-        loaded[d] = FundamentalUnit(x, y, norm)
-    with _lock:
-        _unit_cache.update(loaded)
-    return len(loaded)
-
-
-def clear_caches() -> None:
-    with _lock:
-        _unit_cache.clear()
-        _reg_cache.clear()

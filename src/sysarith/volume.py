@@ -40,8 +40,8 @@ def volume_constant_qi() -> float:
     """zeta_{Q(i)}(2) * |disc|^(3/2) / (4 pi^2) with disc = -4.
 
     Via the functional factorization zeta_{Q(i)} = zeta * beta this equals
-    Catalan/3; both routes agree and the lattice sum in _accel gives an
-    independent slow check.
+    Catalan/3; both routes agree, and the lattice sum
+    tests/oracles.lattice_zeta_qi gives an independent slow check.
     """
     global _VOLUME_CONSTANT
     if _VOLUME_CONSTANT is None:

@@ -1,4 +1,4 @@
-"""Command-line interface: output formats, exit codes, and the unit cache."""
+"""Command-line interface: output formats and exit codes."""
 
 import json
 
@@ -6,15 +6,6 @@ import pytest
 
 from sysarith import cli
 from sysarith.cli import HEADER_FACTOR, HEADER_L, HEADER_SET, HEADER_VOLUME, main
-from sysarith.real_quadratic import CACHE_HEADER, clear_caches
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches(monkeypatch):
-    monkeypatch.delenv("SYSARITH_CACHE", raising=False)
-    clear_caches()
-    yield
-    clear_caches()
 
 
 def run(capsys, *args):
@@ -175,6 +166,7 @@ def test_volume(capsys):
     ["volume", "--base", "qi", "--ram-norms", "2,7"],  # unrealizable norm
     ["search2d", "--systole", "1", "--format", "xml"],
     ["search2d", "--systole", "1", "--workers", "2"],  # no such option
+    ["systole2d", "--ram", "2,31", "--cache", "u.tsv"],  # no such option
     ["family", "--ram", "2,x", "--count", "1"],      # malformed list
 ])
 def test_input_errors_exit_1(capsys, args):
@@ -191,52 +183,6 @@ def test_no_candidate_exit_2(capsys, args):
     code, _, err = run(capsys, *args)
     assert code == 2
     assert "error:" in err
-
-
-def test_cache_roundtrip(capsys, tmp_path):
-    cache = tmp_path / "units.tsv"
-    code, out1, _ = run(capsys, "systole2d", "--ram", "2,31",
-                        "--cache", str(cache))
-    assert code == 0
-    text = cache.read_text()
-    assert text.splitlines()[0] == CACHE_HEADER
-    assert any(line.startswith("13\t") for line in text.splitlines()[1:])
-    clear_caches()
-    code, out2, _ = run(capsys, "systole2d", "--ram", "2,31",
-                        "--cache", str(cache))
-    assert code == 0
-    assert out2 == out1
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "env_units.tsv"
-    monkeypatch.setenv("SYSARITH_CACHE", str(cache))
-    code, _, _ = run(capsys, "systole2d", "--ram", "2,31")
-    assert code == 0
-    assert cache.exists()
-
-
-def test_cache_flag_beats_env(capsys, tmp_path, monkeypatch):
-    env_cache = tmp_path / "env.tsv"
-    flag_cache = tmp_path / "flag.tsv"
-    monkeypatch.setenv("SYSARITH_CACHE", str(env_cache))
-    code, _, _ = run(capsys, "systole2d", "--ram", "2,31",
-                     "--cache", str(flag_cache))
-    assert code == 0
-    assert flag_cache.exists()
-    assert not env_cache.exists()
-
-
-def test_corrupt_cache_warns_but_succeeds(capsys, tmp_path):
-    cache = tmp_path / "units.tsv"
-    cache.write_text("not a cache at all\n")
-    code, out, err = run(capsys, "systole2d", "--ram", "2,31",
-                         "--cache", str(cache))
-    assert code == 0
-    assert out == "1.194763 (d=13)\n"
-    assert "cache" in err.lower()
-    # the run rewrites the file with valid contents
-    assert cache.read_text().splitlines()[0] == CACHE_HEADER
 
 
 def test_csv_columns_match_table_headers(capsys):

@@ -1,14 +1,39 @@
-"""Package metadata."""
+"""Package metadata and source-wide invariants."""
 
+import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import sysarith
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def project_table():
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
 
 def test_pyproject_version_matches_package():
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    meta = tomllib.loads(pyproject.read_text())
-    assert meta["project"]["version"] == sysarith.__version__
+    assert project_table()["version"] == sysarith.__version__
+
+
+def test_runtime_dependencies_import():
+    # every declared dependency must be importable, or `pip install -e .`
+    # cannot succeed without fetching it
+    for requirement in project_table()["dependencies"]:
+        name = re.match(r"[A-Za-z0-9_.\-]+", requirement).group()
+        importlib.import_module(name.replace("-", "_"))
+
+
+def test_no_assert_statements_in_src():
+    # certificate invariants must raise real errors, which `python -O` keeps
+    sites = []
+    for path in sorted((ROOT / "src" / "sysarith").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert sites == []

@@ -1,4 +1,4 @@
-"""Real quadratic fields: units, regulators, splitting, and the unit cache."""
+"""Real quadratic fields: units, regulators, splitting, and the field scan."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sysarith.errors import InputError
 from sysarith.real_quadratic import (
     EXCEEDS_CUTOFF,
-    clear_caches,
     fields_with_regulator_below,
     fundamental_discriminant,
     fundamental_unit,
@@ -18,11 +17,9 @@ from sysarith.real_quadratic import (
     is_squarefree,
     kronecker,
     kronecker_symbol,
-    load_unit_cache,
     quad_field,
     regulator,
     regulator_lower_bound,
-    save_unit_cache,
     splitting_type_q,
     squarefree_part,
 )
@@ -175,29 +172,3 @@ def test_quad_field_validation():
     with pytest.raises(InputError):
         quad_field(-5)
 
-
-def test_unit_cache_roundtrip(tmp_path):
-    path = tmp_path / "units.tsv"
-    regulator(13)
-    regulator(77)
-    n = save_unit_cache(str(path))
-    assert n >= 2
-    clear_caches()
-    assert load_unit_cache(str(path)) == n
-    assert regulator(77) == pytest.approx(FROZEN_REGULATORS[77], abs=1e-12)
-
-
-def test_unit_cache_corrupt_is_ignored(tmp_path, capsys):
-    path = tmp_path / "units.tsv"
-    path.write_text("garbage header\n2\t6\t2\t1\n")
-    assert load_unit_cache(str(path)) == 0
-    assert "warning" in capsys.readouterr().err
-
-    # header fine, row inconsistent with the unit equation
-    path.write_text("sysarith-units 1\n2\t7\t2\t1\n")
-    assert load_unit_cache(str(path)) == 0
-    assert "warning" in capsys.readouterr().err
-
-    # fully valid file loads
-    path.write_text("sysarith-units 1\n2\t6\t2\t1\n")
-    assert load_unit_cache(str(path)) == 1
