@@ -5,6 +5,12 @@ A hyperbolic element of trace t (|t| > 2) has translation length
 surface convention here halves that to log(...), and the 3-manifold value
 doubles the surface one.  Integer traces t pin down the invariant field
 Q(sqrt(t^2 - 4)) and the unit (t + sqrt(t^2-4))/2 realizing the geodesic.
+
+That unit is a power of the fundamental unit, so an embeddable trace field's
+regulator is at most the trace's length and bounds the regulator minimum;
+conversely the squared fundamental unit of the minimizing field has norm +1
+and an integer trace, so the first embeddable trace is at most twice that
+minimum long.
 """
 
 from __future__ import annotations
@@ -91,6 +97,17 @@ class SystoleResult:
         return out
 
 
+def _first_embeddable_trace(B: QuaternionAlgebraQ, cap: float) -> tuple[int, QuadFieldQ] | None:
+    """The least trace t >= 3 of length <= cap whose field embeds in B."""
+    t = 3
+    while geodesic_length_from_trace(t) <= cap:
+        field = quad_field(squarefree_part(t * t - 4))
+        if embeds_q(field, B):
+            return t, field
+        t += 1
+    return None
+
+
 def exact_systole_q(B: QuaternionAlgebraQ, mode: str = MODE_PAPER, cap: float = 5.0) -> SystoleResult:
     """Smallest geodesic length on the surface of B, searched up to cap.
 
@@ -100,31 +117,30 @@ def exact_systole_q(B: QuaternionAlgebraQ, mode: str = MODE_PAPER, cap: float = 
     agree whenever the minimizing unit has norm +1 or its square stays
     under the cap; they are cross-checked in the tests.
 
-    The paper-mode scan visits every d below roughly e^(2 cap), so its cost
-    grows exponentially with the cap; caps much above 7 get slow.
+    The paper-mode field scan stops at the regulator of the first
+    embeddable trace's field, which is at most twice the systole, so its
+    cost grows with the systole; the cap bounds the scan only when no
+    embeddable trace is as short as the cap.
     """
     require_admissible(B)
     if not cap > 0:
         raise InputError(f"cap must be positive, got {cap}")
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == MODE_PAPER:
-        best = None
-        for field in fields_with_regulator_below(cap):
-            if embeds_q(field, B):
-                key = (regulator(field.d), field.d)
-                if best is None or key < best[0]:
-                    best = (key, field)
-        if best is None:
+    hit = _first_embeddable_trace(B, cap)
+    if mode == MODE_TRACE:
+        if hit is None:
             return SystoleResult(found=False, mode=mode)
-        (length, _), field = best
-        return SystoleResult(True, length, mode, field)
-    t = 3
-    while True:
-        length = geodesic_length_from_trace(t)
-        if length > cap:
-            return SystoleResult(found=False, mode=mode)
-        cand = geodesic_candidate(t)
-        if embeds_q(cand.field, B):
-            return SystoleResult(True, length, mode, cand.field, t)
-        t += 1
+        t, field = hit
+        return SystoleResult(True, geodesic_length_from_trace(t), mode, field, t)
+    bound = cap if hit is None else min(cap, math.nextafter(regulator(hit[1].d), math.inf))
+    best = None
+    for field in fields_with_regulator_below(bound):
+        if embeds_q(field, B):
+            key = (regulator(field.d), field.d)
+            if best is None or key < best[0]:
+                best = (key, field)
+    if best is None:
+        return SystoleResult(found=False, mode=mode)
+    (length, _), field = best
+    return SystoleResult(True, length, mode, field)

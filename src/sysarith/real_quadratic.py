@@ -251,7 +251,11 @@ def regulator(d: int) -> float:
 
 
 def regulator_lower_bound(d: int) -> float:
-    """log((sqrt(d-4) + sqrt(d))/2), increasing in d, below every regulator."""
+    """log((sqrt(d-4) + sqrt(d))/2), increasing in d.
+
+    At most the regulator of every Q(sqrt(d)) with d >= 5, and equal to it
+    at d = n^2 + 4, where (n + sqrt(d))/2 is the fundamental unit.
+    """
     if d < 4:
         raise InputError(f"bound needs d >= 4, got {d}")
     return math.log((math.sqrt(d - 4) + math.sqrt(d)) / 2)
@@ -262,6 +266,10 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
 
     d = 2 and 3 sit below the generic lower bound, so they are tested
     directly; from d = 5 on the bound is monotone and truncates the scan.
+    regulator_lower_bound(d) < bound exactly when d < 4 cosh(bound)^2.  The
+    scan runs to floor(4 cosh(bound)^2) + 1 rather than comparing the float
+    lower bound, which equals the regulator at d = n^2 + 4 and can round
+    above it; the exact regulator test filters the extra d.
     """
     if not bound > 0:
         raise InputError(f"bound must be positive, got {bound}")
@@ -273,11 +281,9 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     for d in (2, 3):
         if regulator(d) < bound:
             out.append(quad_field(d))
-    d = 5
-    while regulator_lower_bound(d) < bound:
+    for d in range(5, math.floor(4 * math.cosh(bound) ** 2) + 2):
         if is_squarefree(d):
             u = fundamental_unit(d, cutoff=bound)
             if u is not EXCEEDS_CUTOFF and regulator(d) < bound:
                 out.append(quad_field(d))
-        d += 1
     return sorted(out, key=lambda f: f.d)

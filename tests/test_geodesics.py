@@ -15,7 +15,12 @@ from sysarith.geodesics import (
 from sysarith.quaternion import algebra_q
 from sysarith.real_quadratic import regulator
 
-from oracles import brute_geodesic_min_trace_length, brute_short_traces_qi
+from oracles import (
+    brute_fields_with_regulator_below,
+    brute_geodesic_min_trace_length,
+    brute_short_traces_qi,
+    brute_splitting_q,
+)
 
 
 def test_length_from_trace_matches_closed_form():
@@ -70,6 +75,46 @@ def test_exact_systole_known_algebras():
     assert res.length == pytest.approx(0.881373587019543, abs=1e-12)
 
     res = exact_systole_q(algebra_q([2, 31]))
+    assert res.found and res.field.d == 13
+    assert res.length == pytest.approx(1.1947632172871094, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def pell_fields_below_5():
+    return brute_fields_with_regulator_below(5.0)
+
+
+@pytest.mark.parametrize("ram, d", [
+    ([2, 31], 13), ([2, 11], 2), ([3, 5], 5),
+    # the first embeddable trace, 11, lies in Q(sqrt 13) = Q(sqrt(3^2 + 4)),
+    # so the paper-mode scan stops just above a regulator that equals
+    # regulator_lower_bound(13)
+    ([47, 71], 13), ([67, 71], 13),
+    ([2, 7, 19, 31, 47, 79], 8277),
+])
+def test_paper_mode_matches_pell_scan_minimum(ram, d, pell_fields_below_5):
+    # the regulator minimum over every field of regulator < 5 that no
+    # ramified prime splits, from the oracle Pell scan and residue symbols
+    want = min((reg, e) for e, reg in pell_fields_below_5
+               if all(brute_splitting_q(e, p) != "split" for p in ram))
+    res = exact_systole_q(algebra_q(ram), mode=MODE_PAPER, cap=5.0)
+    assert res.found and res.field.d == want[1] == d
+    assert res.length == pytest.approx(want[0], rel=1e-12)
+
+
+def test_paper_mode_without_a_trace_below_the_cap():
+    # trace 11 (length 2.39) is the first embeddable one, so at cap 2 trace
+    # mode finds nothing and paper mode scans every field below the cap
+    B = algebra_q([47, 71])
+    assert not exact_systole_q(B, mode=MODE_TRACE, cap=2.0).found
+    res = exact_systole_q(B, mode=MODE_PAPER, cap=2.0)
+    assert res.found and res.field.d == 13
+    assert res.length == pytest.approx(regulator(13), rel=1e-15)
+
+
+def test_paper_mode_high_cap_stops_at_the_trace_witness():
+    # an unbounded scan to cap 7 visits about e^14 discriminants
+    res = exact_systole_q(algebra_q([2, 31]), cap=7.0)
     assert res.found and res.field.d == 13
     assert res.length == pytest.approx(1.1947632172871094, abs=1e-12)
 

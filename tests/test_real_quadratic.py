@@ -157,6 +157,20 @@ def test_fields_with_regulator_below_matches_pell_scan():
         assert regulator(d) == pytest.approx(reg, rel=1e-12)
 
 
+def test_fields_with_regulator_below_keeps_n2_plus_4_at_its_regulator():
+    # at d = n^2 + 4 the unit (n + sqrt(d))/2 meets regulator_lower_bound,
+    # whose float can round above the regulator (d = 13 does); the scan
+    # must still reach d for every bound just above its regulator
+    for n in range(1, 60):
+        d = n * n + 4
+        if not brute_is_squarefree(d):
+            continue
+        reg = regulator(d)
+        assert reg == pytest.approx(math.log((n + math.sqrt(d)) / 2), rel=1e-12)
+        assert d in [f.d for f in fields_with_regulator_below(math.nextafter(reg, math.inf))], d
+        assert d not in [f.d for f in fields_with_regulator_below(reg)], d
+
+
 def test_fields_with_regulator_below_guards():
     with pytest.raises(InputError):
         fields_with_regulator_below(0.0)
