@@ -79,7 +79,7 @@ def canonical_associate(z: GaussianInt) -> GaussianInt:
         w = z * u
         if w.a > 0 and w.b >= 0:
             return w
-    raise AssertionError("unreachable")
+    raise SysarithError(f"internal: no associate of {z} lies in the first quadrant")
 
 
 @dataclass(frozen=True)

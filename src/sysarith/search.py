@@ -2,10 +2,17 @@
 
 The surface search lists the real quadratic fields whose regulator falls
 below the target and then sweeps the area-factor ranges [2, 4), [4, 8), ...
-in order.  Each range sieves only the primes it can use, allows every even
-cardinality whose smallest set fits, and tests every prime set in it
-against packed split masks, counting the sets it tests on the way; the
-first range holding a passing set yields the optimum with all its ties.
+in order.  Each range sieves only its new primes, those in [lo, 2lo), and
+appends them to the primes of the earlier ranges; it allows every even
+cardinality whose smallest set fits and tests every prime set in it against
+packed split masks, counting the sets it tests on the way.  The first range
+holding a passing set yields the optimum with all its ties.  The masks are
+built only as far as the sweep reads them: full rows for the small primes
+that open a set, and for every prime a single word 0 holding the 64 fields
+that the fewest small primes split.  The last prime of a set is filtered on
+word 0, and the few rows that pass are re-checked exactly on the fields and
+torsion bits that the rest of the set leaves open.
+
 The exact cover over Q runs the same sweep.  The 3-manifold variant over
 Q(i) is budgeted and best-effort: it certifies its output but does not
 claim minimality.
@@ -152,50 +159,110 @@ def enumerate_prime_sets(factor_bound: int, cardinality: int):
 # With the torsion filter on, two extra virtual bits (p = 1 mod 4 and
 # p = 1 mod 3) must be covered as well.
 
-class _MaskMatrix:
-    """Packed split-mask rows for an ascending prime array, built on demand.
+_WORD = (1 << 64) - 1
+_WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
+# the 0/1 tables of the torsion bits, periodic like the character tables
+_TORSION_TABLES = [np.array([0, 1, 0, 0], dtype=np.int8),  # p = 1 mod 4
+                   np.array([0, 1, 0], dtype=np.int8)]     # p = 1 mod 3
 
-    `primes` may be replaced by a longer array with the same prefix (the
-    sweep does so for every range); rows already built stay valid, and the
-    character tables are built once.
+
+def _grow(buf: np.ndarray, n: int, extra: int) -> np.ndarray:
+    """buf, or a copy of its first n rows with room for n + extra; the
+    capacity at least doubles, so appending costs O(1) per row."""
+    if n + extra <= len(buf):
+        return buf
+    out = np.empty((max(n + extra, 2 * len(buf)),) + buf.shape[1:], dtype=buf.dtype)
+    out[:n] = buf[:n]
+    return out
+
+
+class _MaskMatrix:
+    """Split masks for an ascending prime list, built only as far as the
+    sweep reads them.
+
+    Bits are ordered so that word 0 holds the 64 fields that the fewest
+    small primes split; the other fields follow, then the torsion bits.
+    Every prime gets its word 0 (`w0`), stored next to its factor p - 1
+    (`facs`), the one array the sweep searches.  Full rows are built only
+    for the prime indices [0, n) that `ensure(n)` asks for: the sweep's
+    prefixes.  The last prime of a set is filtered on word 0 alone, and
+    `covers` re-checks the few survivors exactly, on the bits above word 0,
+    by one gather from the concatenated tables.  `append` adds the primes
+    of the next range; the buffers grow geometrically.
     """
 
-    def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool,
-                 block: int = 1 << 16):
-        self.primes = primes
-        self.n_fields = len(discs)
-        self.tables = _accel.character_tables(discs)
-        self.torsion = torsion
-        self.block = block
-        bits = len(discs) + (2 if torsion else 0)
+    def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool):
+        tables = _accel.character_tables(discs)
+        small = _accel.primes_up_to(_WORD0_RANK_BOUND)
+        split = [int((chi[small % len(chi)] == 1).sum()) for chi in tables]
+        self.tables = ([tables[f] for f in np.argsort(split, kind="stable")]
+                       + (_TORSION_TABLES if torsion else []))
+        bits = len(self.tables)
         self.width = max(1, (bits + 63) // 64)
-        self._rows = np.zeros((0, self.width), dtype=np.uint64)
-        full = np.zeros(self.width, dtype=np.uint64)
-        for b in range(bits):
-            full[b // 64] |= np.uint64(1 << (b % 64))
-        self.target = full
+        self.target_int = (1 << bits) - 1
+        self.target = np.array(
+            [(self.target_int >> (64 * w)) & _WORD for w in range(self.width)],
+            dtype=np.uint64)
+        self.flat = (np.concatenate(self.tables) if self.tables
+                     else np.zeros(0, dtype=np.int8))
+        self.periods = np.array([len(t) for t in self.tables], dtype=np.int64)
+        self.offsets = np.cumsum(self.periods) - self.periods
+        self.n = 0
+        self._facs = np.empty(0, dtype=np.int64)
+        self._w0 = np.empty(0, dtype=np.uint64)
+        self._rows = np.empty((0, self.width), dtype=np.uint64)
+        self._n_rows = 0
+        self.append(primes)
 
-    def _build(self, lo: int, hi: int) -> np.ndarray:
-        chunk = self.primes[lo:hi]
-        words = _accel.build_split_masks(chunk, self.tables)
-        if words.shape[1] < self.width:
-            pad = np.zeros((len(chunk), self.width - words.shape[1]), dtype=np.uint64)
-            words = np.hstack([words, pad])
-        if self.torsion:
-            b4, b3 = self.n_fields, self.n_fields + 1
-            words[:, b4 // 64] |= np.where(
-                chunk % 4 == 1, np.uint64(1 << (b4 % 64)), np.uint64(0))
-            words[:, b3 // 64] |= np.where(
-                chunk % 3 == 1, np.uint64(1 << (b3 % 64)), np.uint64(0))
-        return words
+    @property
+    def facs(self) -> np.ndarray:
+        return self._facs[:self.n]
+
+    @property
+    def w0(self) -> np.ndarray:
+        return self._w0[:self.n]
+
+    def _words(self, primes: np.ndarray, width: int) -> np.ndarray:
+        """The first `width` words of the rows of `primes`."""
+        out = np.zeros((len(primes), width), dtype=np.uint64)
+        built = _accel.build_split_masks(primes, self.tables[:64 * width])
+        out[:, :built.shape[1]] = built
+        return out
+
+    def append(self, primes: np.ndarray) -> None:
+        """Add primes above the current ones, with their word 0."""
+        n, m = self.n, len(primes)
+        self._facs = _grow(self._facs, n, m)
+        self._facs[n:n + m] = primes - 1
+        self._w0 = _grow(self._w0, n, m)
+        self._w0[n:n + m] = self._words(primes, 1)[:, 0]
+        self.n = n + m
 
     def ensure(self, n_rows: int) -> np.ndarray:
-        """Return the row matrix covering at least prime indices [0, n_rows)."""
-        have = len(self._rows)
+        """Return the full rows of at least the prime indices [0, n_rows).
+
+        The rows built grow geometrically, so a sweep whose prefixes reach
+        a little further each range builds them in few calls.
+        """
+        have = self._n_rows
         if n_rows > have:
-            want = min(len(self.primes), max(n_rows, have + self.block))
-            self._rows = np.vstack([self._rows, self._build(have, want)])
-        return self._rows
+            want = min(self.n, max(n_rows, 2 * have))
+            self._rows = _grow(self._rows, have, want - have)
+            self._rows[have:want] = self._words(self._facs[have:want] + 1, self.width)
+            self._n_rows = want
+        return self._rows[:self._n_rows]
+
+    def open_bits(self, acc: int) -> np.ndarray:
+        """The bits above word 0 that a prefix with row OR `acc` leaves open."""
+        rest = (self.target_int & ~acc) >> 64
+        raw = np.frombuffer(rest.to_bytes(8 * self.width, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, bitorder="little")) + 64
+
+    def covers(self, js: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """For each prime index in js: does its row set every bit in bits?"""
+        p = self._facs[js] + 1
+        idx = self.offsets[bits] + p[:, None] % self.periods[bits]
+        return (self.flat[idx] == 1).all(axis=1)
 
 
 def _check_l(l: float) -> None:
@@ -211,40 +278,56 @@ def _check_l(l: float) -> None:
 # vectorized slice.  The first range containing a passing set holds the
 # optimum and all its ties; earlier ranges were exhausted without a pass.
 
-_SLICE_CHUNK = 1 << 20  # rows OR-ed per vectorized step, bounds temporaries
+_SLICE_CHUNK = 1 << 20  # word-0 rows tested per vectorized step
+_GATHER_CELLS = 1 << 18  # survivor x bit cells re-checked per gather
+_SIEVE_BLOCK = 1 << 22  # integers sieved per append, bounds the new primes held
 
 
 def _slice_bounds(facs_np, prod, lo, hi, after):
     """Index range [j0, j1) with lo <= prod*facs[j] < hi and j > after."""
-    j0 = int(np.searchsorted(facs_np, (lo + prod - 1) // prod, side="left"))
-    j1 = int(np.searchsorted(facs_np, (hi - 1) // prod, side="right"))
-    return max(j0, after + 1), j1
+    j0, j1 = facs_np.searchsorted(((lo + prod - 1) // prod, (hi - 1) // prod + 1))
+    return max(int(j0), after + 1), int(j1)
 
 
-def _first_pass(masks, prefix, j0, j1):
-    """Least j in [j0, j1) whose row OR the prefix rows covers every bit."""
-    rows = masks.ensure(j1)
-    prefix_or = np.zeros(masks.width, dtype=np.uint64)
-    for i in prefix:
-        prefix_or |= rows[i]
+def _first_pass(masks, acc, j0, j1):
+    """Least j in [j0, j1) whose row OR acc, the prefix's row OR, covers
+    every bit: word 0 filters, and the survivors are re-checked on the
+    bits above word 0 that acc leaves open."""
+    need0 = np.uint64(masks.target_int & ~acc & _WORD)
+    w0 = masks.w0
+    high = None
     for s0 in range(j0, j1, _SLICE_CHUNK):
-        ok = ((rows[s0:min(j1, s0 + _SLICE_CHUNK)] | prefix_or)
-              == masks.target).all(axis=1)
-        k = int(ok.argmax())
-        if ok[k]:
-            return s0 + k
+        s1 = min(j1, s0 + _SLICE_CHUNK)
+        hits = ((w0[s0:s1] & need0) == need0).nonzero()[0]
+        if not len(hits):
+            continue
+        survivors = hits + s0
+        if high is None:
+            high = masks.open_bits(acc)
+        if not len(high):
+            return int(survivors[0])
+        step = max(1, _GATHER_CELLS // len(high))
+        for g0 in range(0, len(survivors), step):
+            group = survivors[g0:g0 + step]
+            ok = masks.covers(group, high)
+            k = int(ok.argmax())
+            if ok[k]:
+                return int(group[k])
     return None
 
 
-def _sweep_range_full(masks, facs, facs_np, cards, lo, hi):
+def _sweep_range_full(masks, lo, hi):
     """Test every prime set with factor in [lo, hi): (best, winners, n_below).
 
-    A set is a prefix found by descent over the Python ints `facs` plus one
-    last index from a slice of the sorted int64 `facs_np`, tested in one
-    vectorized step.  `facs` need only reach the last factor below sqrt(hi)
-    plus max(cards) more entries: no prefix reads further.  Cardinalities
-    are swept in the given order, and each hit lowers the limit to
-    best + 1, so later slices stop at the running optimum and its ties.
+    `masks` must hold every prime below hi.  A set is a prefix found by
+    descent over the Python ints `facs` plus one last index from a slice of
+    the sorted int64 `facs_np`, tested in one vectorized step.  `facs` need
+    only reach the last factor below sqrt(hi) plus max_ram_cardinality(hi)
+    more entries: no prefix reads further.  `rows` holds their full rows as
+    Python ints, and each stack entry carries its prefix's row OR.
+    Cardinalities are swept from the largest down, and each hit lowers the
+    limit to best + 1, so later slices stop at the running optimum and its
+    ties.
 
     best is the least passing factor (None if no set passes), winners the
     index tuples of every set with factor best, and n_below the number of
@@ -252,13 +335,18 @@ def _sweep_range_full(masks, facs, facs_np, cards, lo, hi):
     It is read from the (prod, j0, j1) kept for each slice: facs_np is
     sorted, so the sets below best form a prefix of every slice.
     """
+    facs_np = masks.facs
+    top = max_ram_cardinality(hi)
+    short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + top
+    facs = facs_np[:short].tolist()
+    rows = _accel.masks_to_ints(masks.ensure(short))
     best = None
     winners: list[tuple] = []
     slices = []
-    for card in cards:
-        stack = [((), 1, 0)]
+    for card in range(top, 1, -2):
+        stack = [((), 1, 0, 0)]
         while stack:
-            prefix, prod, start = stack.pop()
+            prefix, prod, start, acc = stack.pop()
             depth = len(prefix)
             for i in range(start, len(facs)):
                 prod2 = prod * facs[i]
@@ -271,13 +359,13 @@ def _sweep_range_full(masks, facs, facs_np, cards, lo, hi):
                 if rest is None or rest >= hi:
                     break
                 if depth < card - 2:
-                    stack.append((prefix + (i,), prod2, i + 1))
+                    stack.append((prefix + (i,), prod2, i + 1, acc | rows[i]))
                     continue
                 j0, j1 = _slice_bounds(facs_np, prod2, lo, hi, i)
                 if j0 >= j1:
                     continue
                 slices.append((prod2, j0, j1))
-                j = _first_pass(masks, prefix + (i,), j0, j1)
+                j = _first_pass(masks, acc | rows[i], j0, j1)
                 if j is None:
                     continue
                 factor = prod2 * int(facs_np[j])
@@ -298,8 +386,9 @@ def _minimal_sets(discs: list[int], torsion: bool):
     every disc has a split prime (and, with `torsion`, some p = 1 mod 4 and
     some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
 
-    Range [lo, 2lo) needs the primes p <= 2lo and the cardinalities up to
-    max_ram_cardinality(2lo), nothing more.  The loop ends: every field has
+    Range [lo, 2lo) needs the primes p < 2lo and the cardinalities up to
+    max_ram_cardinality(2lo), nothing more; each range sieves only the
+    primes in [lo, 2lo) and appends them.  The loop ends: every field has
     split primes and a prime = 1 mod 12 meets both torsion bits, so some
     even set passes.
     """
@@ -308,16 +397,13 @@ def _minimal_sets(discs: list[int], torsion: bool):
     lo = 2
     while True:
         hi = 2 * lo
-        primes = _accel.primes_up_to(hi)
-        masks.primes = primes
-        facs_np = primes - 1
-        top = max_ram_cardinality(hi)
-        short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + top
-        best, winners, n = _sweep_range_full(
-            masks, facs_np[:short].tolist(), facs_np, range(top, 1, -2), lo, hi)
+        for a in range(lo, hi, _SIEVE_BLOCK):
+            masks.append(_accel.primes_in_range(a, min(hi, a + _SIEVE_BLOCK)))
+        best, winners, n = _sweep_range_full(masks, lo, hi)
         n_below += n
         if best is not None:
-            sets = sorted(tuple(int(primes[i]) for i in w) for w in winners)
+            facs = masks.facs
+            sets = sorted(tuple(int(facs[i]) + 1 for i in w) for w in winners)
             return best, sets, n_below
         lo = hi
 

@@ -111,6 +111,43 @@ def naive_prime_sets(factor_bound: int, cardinality: int) -> list[tuple[int, ...
     return [c for _, c in out]
 
 
+def naive_minimal_sets(ds, torsion: bool):
+    """(factor, sets, n_below): the least-factor even prime sets in which
+    every Q(sqrt d), d in ds, has a split prime (and, with `torsion`, some
+    p = 1 mod 4 and some p = 1 mod 3), ascending, with the number of even
+    sets of smaller factor; naive_prime_sets filtered by brute_splitting_q
+    under doubling bounds."""
+    def factor(s):
+        return math.prod(p - 1 for p in s)
+
+    split: dict = {}
+
+    def covers(s):
+        for d in ds:
+            for p in s:
+                if (d, p) not in split:
+                    split[d, p] = brute_splitting_q(d, p) == "split"
+            if not any(split[d, p] for p in s):
+                return False
+        return not torsion or (any(p % 4 == 1 for p in s)
+                               and any(p % 3 == 1 for p in s))
+
+    bound = 4
+    while True:
+        sets = []
+        card = 2
+        while found := naive_prime_sets(bound, card):
+            sets += found
+            card += 2
+        sets.sort(key=lambda s: (factor(s), s))
+        passing = [s for s in sets if covers(s)]
+        if passing:
+            best = factor(passing[0])
+            return (best, [s for s in passing if factor(s) == best],
+                    sum(1 for s in sets if factor(s) < best))
+        bound *= 2
+
+
 def lattice_zeta_qi(norm_bound: int) -> float:
     """Partial sum of 1/N(z)^2 over nonzero Gaussian integers up to the norm
     bound, divided by the unit count 4."""

@@ -1,8 +1,16 @@
 """The numeric kernels against the independent residue oracle."""
 
 import numpy as np
+import pytest
 
-from sysarith._accel import build_split_masks, character_tables
+from sysarith._accel import (
+    build_split_masks,
+    character_table,
+    character_tables,
+    primes_in_range,
+    smallest_factor_table,
+)
+from sysarith.real_quadratic import kronecker
 
 from oracles import brute_is_squarefree, brute_splitting_q, sieve_primes
 
@@ -26,15 +34,47 @@ def test_split_masks_match_residue_oracle():
     fields = fundamental_fields(13)
     assert len(fields) == 39
     primes = np.array(sieve_primes(2999), dtype=np.int64)
+    tables = character_tables([disc for _, disc in fields])
     # the list twice over, so bits run into the second word
-    words = build_split_masks(primes, character_tables([disc for _, disc in fields] * 2))
+    words = build_split_masks(primes, tables * 2)
     assert words.shape == (len(primes), 2) and words.dtype == np.uint64
-    for i, (d, _) in enumerate(fields):
-        want = [brute_splitting_q(d, p) == "split" for p in primes.tolist()]
+    symbol = {"split": 1, "inert": -1, "ramified": 0}
+    for i, ((d, disc), chi) in enumerate(zip(fields, tables)):
+        brute = [brute_splitting_q(d, p) for p in primes.tolist()]
+        assert chi[primes % disc].tolist() == [symbol[b] for b in brute], d
         for f in (i, i + len(fields)):
             got = (words[:, f // 64] >> np.uint64(f % 64)) & np.uint64(1)
-            assert got.astype(bool).tolist() == want, d
+            assert got.astype(bool).tolist() == [b == "split" for b in brute], d
     assert not (words[:, 1] >> np.uint64(2 * len(fields) - 64)).any()
+
+
+def test_character_table_is_the_kronecker_symbol():
+    # every residue of every real fundamental discriminant below 3000, which
+    # covers the three 2-adic classes and the fields of cover_algebra_2d(3.0)
+    discs = [d if d % 4 == 1 else 4 * d for d in range(2, 3000)
+             if brute_is_squarefree(d)]
+    discs = [disc for disc in discs if disc < 3000]
+    assert {disc % 8 for disc in discs} == {0, 1, 4, 5}
+    spf = smallest_factor_table(max(discs))
+    for disc in discs:
+        chi = character_table(disc, spf)
+        assert chi.dtype == np.int8
+        assert chi.tolist() == [kronecker(disc, r) for r in range(disc)], disc
+
+
+@pytest.mark.parametrize("segment", [997, 1 << 20])
+def test_primes_in_range_accumulates_the_sieve(segment):
+    # the ranges [2^k, 2^(k+1)) of the surface sweep; 997 is prime, so no
+    # segment boundary falls on a multiple of a small prime
+    got = np.concatenate([primes_in_range(1 << k, 1 << (k + 1), segment)
+                          for k in range(21)])
+    assert got.dtype == np.int64
+    assert got.tolist() == sieve_primes((1 << 21) - 1)
+    assert primes_in_range(0, 2).tolist() == []
+    assert primes_in_range(0, 3).tolist() == [2]
+    assert primes_in_range(3, 3).tolist() == []
+    assert primes_in_range(10, 5).tolist() == []
+    assert primes_in_range(24, 30, segment=1).tolist() == [29]
 
 
 def test_split_masks_empty_inputs():

@@ -30,10 +30,17 @@ def test_runtime_dependencies_import():
 
 
 def test_no_assert_statements_in_src():
-    # certificate invariants must raise real errors, which `python -O` keeps
+    # certificate invariants must raise real errors, which `python -O` keeps;
+    # an invariant raises a SysarithError, not a bare AssertionError
+    def raises_assertion_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
     sites = []
     for path in sorted((ROOT / "src" / "sysarith").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Raise) and node.exc is not None
+                  and raises_assertion_error(node)]
     assert sites == []

@@ -1,5 +1,6 @@
 """Ordered prime-set enumeration and the certified minimal-algebra searches."""
 
+import functools
 import json
 import math
 
@@ -16,6 +17,7 @@ from sysarith.errors import (
 from sysarith.gaussian import ideal_above, quad_exts_with_disc_below
 from sysarith.search import (
     _MaskMatrix,
+    _minimal_sets,
     candidate_algebra_2d,
     enumerate_prime_sets,
     max_ram_cardinality,
@@ -26,8 +28,10 @@ from sysarith.search import (
 
 from oracles import (
     brute_even_split_qi,
+    brute_is_squarefree,
     brute_splitting_q,
     brute_symbol_qi,
+    naive_minimal_sets,
     naive_prime_sets,
     sieve_primes,
 )
@@ -161,6 +165,41 @@ def test_mask_matrix_torsion_bits(n_fields):
     assert bit(n_fields) == [p % 4 == 1 for p in primes.tolist()]
     assert bit(n_fields + 1) == [p % 3 == 1 for p in primes.tolist()]
     assert sum(bin(int(w)).count("1") for w in masks.target) == n_fields + 2
+
+
+@functools.cache
+def word0_fields():
+    """126 fields Q(sqrt d) in which 2 splits, then one, d_odd, in which 2
+    is inert and no prime below 20 splits.  The 126 are split by the fewest
+    odd primes below the sweep's ranking bound (counted by Euler's
+    criterion) and d_odd by the most, so word 0, which holds the fields the
+    fewest of those primes split, leaves d_odd above it.  The cheapest sets
+    covering the others, such as (2, 3), miss d_odd."""
+    small = sieve_primes(search._WORD0_RANK_BOUND - 1)[1:]
+    candidates = [d for d in range(2, 3000) if brute_is_squarefree(d)]
+
+    def count(d):
+        return sum(pow(d, (p - 1) // 2, p) == 1 for p in small)
+
+    two_split = sorted((d for d in candidates if d % 8 == 1), key=count)[:126]
+    odd = max((d for d in range(5, 30000, 8) if brute_is_squarefree(d)
+               and all(brute_splitting_q(d, p) != "split" for p in small[:7])),
+              key=count)
+    assert count(odd) > max(count(d) for d in two_split)
+    return two_split, odd
+
+
+@pytest.mark.parametrize("torsion", [True, False])
+@pytest.mark.parametrize("n_fields", [64, 65, 127])
+def test_minimal_sets_match_naive_oracle_past_word_0(n_fields, torsion):
+    # more than 64 fields put fields, and the torsion bits, above word 0, so
+    # the survivors of the word-0 filter must be re-checked exactly
+    two_split, odd = word0_fields()
+    ds = two_split[:n_fields] if n_fields == 64 else two_split[:n_fields - 1] + [odd]
+    assert len(set(ds)) == n_fields
+    discs = [d if d % 4 == 1 else 4 * d for d in ds]
+    factor, sets, n_below = _minimal_sets(discs, torsion)
+    assert (factor, sets, n_below) == naive_minimal_sets(ds, torsion)
 
 
 def test_minimal_result_json_roundtrips():
