@@ -52,10 +52,8 @@ from .gaussian import (
 from .geodesics import (
     MODE_PAPER,
     MODE_TRACE,
-    GeodesicCandidate,
     SystoleResult,
     exact_systole_q,
-    geodesic_candidate,
     geodesic_length_from_trace,
 )
 from .quaternion import (
@@ -90,8 +88,6 @@ from .search import (
     AssignmentReport,
     ExclusionReport,
     SearchResult,
-    candidate_algebra_2d,
-    enumerate_prime_sets,
     max_ram_cardinality,
     minimal_algebra_2d,
     valid_algebra_3d,

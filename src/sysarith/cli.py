@@ -104,7 +104,7 @@ def _cmd_search2d(args) -> int:
 
 
 def _cmd_search3d(args) -> int:
-    res = valid_algebra_3d(args.systole, args.norm_bound, args.budget)
+    res = valid_algebra_3d(args.systole, args.norm_bound)
     rows = [[_fmt_num(args.systole),
              _fmt_set(P.norm for P in s),
              format_volume(res.volume)]
@@ -238,12 +238,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_search2d)
 
     p = sub.add_parser("search3d", parents=[common],
-                       help="small-volume valid ramification set over Q(i)")
+                       help="least-volume valid ramification set over an ideal pool of Q(i)")
     p.add_argument("--systole", type=float, required=True, metavar="L")
     p.add_argument("--norm-bound", type=int, default=100,
                    help="ideal pool norm bound (default: 100)")
-    p.add_argument("--budget", type=int, default=200_000,
-                   help="candidate evaluation budget (default: 200000)")
     p.set_defaults(func=_cmd_search3d)
 
     p = sub.add_parser("family", parents=[common],

@@ -17,13 +17,11 @@ import numpy as np
 from . import _accel
 from .errors import InputError, NoCandidateError, SysarithError
 from .gaussian import (
-    SPLIT,
     GaussianInt,
     _ideal_key,
     gaussian_primes_up_to_norm,
     quad_exts_with_disc_below,
     quad_residue_symbol,
-    splitting_in_ext,
 )
 from .geodesics import MODE_PAPER, exact_systole_q
 from .quaternion import (
@@ -42,7 +40,7 @@ from .real_quadratic import (
     splitting_type_q,
     squarefree_part,
 )
-from .search import _certify_q, _minimal_sets
+from .search import _certify_q, _certify_qi, _minimal_sets, _split_rows_qi
 
 _COVER_DISC_CAP = 10_000_000
 _PRIMORIAL_CAP = 100_000_000
@@ -197,30 +195,30 @@ def real_fields_with_disc_below(bound: float) -> list[QuadFieldQ]:
     return out
 
 
-def _greedy_cover(items, covers_count, covers_row, full_mask):
+def _greedy_cover(rows, full_mask):
     """Greedy max-coverage over bitmask rows; returns picked indices in order.
 
-    items are scanned ascending, so ties go to the earliest (smallest) item.
+    rows are scanned ascending, so ties go to the earliest (smallest) item.
     """
     uncovered = full_mask
     picks = []
     while uncovered:
         best_i, best_n = None, 0
-        for i in range(len(items)):
-            n = covers_count(i, uncovered)
+        for i, row in enumerate(rows):
+            n = bin(row & uncovered).count("1")
             if n > best_n:
                 best_i, best_n = i, n
         if best_i is None:
             return None  # some field uncoverable in this window
         picks.append(best_i)
-        uncovered &= ~covers_row(best_i)
+        uncovered &= ~rows[best_i]
     # drop picks made redundant by later picks (keeps irredundancy exact)
     kept = list(picks)
     for i in reversed(range(len(kept))):
         rest = 0
         for j, k in enumerate(kept):
             if j != i:
-                rest |= covers_row(k)
+                rest |= rows[k]
         if rest & full_mask == full_mask:
             del kept[i]
     return kept
@@ -262,11 +260,7 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
                 f"no prime window covers every field below disc bound {bound:.3g}")
         window *= 2
 
-    picks = _greedy_cover(
-        primes,
-        lambda i, unc: bin(rows[i] & unc).count("1"),
-        lambda i: rows[i],
-        full_mask)
+    picks = _greedy_cover(rows, full_mask)
     if picks is None:
         raise SysarithError("internal: the covering prime window left a field uncovered")
     ram = [primes[i] for i in picks]
@@ -327,13 +321,7 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
     window = max(200, 3 * max((e.rel_disc_norm for e in exts), default=0))
     while True:
         pool = gaussian_primes_up_to_norm(window)
-        rows = []
-        for P in pool:
-            acc = 0
-            for e_i, ext in enumerate(exts):
-                if splitting_in_ext(P, ext) == SPLIT:
-                    acc |= 1 << e_i
-            rows.append(acc)
+        rows = _split_rows_qi(pool, exts)
         covered_any = 0
         for r in rows:
             covered_any |= r
@@ -344,11 +332,7 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
                 f"no ideal window covers every extension below norm bound {bound:.3g}")
         window *= 2
 
-    picks = _greedy_cover(
-        pool,
-        lambda i, unc: bin(rows[i] & unc).count("1"),
-        lambda i: rows[i],
-        full_mask)
+    picks = _greedy_cover(rows, full_mask)
     if picks is None:
         raise SysarithError("internal: the covering ideal window left an extension uncovered")
     ram = [pool[i] for i in picks]
@@ -364,12 +348,9 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
         roles.append((parity, ROLE_PARITY))
 
     algebra = algebra_qi(ram)
-    certificate = {
-        e: next(P for P in algebra.ram_sorted if splitting_in_ext(P, e) == SPLIT)
-        for e in exts
-    }
     return CoverResult(algebra=algebra, fields=tuple(exts),
-                       certificate=certificate, roles=tuple(roles))
+                       certificate=_certify_qi(algebra.ram_sorted, exts),
+                       roles=tuple(roles))
 
 
 def _torsion_additions_3d(ram: list, pool: list) -> list:

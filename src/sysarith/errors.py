@@ -26,4 +26,4 @@ class InadmissibleAlgebraError(InputError):
 
 
 class NoCandidateError(SysarithError):
-    """Search pool or work budget exhausted without a valid candidate."""
+    """A search ran out of candidates without finding a valid one."""

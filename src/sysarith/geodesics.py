@@ -45,35 +45,6 @@ def geodesic_length_from_trace(t: int, dimension: int = 2) -> float:
 
 
 @dataclass(frozen=True)
-class GeodesicCandidate:
-    """An integer trace with its invariant field and both length readings.
-
-    length_trace_mode is log of the norm-1 unit (t + sqrt(t^2-4))/2, always
-    an integer multiple of the regulator; the multiple is 1 or 2 exactly at
-    minimal traces, e.g. at systole witnesses.
-    """
-
-    trace: int
-    field: QuadFieldQ
-    length_trace_mode: float
-    length_paper_mode: float
-
-    def to_json(self) -> dict:
-        return {
-            "trace": self.trace,
-            "d": self.field.d,
-            "length_trace_mode": self.length_trace_mode,
-            "length_paper_mode": self.length_paper_mode,
-        }
-
-
-def geodesic_candidate(t: int) -> GeodesicCandidate:
-    length = geodesic_length_from_trace(t)
-    d = squarefree_part(t * t - 4)
-    return GeodesicCandidate(t, quad_field(d), length, regulator(d))
-
-
-@dataclass(frozen=True)
 class SystoleResult:
     """Shortest geodesic found below the cap, or found=False if none."""
 

@@ -13,14 +13,16 @@ that the fewest small primes split.  The last prime of a set is filtered on
 word 0, and the few rows that pass are re-checked exactly on the fields and
 torsion bits that the rest of the set leaves open.
 
-The exact cover over Q runs the same sweep.  The 3-manifold variant over
-Q(i) is budgeted and best-effort: it certifies its output but does not
-claim minimality.
+The exact cover over Q and the 3-manifold search over Q(i) run the same
+sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
+of bounded norm, whose split rows are Python ints; the result is least over
+the pool and certified, and best-effort because an ideal outside the pool
+could do better.  The search stops with NoCandidateError once the ranges
+pass the product of the whole pool.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,61 +46,13 @@ from .gaussian import (
     quad_exts_with_disc_below,
     splitting_in_ext,
 )
-from .quaternion import QuaternionAlgebraQ, algebra_q, algebra_qi
+from .quaternion import algebra_q, algebra_qi
 from .real_quadratic import (
     fields_with_regulator_below,
     is_prime,
     splitting_type_q,
 )
 from .volume import volume_qi
-
-
-# ---------------------------------------------------------------------------
-# ordered enumeration of index sets by exact product
-#
-# Index tuples (i_1 < ... < i_k) over a nondecreasing factor list are emitted
-# in nondecreasing product order from a min-heap.  Each tuple has exactly one
-# parent (decrement the last decrementable coordinate), so each is generated
-# once: a node's children are "bump the last coordinate" (always canonical)
-# and "bump coordinate l" for the single l whose suffix is packed tight.
-
-def _ordered_index_sets(factors, cards, bound=None):
-    """Yield (product, idx_tuple) over all strictly increasing index tuples.
-
-    factors: nondecreasing list of positive ints; cards: iterable of tuple
-    lengths; bound: strict upper bound on emitted products (None = none).
-    Products are exact Python ints; ordering is (product, idx_tuple).
-    """
-    n = len(factors)
-    heap = []
-    for card in sorted(set(cards)):
-        if card < 1 or card > n:
-            continue
-        root = tuple(range(card))
-        prod = math.prod(factors[i] for i in root)
-        if bound is None or prod < bound:
-            heap.append((prod, root))
-    heapq.heapify(heap)
-    while heap:
-        prod, idxs = heapq.heappop(heap)
-        yield prod, idxs
-        last = idxs[-1]
-        if last + 1 < n:
-            child = prod // factors[last] * factors[last + 1]
-            if bound is None or child < bound:
-                heapq.heappush(heap, (child, idxs[:-1] + (last + 1,)))
-        # the one inner coordinate whose bump keeps the parent rule canonical:
-        # the suffix after it must already be packed tight
-        k = len(idxs)
-        s = k - 1
-        while s > 0 and idxs[s] == idxs[s - 1] + 1:
-            s -= 1
-        l = s - 1
-        if l >= 0 and idxs[l + 1] == idxs[l] + 2:
-            child = prod // factors[idxs[l]] * factors[idxs[l] + 1]
-            if bound is None or child < bound:
-                bumped = idxs[:l] + (idxs[l] + 1,) + idxs[l + 1 :]
-                heapq.heappush(heap, (child, bumped))
 
 
 def max_ram_cardinality(area_factor_bound: int) -> int:
@@ -127,40 +81,19 @@ def _next_prime(p: int) -> int:
     return q
 
 
-def enumerate_prime_sets(factor_bound: int, cardinality: int):
-    """Stream all sets of `cardinality` distinct primes with prod(p-1) < bound.
-
-    Sets are yielded as ascending prime tuples in nondecreasing factor order,
-    each exactly once.
-    """
-    if cardinality < 1 or cardinality % 2 != 0:
-        raise InputError(f"cardinality must be a positive even integer, got {cardinality}")
-    if factor_bound <= 1:
-        return
-    # product of (p-1) over the (cardinality-1) smallest primes bounds the
-    # largest usable prime: (p-1) * that product < bound
-    prod_small = 1
-    p = 1
-    for _ in range(cardinality - 1):
-        p = _next_prime(p)
-        prod_small *= p - 1
-    limit = (factor_bound - 1) // prod_small + 1
-    primes = [int(q) for q in _accel.primes_up_to(max(limit, 3))]
-    factors = [q - 1 for q in primes]
-    for prod, idxs in _ordered_index_sets(factors, [cardinality], factor_bound):
-        yield tuple(primes[i] for i in idxs)
-
-
 # ---------------------------------------------------------------------------
 # obstruction masks
 #
 # Bit f of a prime's row is set iff the prime splits in field f; a set of
 # primes obstructs every field iff the OR of its rows covers all field bits.
 # With the torsion filter on, two extra virtual bits (p = 1 mod 4 and
-# p = 1 mod 3) must be covered as well.
+# p = 1 mod 3) must be covered as well.  Over Q(i) the rows are those of
+# prime ideals, and their bits are quadratic extensions of Q(i).
 
 _WORD = (1 << 64) - 1
 _WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
+_SLICE_CHUNK = 1 << 20  # word-0 rows tested per vectorized step
+_GATHER_CELLS = 1 << 18  # survivor x bit cells re-checked per gather
 # the 0/1 tables of the torsion bits, periodic like the character tables
 _TORSION_TABLES = [np.array([0, 1, 0, 0], dtype=np.int8),  # p = 1 mod 4
                    np.array([0, 1, 0], dtype=np.int8)]     # p = 1 mod 3
@@ -252,6 +185,10 @@ class _MaskMatrix:
             self._n_rows = want
         return self._rows[:self._n_rows]
 
+    def prefix_rows(self, n_rows: int) -> list[int]:
+        """The full rows of at least the prime indices [0, n_rows), as ints."""
+        return _accel.masks_to_ints(self.ensure(n_rows))
+
     def open_bits(self, acc: int) -> np.ndarray:
         """The bits above word 0 that a prefix with row OR `acc` leaves open."""
         rest = (self.target_int & ~acc) >> 64
@@ -264,6 +201,67 @@ class _MaskMatrix:
         idx = self.offsets[bits] + p[:, None] % self.periods[bits]
         return (self.flat[idx] == 1).all(axis=1)
 
+    def first_pass(self, acc: int, j0: int, j1: int) -> int | None:
+        """Least j in [j0, j1) whose row OR acc, the prefix's row OR, covers
+        every bit: word 0 filters, and the survivors are re-checked on the
+        bits above word 0 that acc leaves open."""
+        need0 = np.uint64(self.target_int & ~acc & _WORD)
+        w0 = self.w0
+        high = None
+        for s0 in range(j0, j1, _SLICE_CHUNK):
+            s1 = min(j1, s0 + _SLICE_CHUNK)
+            hits = ((w0[s0:s1] & need0) == need0).nonzero()[0]
+            if not len(hits):
+                continue
+            survivors = hits + s0
+            if high is None:
+                high = self.open_bits(acc)
+            if not len(high):
+                return int(survivors[0])
+            step = max(1, _GATHER_CELLS // len(high))
+            for g0 in range(0, len(survivors), step):
+                group = survivors[g0:g0 + step]
+                ok = self.covers(group, high)
+                k = int(ok.argmax())
+                if ok[k]:
+                    return int(group[k])
+        return None
+
+
+class _IdealPool:
+    """Split rows of a Gaussian prime-ideal pool sorted by norm, in the
+    shape the sweep reads: `facs` holds N - 1 of each ideal, and every row
+    is a Python int.  A slice is tested in a Python loop: the pool is
+    small, and its low bits are not ranked by rarity like word 0 over Q, so
+    a word-0 filter would not pay for itself."""
+
+    def __init__(self, pool: list[GaussianPrimeIdeal], exts):
+        self.facs = np.array([P.norm - 1 for P in pool], dtype=np.int64)
+        self.rows = _split_rows_qi(pool, exts)
+        self.target = (1 << len(exts)) - 1
+
+    def prefix_rows(self, n_rows: int) -> list[int]:
+        return self.rows
+
+    def first_pass(self, acc: int, j0: int, j1: int) -> int | None:
+        rows, target = self.rows, self.target
+        for j in range(j0, j1):
+            if acc | rows[j] == target:
+                return j
+        return None
+
+
+def _split_rows_qi(pool, exts) -> list[int]:
+    """Bit e of row i is set iff pool[i] splits in exts[e]."""
+    rows = []
+    for P in pool:
+        acc = 0
+        for e_i, ext in enumerate(exts):
+            if splitting_in_ext(P, ext) == SPLIT:
+                acc |= 1 << e_i
+        rows.append(acc)
+    return rows
+
 
 def _check_l(l: float) -> None:
     if not (isinstance(l, (int, float)) and math.isfinite(l) and l > 0):
@@ -275,11 +273,11 @@ def _check_l(l: float) -> None:
 #
 # Factor ranges [2^k, 2^(k+1)) are processed in order; within a range, sets
 # are enumerated by prefix descent and the final coordinate is tested as one
-# vectorized slice.  The first range containing a passing set holds the
-# optimum and all its ties; earlier ranges were exhausted without a pass.
+# slice of the sorted factors.  The first range containing a passing set
+# holds the optimum and all its ties; earlier ranges were exhausted without
+# a pass.  The surface search, the exact cover over Q and the Q(i) search
+# all run this sweep, over a _MaskMatrix or an _IdealPool.
 
-_SLICE_CHUNK = 1 << 20  # word-0 rows tested per vectorized step
-_GATHER_CELLS = 1 << 18  # survivor x bit cells re-checked per gather
 _SIEVE_BLOCK = 1 << 22  # integers sieved per append, bounds the new primes held
 
 
@@ -289,45 +287,21 @@ def _slice_bounds(facs_np, prod, lo, hi, after):
     return max(int(j0), after + 1), int(j1)
 
 
-def _first_pass(masks, acc, j0, j1):
-    """Least j in [j0, j1) whose row OR acc, the prefix's row OR, covers
-    every bit: word 0 filters, and the survivors are re-checked on the
-    bits above word 0 that acc leaves open."""
-    need0 = np.uint64(masks.target_int & ~acc & _WORD)
-    w0 = masks.w0
-    high = None
-    for s0 in range(j0, j1, _SLICE_CHUNK):
-        s1 = min(j1, s0 + _SLICE_CHUNK)
-        hits = ((w0[s0:s1] & need0) == need0).nonzero()[0]
-        if not len(hits):
-            continue
-        survivors = hits + s0
-        if high is None:
-            high = masks.open_bits(acc)
-        if not len(high):
-            return int(survivors[0])
-        step = max(1, _GATHER_CELLS // len(high))
-        for g0 in range(0, len(survivors), step):
-            group = survivors[g0:g0 + step]
-            ok = masks.covers(group, high)
-            k = int(ok.argmax())
-            if ok[k]:
-                return int(group[k])
-    return None
-
-
 def _sweep_range_full(masks, lo, hi):
-    """Test every prime set with factor in [lo, hi): (best, winners, n_below).
+    """Test every set with factor in [lo, hi): (best, winners, n_below).
 
-    `masks` must hold every prime below hi.  A set is a prefix found by
+    `masks` must hold every prime (or ideal) whose factor is below hi, its
+    factors ascending in the int64 array `facs`.  The cardinalities run up
+    to the largest even k whose k smallest factors multiply to less than
+    hi; over Q that is max_ram_cardinality(hi).  A set is a prefix found by
     descent over the Python ints `facs` plus one last index from a slice of
-    the sorted int64 `facs_np`, tested in one vectorized step.  `facs` need
-    only reach the last factor below sqrt(hi) plus max_ram_cardinality(hi)
-    more entries: no prefix reads further.  `rows` holds their full rows as
-    Python ints, and each stack entry carries its prefix's row OR.
-    Cardinalities are swept from the largest down, and each hit lowers the
-    limit to best + 1, so later slices stop at the running optimum and its
-    ties.
+    `facs_np`, which `masks.first_pass` tests in one step.  No factor is
+    below 1, so a prefix's factors are at most sqrt(hi), and `facs` need
+    only reach the last of those plus k more entries.  `rows` holds their
+    full rows as Python ints, and each stack entry carries its prefix's row
+    OR.  Cardinalities are swept from the largest down, and each hit lowers
+    the limit to best + 1, so later slices stop at the running optimum and
+    its ties.
 
     best is the least passing factor (None if no set passes), winners the
     index tuples of every set with factor best, and n_below the number of
@@ -336,10 +310,15 @@ def _sweep_range_full(masks, lo, hi):
     sorted, so the sets below best form a prefix of every slice.
     """
     facs_np = masks.facs
-    top = max_ram_cardinality(hi)
+    top, prod = 0, 1
+    while top + 2 <= len(facs_np):
+        prod *= int(facs_np[top]) * int(facs_np[top + 1])
+        if prod >= hi:
+            break
+        top += 2
     short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + top
     facs = facs_np[:short].tolist()
-    rows = _accel.masks_to_ints(masks.ensure(short))
+    rows = masks.prefix_rows(short)
     best = None
     winners: list[tuple] = []
     slices = []
@@ -365,7 +344,7 @@ def _sweep_range_full(masks, lo, hi):
                 if j0 >= j1:
                     continue
                 slices.append((prod2, j0, j1))
-                j = _first_pass(masks, acc | rows[i], j0, j1)
+                j = masks.first_pass(acc | rows[i], j0, j1)
                 if j is None:
                     continue
                 factor = prod2 * int(facs_np[j])
@@ -386,8 +365,7 @@ def _minimal_sets(discs: list[int], torsion: bool):
     every disc has a split prime (and, with `torsion`, some p = 1 mod 4 and
     some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
 
-    Range [lo, 2lo) needs the primes p < 2lo and the cardinalities up to
-    max_ram_cardinality(2lo), nothing more; each range sieves only the
+    Range [lo, 2lo) needs only the primes p < 2lo; each range sieves the
     primes in [lo, 2lo) and appends them.  The loop ends: every field has
     split primes and a prime = 1 mod 12 meets both torsion bits, so some
     even set passes.
@@ -406,12 +384,6 @@ def _minimal_sets(discs: list[int], torsion: bool):
             sets = sorted(tuple(int(facs[i]) + 1 for i in w) for w in winners)
             return best, sets, n_below
         lo = hi
-
-
-def candidate_algebra_2d(l: float, require_torsion_free: bool = False) -> QuaternionAlgebraQ:
-    """The first minimal-factor algebra of minimal_algebra_2d(l): admissible,
-    obstructing every field with regulator < l, lex-least among its ties."""
-    return algebra_q(minimal_algebra_2d(l, require_torsion_free).sets[0])
 
 
 # ---------------------------------------------------------------------------
@@ -497,67 +469,44 @@ def minimal_algebra_2d(l: float, require_torsion_free: bool = False) -> SearchRe
 
 
 # ---------------------------------------------------------------------------
-# 3-manifold variant over Q(i): budgeted, certified, best-effort
+# 3-manifold variant over Q(i): least over a bounded ideal pool, certified
 
-def valid_algebra_3d(l: float, pool_norm_bound: int,
-                     budget: int = 200_000) -> SearchResult:
-    """Least-volume admissible ideal set found within the budget such that
-    every quadratic extension of Q(i) with relative discriminant norm at most
-    e^(2(l+2)) is obstructed.  Best-effort: minimality is not claimed.
+def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
+    """Least-volume admissible sets of prime ideals of norm at most
+    pool_norm_bound such that every quadratic extension of Q(i) with
+    relative discriminant norm at most e^(2(l+2)) is obstructed.
+
+    The range sweep tests every even subset of the pool below the optimum,
+    so the result is least over the pool; it is best-effort because an
+    ideal outside the pool could give a smaller volume.
     """
     _check_l(l)
     if pool_norm_bound < 2:
         raise InputError(f"pool norm bound must be >= 2, got {pool_norm_bound}")
-    if budget < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
     exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
     pool = gaussian_primes_up_to_norm(pool_norm_bound)
-    if len(pool) < 2:
-        raise NoCandidateError(
-            f"ideal pool with norm bound {pool_norm_bound} has fewer than 2 ideals")
-    factors = [P.norm - 1 for P in pool]
-    target = (1 << len(exts)) - 1
-    rows = []
-    for P in pool:
-        acc = 0
-        for e_i, ext in enumerate(exts):
-            if splitting_in_ext(P, ext) == SPLIT:
-                acc |= 1 << e_i
-        rows.append(acc)
-
-    cards = range(2, len(pool) + 1, 2)
-    best = None
-    winners: list[tuple] = []
-    fail_factors: list[int] = []
-    pops = 0
-    for prod, idxs in _ordered_index_sets(factors, cards):
-        pops += 1
-        if pops > budget:
+    masks = _IdealPool(pool, exts)
+    total = math.prod(P.norm - 1 for P in pool)
+    n_below = 0
+    lo = 2
+    while True:
+        best, winners, n = _sweep_range_full(masks, lo, 2 * lo)
+        n_below += n
+        if best is not None:
             break
-        if best is not None and prod > best:
-            break
-        acc = 0
-        for i in idxs:
-            acc |= rows[i]
-        if acc == target:
-            if best is None:
-                best = prod
-            winners.append(idxs)
-        elif best is None:
-            fail_factors.append(prod)
-    tested_below = sum(1 for f in fail_factors if best is None or f < best)
-    if best is None:
-        raise NoCandidateError(
-            f"no valid ideal set within budget {budget} over pool norm bound "
-            f"{pool_norm_bound} for systole bound {l}")
+        lo *= 2
+        if lo > total:
+            raise NoCandidateError(
+                f"no even subset of the {len(pool)} ideals of norm at most "
+                f"{pool_norm_bound} obstructs every extension for systole bound {l}")
 
-    sets = sorted((tuple(pool[i] for i in idxs) for idxs in winners),
+    sets = sorted((tuple(pool[i] for i in w) for w in winners),
                   key=lambda s: [_ideal_key(P) for P in s])
     certs = tuple(_certify_qi(s, exts) for s in sets)
     return SearchResult(
         l=float(l), base="Qi", factor=best, sets=tuple(sets),
         excluded_fields=tuple(exts), certificates=certs,
-        exhaustive=False, best_effort=True, tested_below_optimum=tested_below,
+        exhaustive=False, best_effort=True, tested_below_optimum=n_below,
         volume=volume_qi(algebra_qi(sets[0])))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -193,6 +194,40 @@ def brute_even_split_qi(delta_a: int, delta_b: int) -> bool:
     return False
 
 
+def brute_splits_qi(P, delta_a: int, delta_b: int) -> bool:
+    """Whether the Gaussian prime ideal P splits in Q(i)(sqrt(delta)), by
+    the residue enumerations above; (1+i) can split only for odd delta."""
+    if P.norm % 2 == 0:
+        return (delta_a + delta_b) % 2 == 1 and brute_even_split_qi(delta_a, delta_b)
+    p = P.norm if P.kind == "split" else P.gen.a
+    return brute_symbol_qi(delta_a, delta_b, P.gen.a, P.gen.b, p) == "split"
+
+
+def naive_valid_sets_qi(pool, exts):
+    """(factor, sets, n_below) for the least-factor even subsets of `pool`
+    in which every extension of `exts` has a split ideal, factor being
+    prod(N(P) - 1); sets are tuples in pool order and n_below counts the
+    even subsets of smaller factor.  None if no even subset passes.  Every
+    even subset is tried, by itertools.combinations."""
+    rows = [sum(1 << e for e, ext in enumerate(exts)
+                if brute_splits_qi(P, ext.delta.a, ext.delta.b)) for P in pool]
+    target = (1 << len(exts)) - 1
+    tried = []
+    for k in range(2, len(pool) + 1, 2):
+        for idx in combinations(range(len(pool)), k):
+            acc = 0
+            for i in idx:
+                acc |= rows[i]
+            tried.append((math.prod(pool[i].norm - 1 for i in idx), acc == target,
+                          tuple(pool[i] for i in idx)))
+    passing = [f for f, ok, _ in tried if ok]
+    if not passing:
+        return None
+    best = min(passing)
+    return (best, [s for f, ok, s in tried if ok and f == best],
+            sum(1 for f, _, _ in tried if f < best))
+
+
 def brute_fundamental_unit(d: int, y_limit: int = 10 ** 6):
     """Smallest (x, y, norm) with x^2 - disc*y^2 = +-4, y >= 1, by direct scan."""
     disc = d if d % 4 == 1 else 4 * d
@@ -216,6 +251,29 @@ def brute_geodesic_min_trace_length(cap: float) -> list[tuple[int, float]]:
             return out
         out.append((t, length))
         t += 1
+
+
+@dataclass(frozen=True)
+class GeodesicCandidate:
+    """An integer trace t, the d of its field Q(sqrt(t^2 - 4)), and both
+    length readings: length_trace_mode is log of the norm-1 unit
+    (t + sqrt(t^2 - 4))/2, an integer multiple of the regulator (1 or 2
+    exactly at minimal traces, e.g. at systole witnesses), and
+    length_paper_mode is the regulator itself."""
+
+    trace: int
+    d: int
+    length_trace_mode: float
+    length_paper_mode: float
+
+
+def geodesic_candidate(t: int) -> GeodesicCandidate:
+    """The candidate of trace t >= 3, its regulator from the Pell scan."""
+    d = brute_squarefree_part(t * t - 4)
+    x, y, _ = brute_fundamental_unit(d)
+    disc = d if d % 4 == 1 else 4 * d
+    return GeodesicCandidate(t, d, math.log((t + math.sqrt(t * t - 4)) / 2),
+                             math.log((x + y * math.sqrt(disc)) / 2))
 
 
 def brute_fields_with_regulator_below(l: float) -> list[tuple[int, float]]:

@@ -168,6 +168,7 @@ def test_volume(capsys):
     ["search2d", "--systole", "1", "--workers", "2"],  # no such option
     ["systole2d", "--ram", "2,31", "--cache", "u.tsv"],  # no such option
     ["family", "--ram", "2,x", "--count", "1"],      # malformed list
+    ["search3d", "--systole", "1", "--budget", "5"],  # no such option
 ])
 def test_input_errors_exit_1(capsys, args):
     code, _, err = run(capsys, *args)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sysarith import constructions, search
 from sysarith.constructions import (
     ROLE_COVER,
     ROLE_PARITY,
@@ -19,7 +20,7 @@ from sysarith.constructions import (
     systole_field_q,
     theorem_area_log_bound_2d,
 )
-from sysarith.errors import InputError, NoCandidateError
+from sysarith.errors import InputError, NoCandidateError, SysarithError
 from sysarith.quaternion import algebra_q, embeds_q, is_admissible, torsion_free_q, torsion_free_qi
 from sysarith.real_quadratic import quad_field, splitting_type_q
 
@@ -217,6 +218,16 @@ def test_cover_3d_errors():
         cover_algebra_3d(-1)
     with pytest.raises(InputError):
         cover_algebra_3d(9.0)
+
+
+def test_cover_3d_lost_certificate_raises_a_package_error(monkeypatch):
+    # rows that claim a cover no ideal gives: the certificate step must
+    # raise a SysarithError, not leak StopIteration
+    monkeypatch.setattr(constructions, "_split_rows_qi",
+                        lambda pool, exts: [(1 << len(exts)) - 1] * len(pool))
+    monkeypatch.setattr(search, "splitting_in_ext", lambda P, ext: "inert")
+    with pytest.raises(SysarithError, match="certificate"):
+        cover_algebra_3d(0.5)
 
 
 def test_primorial_log_bound():

@@ -9,7 +9,6 @@ from sysarith.geodesics import (
     MODE_PAPER,
     MODE_TRACE,
     exact_systole_q,
-    geodesic_candidate,
     geodesic_length_from_trace,
 )
 from sysarith.quaternion import algebra_q
@@ -20,6 +19,7 @@ from oracles import (
     brute_geodesic_min_trace_length,
     brute_short_traces_qi,
     brute_splitting_q,
+    geodesic_candidate,
 )
 
 
@@ -56,15 +56,15 @@ def test_length_from_trace_errors():
 
 def test_geodesic_candidate_fields():
     c = geodesic_candidate(3)
-    assert c.field.d == 5 and c.trace == 3
+    assert c.d == 5 and c.trace == 3
     # (3 + sqrt(5))/2 is the square of the golden ratio: twice the regulator
     assert c.length_trace_mode == pytest.approx(2 * regulator(5), rel=1e-12)
     assert c.length_paper_mode == pytest.approx(regulator(5), rel=1e-12)
     c = geodesic_candidate(4)
-    assert c.field.d == 3
+    assert c.d == 3
     assert c.length_trace_mode == pytest.approx(regulator(3), rel=1e-12)
     c = geodesic_candidate(6)
-    assert c.field.d == 2
+    assert c.d == 2
     # (6 + sqrt(32))/2 = (1+sqrt(2))^2
     assert c.length_trace_mode == pytest.approx(2 * regulator(2), rel=1e-12)
 

@@ -1,4 +1,4 @@
-"""Ordered prime-set enumeration and the certified minimal-algebra searches."""
+"""The range sweep and the certified minimal-algebra searches."""
 
 import functools
 import json
@@ -14,12 +14,15 @@ from sysarith.errors import (
     NoCandidateError,
     SysarithError,
 )
-from sysarith.gaussian import ideal_above, quad_exts_with_disc_below
+from sysarith.gaussian import (
+    gaussian_primes_up_to_norm,
+    ideal_above,
+    quad_exts_with_disc_below,
+)
+from sysarith.quaternion import algebra_q
 from sysarith.search import (
     _MaskMatrix,
     _minimal_sets,
-    candidate_algebra_2d,
-    enumerate_prime_sets,
     max_ram_cardinality,
     minimal_algebra_2d,
     valid_algebra_3d,
@@ -27,12 +30,12 @@ from sysarith.search import (
 )
 
 from oracles import (
-    brute_even_split_qi,
     brute_is_squarefree,
     brute_splitting_q,
-    brute_symbol_qi,
+    brute_splits_qi,
     naive_minimal_sets,
     naive_prime_sets,
+    naive_valid_sets_qi,
     sieve_primes,
 )
 
@@ -67,35 +70,18 @@ def test_max_ram_cardinality():
         max_ram_cardinality(0)
 
 
-def test_enumerate_examples():
-    assert list(enumerate_prime_sets(11, 2)) == [
-        (2, 3), (2, 5), (2, 7), (3, 5), (2, 11)]
-    assert list(enumerate_prime_sets(2, 2)) == []
-    assert list(enumerate_prime_sets(49, 4)) == [(2, 3, 5, 7)]
-    with pytest.raises(InputError):
-        list(enumerate_prime_sets(100, 3))
-    with pytest.raises(InputError):
-        list(enumerate_prime_sets(100, 0))
-
-
-@pytest.mark.parametrize("bound,card", [
-    (100, 2), (100, 4), (1000, 2), (2000, 4), (10000, 2)])
-def test_enumerate_matches_naive_filter(bound, card):
-    got = list(enumerate_prime_sets(bound, card))
-    assert sorted(got) == sorted(naive_prime_sets(bound, card))
-    assert len(set(got)) == len(got)
-    factors = [math.prod(p - 1 for p in s) for s in got]
-    assert factors == sorted(factors)
-
-
 def test_candidate_algebra_2d():
-    assert candidate_algebra_2d(0.01).ram_sorted == (2, 3)
-    assert candidate_algebra_2d(0.5).ram_sorted == (2, 11)
-    assert candidate_algebra_2d(1.0).ram_sorted == (2, 31)
+    # the first minimizer is admissible and lex-least among its ties
+    def candidate(l):
+        return algebra_q(minimal_algebra_2d(l).sets[0])
+
+    assert candidate(0.01).ram_sorted == (2, 3)
+    assert candidate(0.5).ram_sorted == (2, 11)
+    assert candidate(1.0).ram_sorted == (2, 31)
     with pytest.raises(InputError):
-        candidate_algebra_2d(-1.0)
+        candidate(-1.0)
     with pytest.raises(InputError):
-        candidate_algebra_2d(float("nan"))
+        candidate(float("nan"))
 
 
 @pytest.mark.parametrize("l,factor,sets,tested_below", MINIMAL_ROWS)
@@ -234,30 +220,65 @@ def test_valid_algebra_3d_norm30_pool():
         "1+1i", "2+1i", "1+2i", "3", "3+2i", "2+3i"]
     assert res.volume == pytest.approx(5627.692610624834, rel=1e-12)
     assert res.tested_below_optimum == 190
-    # certificate re-check with the residue-field enumeration oracles
-    cert = res.certificates[0]
-    assert set(cert) == set(res.excluded_fields)
-    for ext, witness in cert.items():
-        assert witness in res.sets[0]
-        if witness.norm % 2 == 0:
-            assert brute_even_split_qi(ext.delta.a, ext.delta.b)
-        else:
-            p = witness.norm if witness.kind == "split" else witness.gen.a
-            assert brute_symbol_qi(ext.delta.a, ext.delta.b,
-                                   witness.gen.a, witness.gen.b, p) == "split"
+    assert_certified_qi(res)
+
+
+def assert_certified_qi(res):
+    """Each set's certificate names, for every extension, a member of the
+    set that the residue-field enumeration oracles find split in it."""
+    for s, cert in zip(res.sets, res.certificates):
+        assert list(cert) == list(res.excluded_fields)
+        for ext, witness in cert.items():
+            assert witness in s
+            assert brute_splits_qi(witness, ext.delta.a, ext.delta.b)
+
+
+@pytest.mark.parametrize("pool_bound", [13, 30, 50])
+@pytest.mark.parametrize("l", [0.01, 0.5, 1.0])
+def test_valid_algebra_3d_matches_subset_oracle(l, pool_bound):
+    # every even subset of the pool, tried by itertools.combinations on rows
+    # from the brute residue symbols, gives the same optimum, ties and count;
+    # in the norm-13 pool only the whole pool passes, in the sweep's last range
+    pool = gaussian_primes_up_to_norm(pool_bound)
+    exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
+    want = naive_valid_sets_qi(pool, exts)
+    if want is None:
+        with pytest.raises(NoCandidateError):
+            valid_algebra_3d(l, pool_bound)
+        return
+    factor, sets, n_below = want
+    res = valid_algebra_3d(l, pool_bound)
+    assert res.factor == factor
+    assert sorted(map(str, res.sets)) == sorted(map(str, sets))
+    assert res.tested_below_optimum == n_below
+
+
+def test_valid_algebra_3d_norm150_pool_beats_norm100_optimum():
+    # the heap search gave up here once its 200000 pops were spent; the
+    # sweep finds a set cheaper than the norm-100 optimum 536,739,840
+    res = valid_algebra_3d(2.0, 150)
+    assert res.factor < 536_739_840
+    assert all(math.prod(P.norm - 1 for P in s) == res.factor for s in res.sets)
+    assert_certified_qi(res)
+
+
+@pytest.mark.parametrize("pool_bound,n_ideals", [(5, 3), (9, 4), (10, 4)])
+def test_valid_algebra_3d_exhausted_pool_message(pool_bound, n_ideals):
+    # a pool with no passing even subset says so, not that a budget ran out
+    with pytest.raises(NoCandidateError) as err:
+        valid_algebra_3d(1.0, pool_bound)
+    msg = str(err.value)
+    assert f"no even subset of the {n_ideals} ideals" in msg
+    assert "budget" not in msg
 
 
 def test_valid_algebra_3d_errors():
     with pytest.raises(InputError):
         valid_algebra_3d(1.0, 1)
     with pytest.raises(InputError):
-        valid_algebra_3d(1.0, 30, budget=0)
-    with pytest.raises(InputError):
         valid_algebra_3d(0.0, 30)
     with pytest.raises(NoCandidateError):
         valid_algebra_3d(1.0, 2)  # pool is just (1+i)
-    with pytest.raises(NoCandidateError):
-        valid_algebra_3d(1.0, 30, budget=1)
 
 
 def test_verify_exclusion_norm_multiset_2_5_9_13():
