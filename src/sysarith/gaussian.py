@@ -9,6 +9,7 @@ plus a set of distinct canonical prime generators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,21 +142,21 @@ def ideal_above(p: int, conjugate: bool = False) -> GaussianPrimeIdeal:
 def gaussian_primes_up_to_norm(bound: int) -> list[GaussianPrimeIdeal]:
     """All primes of Z[i] with norm <= bound, sorted by (norm, b, a).
 
-    Split conjugates come out adjacent, a > b generator first.
+    Split conjugates come out adjacent, a > b generator first.  The primes
+    come from one sieve, so the ideals are built without ideal_above's
+    primality test.
     """
     bound = int(math.floor(bound))
     out = []
-    if bound >= 2:
-        out.append(ideal_above(2))
-    for p in (int(v) for v in _accel.primes_up_to(int(bound))):
-        if p % 4 == 1:
-            out.append(ideal_above(p))
-            out.append(ideal_above(p, conjugate=True))
-    q = 3
-    while q * q <= bound:
-        if is_prime(q) and q % 4 == 3:
-            out.append(ideal_above(q))
-        q += 2
+    for p in _accel.primes_up_to(bound).tolist():
+        if p == 2:
+            out.append(GaussianPrimeIdeal(GaussianInt(1, 1), 2, RAMIFIED))
+        elif p % 4 == 1:
+            a, b = _sum_two_squares(p)
+            out += [GaussianPrimeIdeal(GaussianInt(a, b), p, SPLIT),
+                    GaussianPrimeIdeal(GaussianInt(b, a), p, SPLIT)]
+        elif p * p <= bound:
+            out.append(GaussianPrimeIdeal(GaussianInt(p, 0), p * p, INERT))
     out.sort(key=_ideal_key)
     return out
 
@@ -300,18 +301,27 @@ def _vpi_mod16(a: int, b: int) -> int:
     return ((n & -n).bit_length()) - 1
 
 
-def _two_adic_defect(u: GaussianInt) -> int:
-    ua, ub = u.a % 16, u.b % 16
-    best = 0
-    for sa, sb in _ODD_SQUARES_MOD16:
-        ra = (ua * sa - ub * sb - 1) % 16
-        rb = (ua * sb + ub * sa) % 16
-        v = _vpi_mod16(ra, rb)
-        if v > best:
-            best = v
-            if best >= 8:
-                break
-    return best
+@functools.cache
+def _defect_table() -> tuple[tuple[int, ...], ...]:
+    """table[a][b] = the defect of odd u = a + bi mod 16, the largest
+    v(u*s - 1) over the odd squares s; built on first use, not at import.
+    The odd squares mod 16 form a group, so that is the largest v(u - s)."""
+    return tuple(tuple(max(_vpi_mod16((a - sa) % 16, (b - sb) % 16)
+                           for sa, sb in _ODD_SQUARES_MOD16) for b in range(16))
+                 for a in range(16))
+
+
+def _two_type(delta: GaussianInt) -> tuple[int, str]:
+    """The (1+i)-exponent of the relative discriminant of Q(i)(sqrt(delta))
+    and the splitting of (1+i) in it, for odd delta."""
+    defect = _defect_table()[delta.a % 16][delta.b % 16]
+    if defect >= 5:
+        return 0, SPLIT
+    if defect == 4:
+        return 0, INERT
+    if defect in (1, 3):
+        return 5 - defect, RAMIFIED
+    raise SysarithError(f"2-adic defect of {delta} is {defect}, expected 1 or 3")
 
 
 @dataclass(frozen=True)
@@ -346,16 +356,7 @@ def _ext_from_parts(unit_exp: int, gens: tuple[GaussianInt, ...]) -> GaussianQua
     if len(odd) != len(gens):
         two_exp, two_kind = 5, RAMIFIED
     else:
-        defect = _two_adic_defect(delta)
-        if defect >= 5:
-            two_exp, two_kind = 0, SPLIT
-        elif defect == 4:
-            two_exp, two_kind = 0, INERT
-        elif defect in (1, 3):
-            two_exp, two_kind = 5 - defect, RAMIFIED
-        else:
-            raise SysarithError(
-                f"2-adic defect of {delta} is {defect}, expected 1 or 3")
+        two_exp, two_kind = _two_type(delta)
     odd_part = ONE
     for g in odd:
         odd_part = odd_part * g
@@ -400,34 +401,41 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
 
     Sorted by (rel_disc_norm, delta norm, unit_exp, generator keys); the
     smallest possible norm is 9 (delta = 3), so small bounds give [].
+    The odd generators are chosen by descent in norm order, each step
+    carrying their product; a product and its unit give the odd delta, whose
+    (1+i)-exponent is read off its residue mod 16, and the same delta times
+    (1+i), whose exponent is 5.
     """
     if bound < 0:
         raise InputError(f"bound must be nonnegative, got {bound}")
     limit = math.floor(bound)
     odd_gens = [P.gen for P in gaussian_primes_up_to_norm(limit) if P.norm % 2 == 1]
+    pi = GaussianInt(1, 1)
     out: list[GaussianQuadExt] = []
 
-    def emit(gens: tuple[GaussianInt, ...], norm_prod: int) -> None:
-        for unit_exp in (0, 1):
-            for with_pi in (False, True):
-                if not gens and unit_exp == 0 and not with_pi:
-                    continue
-                if with_pi and norm_prod << 5 > limit:
-                    continue
-                full = (gens + (GaussianInt(1, 1),)) if with_pi else gens
-                ext = _ext_from_parts(unit_exp, full)
-                if ext.rel_disc_norm <= limit:
-                    out.append(ext)
+    def emit(gens: tuple[GaussianInt, ...], prod: GaussianInt, norm_prod: int) -> None:
+        odd_part = canonical_associate(prod)
+        for unit_exp, delta in ((0, prod), (1, IUNIT * prod)):
+            if gens or unit_exp:  # delta = 1 is a square
+                two_exp, kind = _two_type(delta)
+                if norm_prod << two_exp <= limit:
+                    out.append(GaussianQuadExt(delta, unit_exp, gens, odd_part,
+                                               two_exp, norm_prod << two_exp, kind))
+            if norm_prod << 5 <= limit:
+                out.append(GaussianQuadExt(delta * pi, unit_exp, (pi,) + gens, odd_part,
+                                           5, norm_prod << 5, RAMIFIED))
 
-    def rec(start: int, gens: tuple[GaussianInt, ...], norm_prod: int) -> None:
-        emit(gens, norm_prod)
+    def rec(start: int, gens: tuple[GaussianInt, ...], prod: GaussianInt,
+            norm_prod: int) -> None:
+        emit(gens, prod, norm_prod)
         for j in range(start, len(odd_gens)):
-            n = norm_prod * odd_gens[j].norm
+            g = odd_gens[j]
+            n = norm_prod * g.norm
             if n > limit:
                 break  # norms ascending, nothing later fits either
-            rec(j + 1, gens + (odd_gens[j],), n)
+            rec(j + 1, gens + (g,), prod * g, n)
 
-    rec(0, (), 1)
+    rec(0, (), ONE, 1)
     out.sort(
         key=lambda e: (
             e.rel_disc_norm,

@@ -15,10 +15,11 @@ torsion bits that the rest of the set leaves open.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
-of bounded norm, whose split rows are Python ints; the result is least over
-the pool and certified, and best-effort because an ideal outside the pool
-could do better.  The search stops with NoCandidateError once the ranges
-pass the product of the whole pool.
+of bounded norm, whose split rows are read from Legendre tables and packed
+into Python ints; the result is least over the pool and certified, and
+best-effort because an ideal outside the pool could do better.  The search
+stops with NoCandidateError once the ranges pass the product of the whole
+pool.
 """
 
 from __future__ import annotations
@@ -53,32 +54,6 @@ from .real_quadratic import (
     splitting_type_q,
 )
 from .volume import volume_qi
-
-
-def max_ram_cardinality(area_factor_bound: int) -> int:
-    """Largest even 2k such that the 2k smallest primes have prod(p-1) < bound."""
-    if area_factor_bound < 1:
-        raise InputError(f"area factor bound must be >= 1, got {area_factor_bound}")
-    card = 0
-    prod = 1
-    p = 1
-    while True:
-        pair = 1
-        for _ in range(2):
-            p = _next_prime(p)
-            pair *= p - 1
-        if prod * pair < area_factor_bound:
-            prod *= pair
-            card += 2
-        else:
-            return card
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +206,9 @@ class _MaskMatrix:
 class _IdealPool:
     """Split rows of a Gaussian prime-ideal pool sorted by norm, in the
     shape the sweep reads: `facs` holds N - 1 of each ideal, and every row
-    is a Python int.  A slice is tested in a Python loop: the pool is
-    small, and its low bits are not ranked by rarity like word 0 over Q, so
-    a word-0 filter would not pay for itself."""
+    is a Python int from _split_rows_qi.  A slice is tested in a Python
+    loop: the pool is small, and its low bits are not ranked by rarity like
+    word 0 over Q, so a word-0 filter would not pay for itself."""
 
     def __init__(self, pool: list[GaussianPrimeIdeal], exts):
         self.facs = np.array([P.norm - 1 for P in pool], dtype=np.int64)
@@ -252,14 +227,40 @@ class _IdealPool:
 
 
 def _split_rows_qi(pool, exts) -> list[int]:
-    """Bit e of row i is set iff pool[i] splits in exts[e]."""
+    """Bit e of row i is set iff pool[i] splits in exts[e].
+
+    An odd ideal splits iff delta = a + bi is a nonzero square mod it: for
+    a degree-1 ideal of norm p with i = r mod it, iff a + b*r is a square
+    mod p; for an inert (q), iff a^2 + b^2 is a square mod q.  Each ideal
+    reads one Legendre table over int64 arrays of the deltas, and its bits
+    are packed into one Python int.  (1+i) follows two_splitting where it
+    is unramified.  A zero residue is allowed only at the ideals of
+    ext.gens; any other raises SysarithError.
+    """
+    a, b = np.array([(e.delta.a, e.delta.b) for e in exts], dtype=np.int64).reshape(-1, 2).T
     rows = []
+    q, leg = 0, None
     for P in pool:
-        acc = 0
-        for e_i, ext in enumerate(exts):
-            if splitting_in_ext(P, ext) == SPLIT:
-                acc |= 1 << e_i
-        rows.append(acc)
+        if P.norm % 2 == 0:
+            rows.append(sum(1 << k for k, e in enumerate(exts)
+                            if e.rel_disc_two_exp == 0 and e.two_splitting == SPLIT))
+            continue
+        if P.kind == SPLIT:
+            p = P.norm
+            r = -P.gen.a * pow(P.gen.b, -1, p) % p
+            res = (a % p + b % p * r) % p
+        else:
+            p = P.gen.a
+            res = ((a % p) ** 2 + (b % p) ** 2) % p
+        if p != q:
+            q, leg = p, _accel._legendre_table(p)
+        sym = leg[res]
+        for k in np.flatnonzero(sym == 0).tolist():
+            if P.gen not in exts[k].gens:
+                raise SysarithError(
+                    f"residue symbol of {exts[k].delta} at unramified {P.gen} is 0")
+        rows.append(int.from_bytes(np.packbits(sym == 1, bitorder="little").tobytes(),
+                                   "little"))
     return rows
 
 
@@ -293,7 +294,7 @@ def _sweep_range_full(masks, lo, hi):
     `masks` must hold every prime (or ideal) whose factor is below hi, its
     factors ascending in the int64 array `facs`.  The cardinalities run up
     to the largest even k whose k smallest factors multiply to less than
-    hi; over Q that is max_ram_cardinality(hi).  A set is a prefix found by
+    hi, the most members a set below hi can have.  A set is a prefix found by
     descent over the Python ints `facs` plus one last index from a slice of
     `facs_np`, which `masks.first_pass` tests in one step.  No factor is
     below 1, so a prefix's factors are at most sqrt(hi), and `facs` need
@@ -592,18 +593,19 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     options = [_norm_choices(n, m) for n, m in sorted(counts.items())]
     exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
 
+    combos = [tuple(sorted((P for group in combo for P in group), key=_ideal_key))
+              for combo in itertools.product(*options)]
+    union = sorted({P for ideals in combos for P in ideals}, key=_ideal_key)
+    row = dict(zip(union, _split_rows_qi(union, exts)))
+    target = (1 << len(exts)) - 1
     reports = []
-    any_valid = False
-    for combo in itertools.product(*options):
-        ideals = tuple(sorted((P for group in combo for P in group), key=_ideal_key))
-        failing = None
-        for ext in exts:
-            if not any(splitting_in_ext(P, ext) == SPLIT for P in ideals):
-                failing = ext
-                break
-        ok = failing is None
-        any_valid = any_valid or ok
-        reports.append(AssignmentReport(ideals=ideals, valid=ok, failing_ext=failing))
+    for ideals in combos:
+        acc = 0
+        for P in ideals:
+            acc |= row[P]
+        left = target & ~acc  # the lowest open bit is the first failing extension
+        failing = exts[(left & -left).bit_length() - 1] if left else None
+        reports.append(AssignmentReport(ideals=ideals, valid=not left, failing_ext=failing))
     return ExclusionReport(
-        norms=tuple(norms), l=float(l), valid=any_valid,
+        norms=tuple(norms), l=float(l), valid=any(a.valid for a in reports),
         assignments=tuple(reports), tested_extensions=len(exts))

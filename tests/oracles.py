@@ -90,6 +90,26 @@ def brute_symbol_qi(delta_a: int, delta_b: int, gen_a: int, gen_b: int,
     return "split" if d in squares else "inert"
 
 
+def max_ram_cardinality(area_factor_bound: int) -> int:
+    """Largest even 2k such that the 2k smallest primes have prod(p-1) < bound."""
+    if area_factor_bound < 1:
+        # imported here: bench/run.py loads this module before sysarith is on its path
+        from sysarith.errors import InputError
+        raise InputError(f"area factor bound must be >= 1, got {area_factor_bound}")
+    primes: list[int] = []
+    n = 1
+    card, prod = 0, 1
+    while True:
+        while len(primes) < card + 2:
+            n += 1
+            if all(n % k for k in range(2, math.isqrt(n) + 1)):
+                primes.append(n)
+        prod *= (primes[card] - 1) * (primes[card + 1] - 1)
+        if prod >= area_factor_bound:
+            return card
+        card += 2
+
+
 def naive_prime_sets(factor_bound: int, cardinality: int) -> list[tuple[int, ...]]:
     """All prime sets of the given size with prod(p-1) < factor_bound,
     sorted by (factor, set).

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from sysarith.errors import DegenerateExtensionError, InputError
 from sysarith.gaussian import (
+    _ODD_SQUARES_MOD16,
     GaussianInt,
+    _defect_table,
     canonical_associate,
     canonicalize_delta,
     factor_gaussian,
@@ -220,9 +222,27 @@ def test_even_prime_splitting_against_two_adic_square_oracle():
 
 
 def test_quad_ext_reconstructs_from_delta():
-    for e in quad_exts_with_disc_below(300):
-        again = quad_ext(e.delta)
-        assert again == e
+    # the enumerator builds delta and its odd part incrementally; quad_ext
+    # factors delta from scratch
+    exts = quad_exts_with_disc_below(math.exp(10))
+    assert len(exts) == 5745
+    for e in exts:
+        assert quad_ext(e.delta) == e
+
+
+def test_defect_table_matches_the_odd_squares_loop():
+    # the table reads v(u - s); the loop takes the largest v(u*s - 1) over
+    # the odd squares s mod 16, capped at 8
+    def vpi(a, b):
+        n = (a % 16) ** 2 + (b % 16) ** 2
+        return 8 if a % 16 == b % 16 == 0 else (n & -n).bit_length() - 1
+
+    odd = [(a, b) for a in range(16) for b in range(16) if (a + b) % 2]
+    assert len(odd) == 128
+    table = _defect_table()
+    for a, b in odd:
+        loop = max(vpi(a * sa - b * sb - 1, a * sb + b * sa) for sa, sb in _ODD_SQUARES_MOD16)
+        assert table[a][b] == loop, (a, b)
 
 
 def test_extension_enumeration_counts():

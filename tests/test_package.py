@@ -46,7 +46,8 @@ def test_no_assert_statements_in_src():
     assert sites == []
 
 
-# every public name, so that an addition or removal shows in the diff
+# every public name, so that an addition or removal shows in the diff; the
+# submodules are reachable as attributes but are not exported by `import *`
 PUBLIC_NAMES = [
     "AssignmentReport", "CoverResult", "DegenerateExtensionError",
     "EXIT_INPUT_ERROR", "EXIT_NO_CANDIDATE", "EXIT_OK", "ExclusionReport",
@@ -55,23 +56,22 @@ PUBLIC_NAMES = [
     "MODE_TRACE", "NoCandidateError", "NonHyperbolicError", "QuadFieldQ",
     "QuaternionAlgebraQ", "QuaternionAlgebraQi", "SearchResult",
     "SysarithError", "SystoleResult", "algebra_q", "algebra_qi", "area_factor",
-    "canonical_associate", "canonicalize_delta", "coarea_q", "constructions",
-    "cover_algebra_2d", "cover_algebra_3d", "embeds_q", "embeds_qi", "errors",
+    "canonical_associate", "canonicalize_delta", "coarea_q",
+    "cover_algebra_2d", "cover_algebra_3d", "embeds_q", "embeds_qi",
     "exact_systole_q", "excluded_fields_subset", "factor_gaussian",
     "fields_with_regulator_below", "format_volume", "fundamental_discriminant",
-    "fundamental_unit", "gaussian", "gaussian_primes_up_to_norm",
-    "geodesic_length_from_trace", "geodesics", "growth_check", "ideal_above",
+    "fundamental_unit", "gaussian_primes_up_to_norm",
+    "geodesic_length_from_trace", "growth_check", "ideal_above",
     "is_admissible", "is_prime", "is_squarefree", "kronecker_symbol",
-    "max_ram_cardinality", "minimal_algebra_2d", "multiquadratic_discriminant",
-    "primorial_log_bound", "quad_ext", "quad_exts_with_disc_below",
-    "quad_field", "quad_residue_symbol", "quaternion",
-    "real_fields_with_disc_below", "real_quadratic", "regulator",
+    "minimal_algebra_2d", "multiquadratic_discriminant", "primorial_log_bound",
+    "quad_ext", "quad_exts_with_disc_below", "quad_field",
+    "quad_residue_symbol", "real_fields_with_disc_below", "regulator",
     "regulator_lower_bound", "relative_discriminant", "require_admissible",
-    "same_systole_family_q", "search", "silverman_disc_bound",
-    "splitting_in_ext", "splitting_in_qi", "splitting_type_q",
-    "squarefree_part", "systole_field_q", "theorem_area_log_bound_2d",
-    "torsion_free_q", "torsion_free_qi", "valid_algebra_3d",
-    "verify_exclusion_3d", "volume", "volume_constant_qi", "volume_qi",
+    "same_systole_family_q", "silverman_disc_bound", "splitting_in_ext",
+    "splitting_in_qi", "splitting_type_q", "squarefree_part",
+    "systole_field_q", "theorem_area_log_bound_2d", "torsion_free_q",
+    "torsion_free_qi", "valid_algebra_3d", "verify_exclusion_3d",
+    "volume_constant_qi", "volume_qi",
 ]
 
 

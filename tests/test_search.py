@@ -1,5 +1,6 @@
 """The range sweep and the certified minimal-algebra searches."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -15,15 +16,19 @@ from sysarith.errors import (
     SysarithError,
 )
 from sysarith.gaussian import (
+    SPLIT,
+    GaussianInt,
     gaussian_primes_up_to_norm,
     ideal_above,
+    quad_ext,
     quad_exts_with_disc_below,
+    splitting_in_ext,
 )
 from sysarith.quaternion import algebra_q
 from sysarith.search import (
     _MaskMatrix,
     _minimal_sets,
-    max_ram_cardinality,
+    _split_rows_qi,
     minimal_algebra_2d,
     valid_algebra_3d,
     verify_exclusion_3d,
@@ -33,6 +38,7 @@ from oracles import (
     brute_is_squarefree,
     brute_splitting_q,
     brute_splits_qi,
+    max_ram_cardinality,
     naive_minimal_sets,
     naive_prime_sets,
     naive_valid_sets_qi,
@@ -233,6 +239,47 @@ def assert_certified_qi(res):
             assert brute_splits_qi(witness, ext.delta.a, ext.delta.b)
 
 
+def row_bits(row, n):
+    return [bool(row >> k & 1) for k in range(n)]
+
+
+def test_split_rows_qi_match_brute_oracle():
+    # the pool holds (1+i), the inert ideals of norm 9, 49 and 121, split
+    # conjugates, and ideals that ramify in some of the extensions
+    exts = quad_exts_with_disc_below(math.exp(8))
+    pool = gaussian_primes_up_to_norm(200)
+    assert {P.norm for P in pool} >= {2, 9, 49, 121}
+    assert any(P.gen in e.gens for P in pool for e in exts)
+    rows = _split_rows_qi(pool, exts)
+    assert len(rows) == len(pool)
+    for P, row in zip(pool, rows):
+        assert row_bits(row, len(exts)) == [
+            brute_splits_qi(P, e.delta.a, e.delta.b) for e in exts], str(P.gen)
+        assert row >> len(exts) == 0
+
+
+def test_split_rows_qi_match_splitting_in_ext_on_the_cover_window():
+    # the window cover_algebra_3d(3.0) reads: three times the largest
+    # discriminant norm below e^8, 1116 ideals
+    exts = quad_exts_with_disc_below(math.exp(8))
+    pool = gaussian_primes_up_to_norm(3 * max(e.rel_disc_norm for e in exts))
+    assert len(pool) == 1116
+    for P, row in zip(pool, _split_rows_qi(pool, exts)):
+        assert row_bits(row, len(exts)) == [
+            splitting_in_ext(P, e) == SPLIT for e in exts], str(P.gen)
+
+
+@pytest.mark.parametrize("delta,p", [(3, 3), (GaussianInt(2, 1), 5)])
+def test_split_rows_qi_reject_a_zero_residue_outside_the_generators(delta, p):
+    # an ideal dividing delta must be one of ext.gens; an extension that
+    # lost its generators breaks that, and the rows say so
+    ext = quad_ext(delta)
+    P = ideal_above(p)
+    assert P.gen in ext.gens and _split_rows_qi([P], [ext]) == [0]
+    with pytest.raises(SysarithError, match="residue symbol"):
+        _split_rows_qi([P], [dataclasses.replace(ext, gens=())])
+
+
 @pytest.mark.parametrize("pool_bound", [13, 30, 50])
 @pytest.mark.parametrize("l", [0.01, 0.5, 1.0])
 def test_valid_algebra_3d_matches_subset_oracle(l, pool_bound):
@@ -303,6 +350,25 @@ def test_verify_exclusion_conjugate_symmetric_control():
     assert [str(P.gen) for P in rep.assignments[0].ideals] == [
         "1+1i", "2+1i", "1+2i", "3", "3+2i", "2+3i"]
     assert verify_exclusion_3d([2, 5, 5, 9, 13, 13], 1.2).valid is True
+
+
+@pytest.mark.parametrize("norms,l,valid,n_assignments", [
+    ((2, 5, 5, 9, 13, 29), 1.1, True, 4),
+    ((2, 5, 5, 9, 13, 17, 29, 53, 61, 61), 2.8, False, 16),
+])
+def test_verify_exclusion_matches_a_brute_scan(norms, l, valid, n_assignments):
+    # each assignment fails on the first extension, in list order, that
+    # none of its ideals splits in by the residue enumeration oracles
+    rep = verify_exclusion_3d(norms, l)
+    exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
+    assert rep.tested_extensions == len(exts)
+    assert len({a.ideals for a in rep.assignments}) == len(rep.assignments) == n_assignments
+    for a in rep.assignments:
+        assert sorted(P.norm for P in a.ideals) == list(norms)
+        failing = next((e for e in exts if not any(
+            brute_splits_qi(P, e.delta.a, e.delta.b) for P in a.ideals)), None)
+        assert a.failing_ext == failing and a.valid == (failing is None)
+    assert rep.valid is valid is any(a.valid for a in rep.assignments)
 
 
 def test_verify_exclusion_input_errors():
