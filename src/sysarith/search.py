@@ -9,9 +9,11 @@ packed split masks, counting the sets it tests on the way.  The first range
 holding a passing set yields the optimum with all its ties.  The masks are
 built only as far as the sweep reads them: full rows for the small primes
 that open a set, and for every prime a single word 0 holding the 64 fields
-that the fewest small primes split.  The last prime of a set is filtered on
-word 0, and the few rows that pass are re-checked exactly on the fields and
-torsion bits that the rest of the set leaves open.
+that the fewest small primes split.  The sets that share all but their
+last two members form one batch: the last prime of each is filtered on
+word 0 by a few vectorized steps for the whole batch, and the few rows
+that pass are re-checked exactly on the fields and torsion bits that the
+rest of the set leaves open.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
@@ -19,7 +21,7 @@ of bounded norm, whose split rows are read from Legendre tables and packed
 into Python ints; the result is least over the pool and certified, and
 best-effort because an ideal outside the pool could do better.  The search
 stops with NoCandidateError once the ranges pass the product of the whole
-pool.
+pool, or the int64 limit of the sweep.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .volume import volume_qi
 
 _WORD = (1 << 64) - 1
 _WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
-_SLICE_CHUNK = 1 << 20  # word-0 rows tested per vectorized step
+_BATCH_ROWS = 1 << 16  # word-0 rows tested per vectorized step
 _GATHER_CELLS = 1 << 18  # survivor x bit cells re-checked per gather
 # the 0/1 tables of the torsion bits, periodic like the character tables
 _TORSION_TABLES = [np.array([0, 1, 0, 0], dtype=np.int8),  # p = 1 mod 4
@@ -93,10 +95,11 @@ class _MaskMatrix:
     Every prime gets its word 0 (`w0`), stored next to its factor p - 1
     (`facs`), the one array the sweep searches.  Full rows are built only
     for the prime indices [0, n) that `ensure(n)` asks for: the sweep's
-    prefixes.  The last prime of a set is filtered on word 0 alone, and
-    `covers` re-checks the few survivors exactly, on the bits above word 0,
-    by one gather from the concatenated tables.  `append` adds the primes
-    of the next range; the buffers grow geometrically.
+    prefixes.  `first_passes` filters the last primes of a batch of sets on
+    word 0 alone, and `covers` re-checks the few survivors exactly, on the
+    bits above word 0, by one gather from the concatenated tables.
+    `append` adds the primes of the next range; the buffers grow
+    geometrically.
     """
 
     def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool):
@@ -176,37 +179,73 @@ class _MaskMatrix:
         idx = self.offsets[bits] + p[:, None] % self.periods[bits]
         return (self.flat[idx] == 1).all(axis=1)
 
-    def first_pass(self, acc: int, j0: int, j1: int) -> int | None:
-        """Least j in [j0, j1) whose row OR acc, the prefix's row OR, covers
-        every bit: word 0 filters, and the survivors are re-checked on the
+    def _recheck(self, acc: int, survivors: np.ndarray) -> int | None:
+        """The first of the word-0 survivors whose row OR acc also sets the
         bits above word 0 that acc leaves open."""
+        if not len(survivors):
+            return None
+        high = self.open_bits(acc)
+        if not len(high):
+            return int(survivors[0])
+        step = max(1, _GATHER_CELLS // len(high))
+        for g0 in range(0, len(survivors), step):
+            group = survivors[g0:g0 + step]
+            ok = self.covers(group, high)
+            k = int(ok.argmax())
+            if ok[k]:
+                return int(group[k])
+        return None
+
+    def _first_pass(self, acc: int, j0: int, j1: int) -> int | None:
+        """The first pass of one slice, read in place in steps."""
         need0 = np.uint64(self.target_int & ~acc & _WORD)
         w0 = self.w0
-        high = None
-        for s0 in range(j0, j1, _SLICE_CHUNK):
-            s1 = min(j1, s0 + _SLICE_CHUNK)
-            hits = ((w0[s0:s1] & need0) == need0).nonzero()[0]
-            if not len(hits):
-                continue
-            survivors = hits + s0
-            if high is None:
-                high = self.open_bits(acc)
-            if not len(high):
-                return int(survivors[0])
-            step = max(1, _GATHER_CELLS // len(high))
-            for g0 in range(0, len(survivors), step):
-                group = survivors[g0:g0 + step]
-                ok = self.covers(group, high)
-                k = int(ok.argmax())
-                if ok[k]:
-                    return int(group[k])
+        for s0 in range(j0, j1, _BATCH_ROWS):
+            hits = ((w0[s0:min(j1, s0 + _BATCH_ROWS)] & need0) == need0).nonzero()[0]
+            j = self._recheck(acc, hits + s0)
+            if j is not None:
+                return j
         return None
+
+    def first_passes(self, accs: list[int], j0s: np.ndarray,
+                     j1s: np.ndarray) -> list[int | None]:
+        """For each slice k, the least j in [j0s[k], j1s[k]) whose row OR
+        accs[k], its prefix's row OR, covers every bit, or None.
+
+        Word 0 filters: one gather tests the rows of consecutive slices, at
+        most _BATCH_ROWS of them, each against its own prefix, and a longer
+        slice is read in place.  The survivors are re-checked on the bits
+        above word 0 that their prefix leaves open.
+        """
+        lens = j1s - j0s
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        need0 = np.array([self.target_int & ~acc & _WORD for acc in accs], dtype=np.uint64)
+        out: list[int | None] = [None] * len(accs)
+        k = 0
+        while k < len(accs):
+            if lens[k] > _BATCH_ROWS:
+                out[k] = self._first_pass(accs[k], int(j0s[k]), int(j1s[k]))
+                k += 1
+                continue
+            k1 = int(ends.searchsorted(starts[k] + _BATCH_ROWS, side="right"))
+            n = lens[k:k1]
+            owner = np.repeat(np.arange(k, k1), n)
+            idx = (np.arange(ends[k1 - 1] - starts[k])
+                   + np.repeat(j0s[k:k1] - starts[k:k1] + starts[k], n))
+            need = need0[owner]
+            hits = ((self.w0[idx] & need) == need).nonzero()[0]
+            who = owner[hits]
+            for s in sorted(set(who.tolist())):
+                out[s] = self._recheck(accs[s], idx[hits[who == s]])
+            k = k1
+        return out
 
 
 class _IdealPool:
     """Split rows of a Gaussian prime-ideal pool sorted by norm, in the
     shape the sweep reads: `facs` holds N - 1 of each ideal, and every row
-    is a Python int from _split_rows_qi.  A slice is tested in a Python
+    is a Python int from _split_rows_qi.  The slices are tested in a Python
     loop: the pool is small, and its low bits are not ranked by rarity like
     word 0 over Q, so a word-0 filter would not pay for itself."""
 
@@ -218,12 +257,11 @@ class _IdealPool:
     def prefix_rows(self, n_rows: int) -> list[int]:
         return self.rows
 
-    def first_pass(self, acc: int, j0: int, j1: int) -> int | None:
+    def first_passes(self, accs: list[int], j0s: np.ndarray,
+                     j1s: np.ndarray) -> list[int | None]:
         rows, target = self.rows, self.target
-        for j in range(j0, j1):
-            if acc | rows[j] == target:
-                return j
-        return None
+        return [next((j for j in range(j0, j1) if acc | rows[j] == target), None)
+                for acc, j0, j1 in zip(accs, j0s.tolist(), j1s.tolist())]
 
 
 def _split_rows_qi(pool, exts) -> list[int]:
@@ -274,40 +312,41 @@ def _check_l(l: float) -> None:
 #
 # Factor ranges [2^k, 2^(k+1)) are processed in order; within a range, sets
 # are enumerated by prefix descent and the final coordinate is tested as one
-# slice of the sorted factors.  The first range containing a passing set
+# slice of the sorted factors, the slices of a prefix's run as one batch.  The first range containing a passing set
 # holds the optimum and all its ties; earlier ranges were exhausted without
 # a pass.  The surface search, the exact cover over Q and the Q(i) search
 # all run this sweep, over a _MaskMatrix or an _IdealPool.
 
 _SIEVE_BLOCK = 1 << 22  # integers sieved per append, bounds the new primes held
-
-
-def _slice_bounds(facs_np, prod, lo, hi, after):
-    """Index range [j0, j1) with lo <= prod*facs[j] < hi and j > after."""
-    j0, j1 = facs_np.searchsorted(((lo + prod - 1) // prod, (hi - 1) // prod + 1))
-    return max(int(j0), after + 1), int(j1)
+_INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
 
 
 def _sweep_range_full(masks, lo, hi):
     """Test every set with factor in [lo, hi): (best, winners, n_below).
 
     `masks` must hold every prime (or ideal) whose factor is below hi, its
-    factors ascending in the int64 array `facs`.  The cardinalities run up
-    to the largest even k whose k smallest factors multiply to less than
-    hi, the most members a set below hi can have.  A set is a prefix found by
-    descent over the Python ints `facs` plus one last index from a slice of
-    `facs_np`, which `masks.first_pass` tests in one step.  No factor is
-    below 1, so a prefix's factors are at most sqrt(hi), and `facs` need
-    only reach the last of those plus k more entries.  `rows` holds their
-    full rows as Python ints, and each stack entry carries its prefix's row
-    OR.  Cardinalities are swept from the largest down, and each hit lowers
-    the limit to best + 1, so later slices stop at the running optimum and
-    its ties.
+    factors ascending in the int64 array `facs`, and hi must be at most
+    2^63 - 1.  The cardinalities run up to the largest even k whose k
+    smallest factors multiply to less than hi, the most members a set below
+    hi can have.  A set is a prefix found by descent over the Python ints
+    `facs`, one more member i and one last index j from a slice of
+    `facs_np`.  No factor is below 1, so a prefix's factors are at most
+    sqrt(hi), and `facs` need only reach the last of those plus k more
+    entries.  `rows` holds their full rows as Python ints, and each stack
+    entry carries its prefix's row OR.
+
+    The members i that can follow a prefix form a run, and the run is one
+    batch: one searchsorted pair bounds all its slices, and
+    `masks.first_passes` tests them together.  Cardinalities are swept
+    from the largest down, and each hit lowers the limit to best + 1, so
+    later batches stop at the running optimum; within a batch a hit above
+    the new optimum is dropped.  A slice's first pass is its least factor;
+    after it, the passes of equal factor in the slice are ties too.
 
     best is the least passing factor (None if no set passes), winners the
     index tuples of every set with factor best, and n_below the number of
     sets with factor below best (all sets of the range if none passes).
-    It is read from the (prod, j0, j1) kept for each slice: facs_np is
+    It is read from the (prods, j0s, j1s) kept for each batch: facs_np is
     sorted, so the sets below best form a prefix of every slice.
     """
     facs_np = masks.facs
@@ -322,15 +361,38 @@ def _sweep_range_full(masks, lo, hi):
     rows = masks.prefix_rows(short)
     best = None
     winners: list[tuple] = []
-    slices = []
+    batches = []
     for card in range(top, 1, -2):
         stack = [((), 1, 0, 0)]
         while stack:
             prefix, prod, start, acc = stack.pop()
             depth = len(prefix)
+            if depth == card - 2:
+                i1 = start
+                while i1 + 1 < len(facs) and prod * facs[i1] * facs[i1 + 1] < hi:
+                    i1 += 1
+                if i1 == start:
+                    continue
+                prods = prod * facs_np[start:i1]
+                j0s = np.maximum(facs_np.searchsorted((lo - 1) // prods + 1),
+                                 np.arange(start + 1, i1 + 1))
+                j1s = np.maximum(facs_np.searchsorted((hi - 1) // prods + 1), j0s)
+                batches.append((prods, j0s, j1s))
+                accs = [acc | rows[i] for i in range(start, i1)]
+                for k, j in enumerate(masks.first_passes(accs, j0s, j1s)):
+                    while j is not None:
+                        factor = int(prods[k]) * int(facs_np[j])
+                        if best is not None and factor > best:
+                            break
+                        if best is None or factor < best:
+                            best, winners, hi = factor, [], factor + 1
+                        winners.append(prefix + (start + k, j))
+                        tie = facs_np.searchsorted(facs_np[j], side="right")
+                        j, = masks.first_passes([accs[k]], np.array([j + 1]),
+                                                np.array([min(tie, j1s[k])]))
+                continue
             for i in range(start, len(facs)):
-                prod2 = prod * facs[i]
-                rest = prod2
+                rest = prod * facs[i]
                 for j in range(i + 1, i + card - depth):
                     if j >= len(facs):
                         rest = None
@@ -338,23 +400,10 @@ def _sweep_range_full(masks, lo, hi):
                     rest *= facs[j]
                 if rest is None or rest >= hi:
                     break
-                if depth < card - 2:
-                    stack.append((prefix + (i,), prod2, i + 1, acc | rows[i]))
-                    continue
-                j0, j1 = _slice_bounds(facs_np, prod2, lo, hi, i)
-                if j0 >= j1:
-                    continue
-                slices.append((prod2, j0, j1))
-                j = masks.first_pass(acc | rows[i], j0, j1)
-                if j is None:
-                    continue
-                factor = prod2 * int(facs_np[j])
-                if best is None or factor < best:
-                    best, winners, hi = factor, [], factor + 1
-                winners.append(prefix + (i, j))
-    if not slices:
+                stack.append((prefix + (i,), prod * facs[i], i + 1, acc | rows[i]))
+    if not batches:
         return best, winners, 0
-    prods, j0s, j1s = np.array(slices, dtype=np.int64).T
+    prods, j0s, j1s = (np.concatenate(c) for c in zip(*batches))
     if best is not None:
         j1s = np.clip(np.searchsorted(facs_np, (best - 1) // prods, side="right"),
                       j0s, j1s)
@@ -479,7 +528,9 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
 
     The range sweep tests every even subset of the pool below the optimum,
     so the result is least over the pool; it is best-effort because an
-    ideal outside the pool could give a smaller volume.
+    ideal outside the pool could give a smaller volume.  NoCandidateError
+    is raised when no even subset passes, and when the least factor would
+    need a range past the sweep's int64 limit 2^63 - 1.
     """
     _check_l(l)
     if pool_norm_bound < 2:
@@ -500,6 +551,11 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
             raise NoCandidateError(
                 f"no even subset of the {len(pool)} ideals of norm at most "
                 f"{pool_norm_bound} obstructs every extension for systole bound {l}")
+        if 2 * lo > _INT64_MAX:
+            raise NoCandidateError(
+                f"no even subset of the {len(pool)} ideals of norm at most "
+                f"{pool_norm_bound} with factor below {lo} obstructs every extension "
+                f"for systole bound {l}, and the sweep stops at the int64 limit 2^63 - 1")
 
     sets = sorted((tuple(pool[i] for i in w) for w in winners),
                   key=lambda s: [_ideal_key(P) for P in s])

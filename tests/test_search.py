@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -25,9 +26,12 @@ from sysarith.gaussian import (
     splitting_in_ext,
 )
 from sysarith.quaternion import algebra_q
+from sysarith.real_quadratic import fields_with_regulator_below
 from sysarith.search import (
+    _IdealPool,
     _MaskMatrix,
     _minimal_sets,
+    _sweep_range_full,
     _split_rows_qi,
     minimal_algebra_2d,
     valid_algebra_3d,
@@ -107,13 +111,23 @@ def test_minimal_algebra_2d_rows(l, factor, sets, tested_below):
             assert brute_splitting_q(field.d, witness) == "split"
 
 
-def test_minimal_tested_below_matches_naive_count():
+# the sweep's default rows per vectorized step, then a few, so that a batch
+# of slices takes several steps and single slices exceed one step
+STEP_ROWS = (search._BATCH_ROWS, 3)
+
+
+def test_minimal_tested_below_matches_naive_count(monkeypatch):
     # the count is of sets tested, passing or not, so the torsion filter
     # does not enter it
-    for l, factor, _, tested_below in MINIMAL_ROWS + TORSION_FREE_ROWS:
-        cards = range(2, max_ram_cardinality(factor + 1) + 1, 2)
-        naive = sum(len(naive_prime_sets(factor, c)) for c in cards)
-        assert naive == tested_below, l
+    for rows, torsion in ((MINIMAL_ROWS, False), (TORSION_FREE_ROWS, True)):
+        for l, factor, sets, tested_below in rows:
+            cards = range(2, max_ram_cardinality(factor + 1) + 1, 2)
+            naive = sum(len(naive_prime_sets(factor, c)) for c in cards)
+            assert naive == tested_below, l
+            discs = [f.disc for f in fields_with_regulator_below(l)]
+            for batch_rows in STEP_ROWS:
+                monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+                assert _minimal_sets(discs, torsion) == (factor, list(sets), naive), l
 
 
 def test_minimal_factor_monotone_in_bound():
@@ -184,15 +198,38 @@ def word0_fields():
 
 @pytest.mark.parametrize("torsion", [True, False])
 @pytest.mark.parametrize("n_fields", [64, 65, 127])
-def test_minimal_sets_match_naive_oracle_past_word_0(n_fields, torsion):
+def test_minimal_sets_match_naive_oracle_past_word_0(n_fields, torsion, monkeypatch):
     # more than 64 fields put fields, and the torsion bits, above word 0, so
     # the survivors of the word-0 filter must be re-checked exactly
     two_split, odd = word0_fields()
     ds = two_split[:n_fields] if n_fields == 64 else two_split[:n_fields - 1] + [odd]
     assert len(set(ds)) == n_fields
     discs = [d if d % 4 == 1 else 4 * d for d in ds]
-    factor, sets, n_below = _minimal_sets(discs, torsion)
-    assert (factor, sets, n_below) == naive_minimal_sets(ds, torsion)
+    want = naive_minimal_sets(ds, torsion)
+    for batch_rows in STEP_ROWS:
+        monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+        assert _minimal_sets(discs, torsion) == want, batch_rows
+
+
+# every set passes; or a set passes iff it holds one of 0, 3 and one of 1, 2, 5
+@pytest.mark.parametrize("rows,target", [([1] * 6, 1), ([1, 2, 2, 1, 0, 2], 3)])
+def test_sweep_keeps_ties_inside_a_batch(rows, target):
+    # repeated factors give tied sets in one batch, and in one slice; when
+    # every set passes, the first hit of a batch lowers the limit while its
+    # later slices still hold ties and dearer passes
+    facs = [1, 4, 4, 8, 12, 12]
+    masks = _IdealPool.__new__(_IdealPool)
+    masks.facs, masks.rows, masks.target = np.array(facs, dtype=np.int64), rows, target
+    subsets = [c for k in (2, 4, 6) for c in itertools.combinations(range(6), k)]
+    for lo in (2 ** k for k in range(1, 16)):
+        in_range = [c for c in subsets if lo <= math.prod(facs[i] for i in c) < 2 * lo]
+        passing = [c for c in in_range
+                   if functools.reduce(int.__or__, (rows[i] for i in c)) == target]
+        best = min((math.prod(facs[i] for i in c) for c in passing), default=None)
+        winners = sorted(c for c in passing if math.prod(facs[i] for i in c) == best)
+        n_below = sum(best is None or math.prod(facs[i] for i in c) < best for c in in_range)
+        got = _sweep_range_full(masks, lo, 2 * lo)
+        assert (got[0], sorted(got[1]), got[2]) == (best, winners, n_below), lo
 
 
 def test_minimal_result_json_roundtrips():
@@ -317,6 +354,25 @@ def test_valid_algebra_3d_exhausted_pool_message(pool_bound, n_ideals):
     msg = str(err.value)
     assert f"no even subset of the {n_ideals} ideals" in msg
     assert "budget" not in msg
+
+
+def test_valid_algebra_3d_stops_at_the_int64_limit(monkeypatch):
+    # in a pool of (1+i) and the 10 ideals of norm 257 to 293 only those 10
+    # together cover the extensions, at a factor of about 2^81; the sweep
+    # stops before its int64 products could wrap
+    def pool(bound):
+        return [P for P in gaussian_primes_up_to_norm(bound) if P.norm == 2 or P.norm > 256]
+
+    def rows(pool, exts):
+        k = len(pool) - 2
+        return [0] + [1 << b for b in range(k)] + [((1 << len(exts)) - 1) >> k << k]
+
+    monkeypatch.setattr(search, "gaussian_primes_up_to_norm", pool)
+    monkeypatch.setattr(search, "_split_rows_qi", rows)
+    assert len(pool(300)) == 11
+    assert math.prod(P.norm - 1 for P in pool(300)) > 2 ** 80
+    with pytest.raises(NoCandidateError, match=r"int64 limit 2\^63 - 1"):
+        valid_algebra_3d(1.0, 300)
 
 
 def test_valid_algebra_3d_errors():
