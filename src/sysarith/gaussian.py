@@ -9,6 +9,7 @@ plus a set of distinct canonical prime generators.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -396,19 +397,42 @@ def splitting_in_ext(P: GaussianPrimeIdeal, ext: GaussianQuadExt) -> str:
     return SPLIT if s == 1 else INERT
 
 
+# (limit, every extension with rel_disc_norm <= limit, sorted); rebound as
+# one tuple, so a reader never pairs a limit with another limit's list
+_exts_memo: tuple[int, list[GaussianQuadExt]] = (0, [])
+
+
 def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
     """All quadratic extensions of Q(i) with rel_disc_norm <= bound.
 
     Sorted by (rel_disc_norm, delta norm, unit_exp, generator keys); the
-    smallest possible norm is 9 (delta = 3), so small bounds give [].
-    The odd generators are chosen by descent in norm order, each step
-    carrying their product; a product and its unit give the odd delta, whose
-    (1+i)-exponent is read off its residue mod 16, and the same delta times
-    (1+i), whose exponent is 5.
+    smallest possible norm is 9 (delta = 3), so small bounds give [].  The
+    key starts with the norm, so a smaller bound's list is a prefix of a
+    larger one's: the process keeps the longest list built, and each call
+    returns a new list sliced from it.  A bound past the kept limit rebuilds
+    up to max(floor(bound), 2 * kept limit), so an ascending ladder costs a
+    few builds and no call builds past twice its own bound.
     """
+    global _exts_memo
     if bound < 0:
         raise InputError(f"bound must be nonnegative, got {bound}")
     limit = math.floor(bound)
+    held, exts = _exts_memo
+    if held < limit:
+        held = max(limit, 2 * held)
+        exts = _quad_exts_up_to(held)
+        _exts_memo = held, exts
+    return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]
+
+
+def _quad_exts_up_to(limit: int) -> list[GaussianQuadExt]:
+    """The sorted extensions with rel_disc_norm <= limit, by descent.
+
+    The odd generators are chosen in norm order, each step carrying their
+    product; a product and its unit give the odd delta, whose (1+i)-exponent
+    is read off its residue mod 16, and the same delta times (1+i), whose
+    exponent is 5.
+    """
     odd_gens = [P.gen for P in gaussian_primes_up_to_norm(limit) if P.norm % 2 == 1]
     pi = GaussianInt(1, 1)
     out: list[GaussianQuadExt] = []

@@ -312,10 +312,11 @@ def _check_l(l: float) -> None:
 #
 # Factor ranges [2^k, 2^(k+1)) are processed in order; within a range, sets
 # are enumerated by prefix descent and the final coordinate is tested as one
-# slice of the sorted factors, the slices of a prefix's run as one batch.  The first range containing a passing set
-# holds the optimum and all its ties; earlier ranges were exhausted without
-# a pass.  The surface search, the exact cover over Q and the Q(i) search
-# all run this sweep, over a _MaskMatrix or an _IdealPool.
+# slice of the sorted factors, the slices of a prefix's run as one batch.
+# The first range containing a passing set holds the optimum and all its
+# ties; earlier ranges were exhausted without a pass.  The surface search,
+# the exact cover over Q and the Q(i) search all run this sweep, over a
+# _MaskMatrix or an _IdealPool.
 
 _SIEVE_BLOCK = 1 << 22  # integers sieved per append, bounds the new primes held
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this

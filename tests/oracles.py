@@ -193,7 +193,8 @@ def biquadratic_rel_disc_norm(m: int) -> int:
         return d if d % 4 == 1 else 4 * d
 
     abs_disc = abs(fund_disc(-1) * fund_disc(m) * fund_disc(-m))
-    assert abs_disc % 16 == 0
+    if abs_disc % 16:
+        raise ValueError(f"|disc| = {abs_disc} of Q(i, sqrt({m})) is not divisible by 16")
     return abs_disc // 16
 
 
@@ -202,7 +203,8 @@ def brute_even_split_qi(delta_a: int, delta_b: int) -> bool:
     delta: true iff delta is a 2-adic square, checked by enumerating every
     odd square residue modulo (1+i)^5.  (x+yi) is divisible by (1+i)^5 iff
     x+y and x-y are both 0 mod 8."""
-    assert (delta_a + delta_b) % 2 == 1, "delta must be odd"
+    if (delta_a + delta_b) % 2 != 1:
+        raise ValueError(f"delta = {delta_a}{delta_b:+}i must be odd")
     for a in range(16):
         for b in range(16):
             if (a + b) % 2 != 1:

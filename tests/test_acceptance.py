@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from sysarith import gaussian
 from sysarith.constructions import (
     ROLE_COVER,
     cover_algebra_2d,
@@ -48,7 +49,7 @@ from sysarith.real_quadratic import (
     quad_field,
     splitting_type_q,
 )
-from sysarith.search import minimal_algebra_2d
+from sysarith.search import minimal_algebra_2d, verify_exclusion_3d
 from sysarith.volume import volume_constant_qi, volume_qi
 
 from oracles import (
@@ -154,6 +155,18 @@ VOLUME_ROWS = [
     (2.9, (2, 5, 5, 9, 13, 17, 29, 53, 61, 61), "3.9331e10"),
     (3.0, (2, 5, 5, 9, 17, 49, 73, 89, 89, 97), "1.6066e12"),
 ]
+
+
+def test_criterion_3_exclusions_do_not_depend_on_call_order(monkeypatch):
+    # quad_exts_with_disc_below keeps one list per process and slices it;
+    # climbing the ladder grows that list, descending it builds it once
+    reports = {}
+    for order in ("ascending", "descending"):
+        monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+        rows = sorted(VOLUME_ROWS, reverse=order == "descending")
+        reports[order] = {l: verify_exclusion_3d(norms, l).to_json()
+                          for l, norms, _ in rows}
+    assert reports["ascending"] == reports["descending"]
 
 
 def conjugate_assignments(norms):

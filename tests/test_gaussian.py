@@ -1,11 +1,13 @@
 """Gaussian integers: ideals, residue symbols, quadratic extensions of Q(i)."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sysarith import gaussian
 from sysarith.errors import DegenerateExtensionError, InputError
 from sysarith.gaussian import (
     _ODD_SQUARES_MOD16,
@@ -292,3 +294,42 @@ def test_conjugation_class_counts_at_large_bound():
     assert len(exts) == 3152
     assert selfconj == 56
     assert (len(exts) + selfconj) // 2 == 1604
+
+
+# the acceptance ladder's bounds e^6 ... e^10 in steps of 0.2, the small
+# cases around the least norm 9, and e^10's floor given as a float
+MEMO_BOUNDS = [0, 8, 9, 9.5, 50, *(math.exp(6 + k / 5) for k in range(21)), 22026.0]
+
+
+@pytest.fixture(scope="module")
+def fresh_exts():
+    # the descent itself, once per limit, bypassing the process memo
+    return {limit: gaussian._quad_exts_up_to(limit)
+            for limit in {math.floor(b) for b in MEMO_BOUNDS}}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_extension_memo_matches_a_fresh_enumeration(order, fresh_exts, monkeypatch):
+    bounds = sorted(MEMO_BOUNDS, reverse=order == "descending")
+    if order == "shuffled":
+        random.Random(0).shuffle(bounds)
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+    for bound in bounds:
+        request = math.floor(bound)
+        before = gaussian._exts_memo[0]
+        assert quad_exts_with_disc_below(bound) == fresh_exts[request], bound
+        held = gaussian._exts_memo[0]
+        assert request <= held <= max(2 * before, request), (bound, before, held)
+
+
+def test_extension_memo_hands_out_new_lists(monkeypatch):
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+    whole = quad_exts_with_disc_below(500)  # exactly the held list's length
+    want = list(whole)
+    whole.clear()
+    assert quad_exts_with_disc_below(500) == want
+    prefix = quad_exts_with_disc_below(50)
+    prefix.append(want[-1])
+    prefix.reverse()
+    assert quad_exts_with_disc_below(50) == want[:12]
+    assert quad_exts_with_disc_below(500) == want

@@ -46,6 +46,14 @@ def test_no_assert_statements_in_src():
     assert sites == []
 
 
+def test_no_assert_statements_in_oracles():
+    # CI also runs the tests under `python -O`, which strips an assert
+    # outside a test module, so the oracles' own checks raise instead
+    path = ROOT / "tests" / "oracles.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
 # every public name, so that an addition or removal shows in the diff; the
 # submodules are reachable as attributes but are not exported by `import *`
 PUBLIC_NAMES = [
