@@ -2,18 +2,21 @@
 
 The surface search lists the real quadratic fields whose regulator falls
 below the target and then sweeps the area-factor ranges [2, 4), [4, 8), ...
-in order.  Each range sieves only its new primes, those in [lo, 2lo), and
-appends them to the primes of the earlier ranges; it allows every even
-cardinality whose smallest set fits and tests every prime set in it against
-packed split masks, counting the sets it tests on the way.  The first range
-holding a passing set yields the optimum with all its ties.  The masks are
-built only as far as the sweep reads them: full rows for the small primes
-that open a set, and for every prime a single word 0 holding the 64 fields
-that the fewest small primes split.  The sets that share all but their
-last two members form one batch: the last prime of each is filtered on
-word 0 by a few vectorized steps for the whole batch, and the few rows
-that pass are re-checked exactly on the fields and torsion bits that the
-rest of the set leaves open.
+in order, counting the sets it tests on the way.  The first range holding
+a passing set yields the optimum with all its ties.  A set of four or more
+primes has every factor below hi/8 of its range [lo, hi), as does a pair
+{p, q} with p >= 11; so the masks hold every prime whose factor is below
+hi/8, and the caller streams the rest.  The masks are built only as far as
+the sweep reads them: full rows for the small primes that open a set, and
+for every held prime a single word 0 holding the 64 fields that the fewest
+small primes split.  The sets that share all but their last two members
+form one batch: the last prime of each is filtered on word 0 by a few
+vectorized steps for the whole batch, and the few rows that pass are
+re-checked exactly on the fields and torsion bits that the rest of the set
+leaves open.  The pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are
+streamed: each range sieves those q in ascending blocks and keeps, one
+field at a time, the q that split the fields p leaves open, up to the
+running optimum.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
@@ -26,6 +29,7 @@ pool, or the int64 limit of the sweep.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,18 +92,20 @@ def _grow(buf: np.ndarray, n: int, extra: int) -> np.ndarray:
 
 class _MaskMatrix:
     """Split masks for an ascending prime list, built only as far as the
-    sweep reads them.
+    sweep reads them.  The surface search holds every prime whose factor
+    is below hi/8 of its range here, and streams the rest (_sweep_pairs).
 
     Bits are ordered so that word 0 holds the 64 fields that the fewest
     small primes split; the other fields follow, then the torsion bits.
-    Every prime gets its word 0 (`w0`), stored next to its factor p - 1
-    (`facs`), the one array the sweep searches.  Full rows are built only
-    for the prime indices [0, n) that `ensure(n)` asks for: the sweep's
-    prefixes.  `first_passes` filters the last primes of a batch of sets on
-    word 0 alone, and `covers` re-checks the few survivors exactly, on the
-    bits above word 0, by one gather from the concatenated tables.
-    `append` adds the primes of the next range; the buffers grow
-    geometrically.
+    `tables` lists their tables in that order; a bit is set where its
+    table reads 1.  Every held prime gets its word 0 (`w0`), stored next
+    to its factor p - 1 (`facs`), the one array the sweep searches.  Full
+    rows are built only for the prime indices [0, n) that `ensure(n)` asks
+    for: the sweep's prefixes.  `first_passes` filters the last primes of
+    a batch of sets on word 0 alone, and `covers` re-checks the few
+    survivors exactly, on the bits above word 0, by one gather from the
+    concatenated tables.  `append` adds the primes of the next range; the
+    buffers grow geometrically.
     """
 
     def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool):
@@ -316,10 +322,11 @@ def _check_l(l: float) -> None:
 # The first range containing a passing set holds the optimum and all its
 # ties; earlier ranges were exhausted without a pass.  The surface search,
 # the exact cover over Q and the Q(i) search all run this sweep, over a
-# _MaskMatrix or an _IdealPool.
+# _MaskMatrix or an _IdealPool; over Q the pairs past hi/8 are streamed.
 
-_SIEVE_BLOCK = 1 << 22  # integers sieved per append, bounds the new primes held
+_SIEVE_BLOCK = 1 << 22  # integers sieved per block, bounds the primes a block holds
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
+_PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones before a q - 1 >= hi/8
 
 
 def _sweep_range_full(masks, lo, hi):
@@ -327,14 +334,31 @@ def _sweep_range_full(masks, lo, hi):
 
     `masks` must hold every prime (or ideal) whose factor is below hi, its
     factors ascending in the int64 array `facs`, and hi must be at most
-    2^63 - 1.  The cardinalities run up to the largest even k whose k
-    smallest factors multiply to less than hi, the most members a set below
-    hi can have.  A set is a prefix found by descent over the Python ints
-    `facs`, one more member i and one last index j from a slice of
-    `facs_np`.  No factor is below 1, so a prefix's factors are at most
-    sqrt(hi), and `facs` need only reach the last of those plus k more
-    entries.  `rows` holds their full rows as Python ints, and each stack
-    entry carries its prefix's row OR.
+    2^63 - 1.  best is the least passing factor (None if no set passes),
+    winners the index tuples of every set with factor best, and n_below
+    the number of sets with factor below best (all sets of the range if
+    none passes).  The surface search's masks hold every prime whose
+    factor is below hi/8, and it streams the rest: it runs the two halves,
+    _sweep_sets and _sets_below, around its pair stream, _sweep_pairs.
+    """
+    best, winners, batches = _sweep_sets(masks, lo, hi)
+    return best, winners, _sets_below(masks.facs, batches, best)
+
+
+def _sweep_sets(masks, lo, hi):
+    """Test every set with factor in [lo, hi) whose members `masks` holds:
+    (best, winners, batches), batches for _sets_below.
+
+    The cardinalities run up to the largest even k whose k smallest
+    factors multiply to less than hi, the most members a set below hi can
+    have.  A set is a prefix found by descent over the Python ints `facs`,
+    one more member i and one last index j from a slice of `facs_np`.  No
+    factor is below 1, so a prefix's factors are at most sqrt(hi), and
+    `facs` need only reach the last of those plus k more entries.  `rows`
+    holds their full rows as Python ints, and each stack entry carries its
+    prefix's row OR.  A prefix is dead when even the largest factors that
+    can complete it leave it below lo, and the descent starts each member's
+    loop past the dead ones.
 
     The members i that can follow a prefix form a run, and the run is one
     batch: one searchsorted pair bounds all its slices, and
@@ -343,12 +367,6 @@ def _sweep_range_full(masks, lo, hi):
     later batches stop at the running optimum; within a batch a hit above
     the new optimum is dropped.  A slice's first pass is its least factor;
     after it, the passes of equal factor in the slice are ties too.
-
-    best is the least passing factor (None if no set passes), winners the
-    index tuples of every set with factor best, and n_below the number of
-    sets with factor below best (all sets of the range if none passes).
-    It is read from the (prods, j0s, j1s) kept for each batch: facs_np is
-    sorted, so the sets below best form a prefix of every slice.
     """
     facs_np = masks.facs
     top, prod = 0, 1
@@ -360,6 +378,9 @@ def _sweep_range_full(masks, lo, hi):
     short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + top
     facs = facs_np[:short].tolist()
     rows = masks.prefix_rows(short)
+    dear = [1]  # dear[r]: the product of the r largest factors, the most r members reach
+    for f in reversed(facs_np[len(facs_np) - top:].tolist()):
+        dear.append(dear[-1] * f)
     best = None
     winners: list[tuple] = []
     batches = []
@@ -368,6 +389,7 @@ def _sweep_range_full(masks, lo, hi):
         while stack:
             prefix, prod, start, acc = stack.pop()
             depth = len(prefix)
+            start = max(start, bisect.bisect_left(facs, -(-lo // (prod * dear[card - depth - 1]))))
             if depth == card - 2:
                 i1 = start
                 while i1 + 1 < len(facs) and prod * facs[i1] * facs[i1 + 1] < hi:
@@ -388,9 +410,9 @@ def _sweep_range_full(masks, lo, hi):
                         if best is None or factor < best:
                             best, winners, hi = factor, [], factor + 1
                         winners.append(prefix + (start + k, j))
-                        tie = facs_np.searchsorted(facs_np[j], side="right")
-                        j, = masks.first_passes([accs[k]], np.array([j + 1]),
-                                                np.array([min(tie, j1s[k])]))
+                        tie = min(int(facs_np.searchsorted(facs_np[j], side="right")), int(j1s[k]))
+                        j, = (masks.first_passes([accs[k]], np.array([j + 1]), np.array([tie]))
+                              if j + 1 < tie else (None,))
                 continue
             for i in range(start, len(facs)):
                 rest = prod * facs[i]
@@ -402,13 +424,77 @@ def _sweep_range_full(masks, lo, hi):
                 if rest is None or rest >= hi:
                     break
                 stack.append((prefix + (i,), prod * facs[i], i + 1, acc | rows[i]))
+    return best, winners, batches
+
+
+def _sets_below(facs_np, batches, best) -> int:
+    """The number of sets of the batches with factor below best (all of
+    them if best is None), read from the (prods, j0s, j1s) kept for each:
+    facs_np is sorted, so those sets form a prefix of every slice."""
     if not batches:
-        return best, winners, 0
+        return 0
     prods, j0s, j1s = (np.concatenate(c) for c in zip(*batches))
     if best is not None:
         j1s = np.clip(np.searchsorted(facs_np, (best - 1) // prods, side="right"),
                       j0s, j1s)
-    return best, winners, int((j1s - j0s).sum())
+    return int((j1s - j0s).sum())
+
+
+def _sweep_pairs(masks, lo, hi, cut, best):
+    """Test the pairs {p, q} with p in _PAIR_FIRSTS, q > p, q - 1 >= cut
+    and factor (p - 1)(q - 1) in [lo, hi) against the tables of `masks`.
+
+    best, the least passing factor of the range so far or None, goes out
+    lowered by the pairs, with the pairs of factor best and the number of
+    pairs below it.  The q are sieved once, in ascending blocks of at most
+    _SIEVE_BLOCK integers, and each block is tested for every p whose
+    window meets it: the q of the window are filtered one table at a time,
+    over the bits p leaves open in rarity order, keeping those that split
+    it.  The first survivor is p's least passing pair and ends p's stream.
+    The windows end at the running best, so no q past it is sieved.  The
+    count is of primes: each block adds the q of each window below the
+    running limit, and the q that the final best leaves above are sieved
+    again and taken back.
+    """
+    def top(p, x):  # the largest q with (p - 1)(q - 1) < x
+        return (x - 1) // (p - 1) + 1
+
+    flat, offsets, periods = masks.flat, masks.offsets, masks.periods
+    opens = {p: np.flatnonzero(flat[offsets + p % periods] != 1).tolist() for p in _PAIR_FIRSTS}
+    low = {p: max(top(p, lo), cut, p) for p in _PAIR_FIRSTS}  # p's window is q > low[p]
+    reach = dict(low)  # the q counted for p are those in (low[p], reach[p]]
+    pairs: list[tuple] = []
+    n, a = 0, cut + 1
+    if best is not None:
+        hi = best + 1
+    while opens and (last := max(top(p, hi) for p in opens)) >= a:
+        b = min(a + _SIEVE_BLOCK, last + 1)
+        qs = _accel.primes_in_range(a, b)
+        for p in list(opens):
+            i0, i1 = qs.searchsorted([low[p], top(p, hi)], side="right")
+            cand = qs[i0:i1]
+            for bit in opens[p]:
+                if not len(cand):
+                    break
+                cand = cand[flat[offsets[bit] + cand % periods[bit]] == 1]
+            if len(cand):
+                factor = (p - 1) * (int(cand[0]) - 1)
+                if best is None or factor < best:
+                    best, hi, pairs = factor, factor + 1, []
+                pairs.append((p, int(cand[0])))
+                del opens[p]
+        for p in _PAIR_FIRSTS:
+            end = min(top(p, hi), b - 1)
+            if end > reach[p]:
+                i0, i1 = qs.searchsorted([reach[p], end], side="right")
+                n += int(i1 - i0)
+                reach[p] = end
+        a = b
+    for p in _PAIR_FIRSTS:
+        end = reach[p] + 1
+        for c in range(max(top(p, hi if best is None else best), low[p]) + 1, end, _SIEVE_BLOCK):
+            n -= len(_accel.primes_in_range(c, min(end, c + _SIEVE_BLOCK)))
+    return best, pairs, n
 
 
 def _minimal_sets(discs: list[int], torsion: bool):
@@ -416,24 +502,30 @@ def _minimal_sets(discs: list[int], torsion: bool):
     every disc has a split prime (and, with `torsion`, some p = 1 mod 4 and
     some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
 
-    Range [lo, 2lo) needs only the primes p < 2lo; each range sieves the
-    primes in [lo, 2lo) and appends them.  The loop ends: every field has
-    split primes and a prime = 1 mod 12 meets both torsion bits, so some
-    even set passes.
+    Range [lo, hi) with hi = 2lo holds the primes with p - 1 < hi/8 in the
+    masks, appending those sieved since the last range; _sweep_sets tests
+    the sets of held primes and _sweep_pairs the pairs past them.  The
+    loop ends: every field has split primes and a prime = 1 mod 12 meets
+    both torsion bits, so some even set passes.
     """
     masks = _MaskMatrix(np.empty(0, dtype=np.int64), discs, torsion)
     n_below = 0
-    lo = 2
+    lo, held = 2, 2  # the primes below held are in masks
     while True:
         hi = 2 * lo
-        for a in range(lo, hi, _SIEVE_BLOCK):
-            masks.append(_accel.primes_in_range(a, min(hi, a + _SIEVE_BLOCK)))
-        best, winners, n = _sweep_range_full(masks, lo, hi)
-        n_below += n
+        cut = hi // 8
+        for a in range(held, cut + 1, _SIEVE_BLOCK):
+            masks.append(_accel.primes_in_range(a, min(cut + 1, a + _SIEVE_BLOCK)))
+        held = max(held, cut + 1)
+        best, winners, batches = _sweep_sets(masks, lo, hi)
+        facs = masks.facs
+        sets = [tuple(int(facs[i]) + 1 for i in w) for w in winners]
+        best_pair, pairs, n = _sweep_pairs(masks, lo, hi, cut, best)
+        if best_pair != best:
+            best, sets = best_pair, []
+        n_below += n + _sets_below(facs, batches, best)
         if best is not None:
-            facs = masks.facs
-            sets = sorted(tuple(int(facs[i]) + 1 for i in w) for w in winners)
-            return best, sets, n_below
+            return best, sorted(sets + pairs), n_below
         lo = hi
 
 

@@ -450,3 +450,106 @@ def test_exclusion_report_json():
     assert j["valid"] is False and j["norms"] == [2, 5, 9, 13]
     assert len(j["assignments"]) == 4
     assert all(a["failing_ext"]["rel_disc_norm"] == 17 for a in j["assignments"])
+
+
+def euler_fields(n, split=(), inert=()):
+    """The n least squarefree d = 1 mod 4 such that every prime of `split`
+    splits in Q(sqrt d) and every prime of `inert` is inert: Euler's
+    criterion d^((p-1)/2) = +-1 mod p at odd p, d mod 8 at 2."""
+    def symbol(d, p):
+        if p == 2:
+            return 1 if d % 8 == 1 else -1
+        r = pow(d, (p - 1) // 2, p)
+        return -1 if r == p - 1 else r
+
+    out = []
+    for d in itertools.count(5, 4):
+        if (all(symbol(d, p) == 1 for p in split) and all(symbol(d, p) == -1 for p in inert)
+                and brute_is_squarefree(d)):
+            out.append(d)
+            if len(out) == n:
+                return out
+
+
+# the pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 of the range are
+# streamed: {2, 13} and {3, 7} tie at factor 12 across two streams; (5, 79)
+# is the optimum of [256, 512) with q - 1 = 78 past hi/8 = 64, because no
+# prime below 20 splits the last four fields; 2 splits every field of the
+# last set, so the p = 2 stream needs only the torsion bits
+STREAMED = [
+    ("tie", lambda: (euler_fields(1, split=(7, 13), inert=(2, 3, 5, 11))
+                     + euler_fields(1, split=(3, 13), inert=(2, 7))), False,
+     (12, [(2, 13), (3, 7)])),
+    ("far", lambda: (euler_fields(2, split=(5,), inert=(2, 3, 7))
+                     + euler_fields(4, inert=(2, 3, 5, 7, 11, 13, 17, 19))), True,
+     (312, [(5, 79)])),
+    ("2 splits all", lambda: euler_fields(6, split=(2,)), False, (2, [(2, 3)])),
+    ("2 splits all", lambda: euler_fields(6, split=(2,)), True, (12, [(2, 13)])),
+]
+# the sieve's default block, then one of a few integers, so that the
+# streams span many blocks and the take-back of the count is exercised
+SIEVE_BLOCKS = (search._SIEVE_BLOCK, 7)
+
+
+@pytest.mark.parametrize("case,fields,torsion,optimum", STREAMED,
+                         ids=[f"{c[0]}-torsion={c[2]}" for c in STREAMED])
+def test_streamed_pairs_match_naive_oracle(case, fields, torsion, optimum, monkeypatch):
+    ds = fields()
+    factor, sets, n_below = want = naive_minimal_sets(ds, torsion)
+    assert (factor, sets) == optimum
+    cards = range(2, max_ram_cardinality(factor + 1) + 1, 2)
+    assert n_below == sum(len(naive_prime_sets(factor, c)) for c in cards)
+    if case == "far":
+        assert sets[0][1] - 1 >= (1 << factor.bit_length()) // 8
+    for block, batch_rows in itertools.product(SIEVE_BLOCKS, STEP_ROWS):
+        monkeypatch.setattr(search, "_SIEVE_BLOCK", block)
+        monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+        assert _minimal_sets(ds, torsion) == want, (block, batch_rows)
+
+
+def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
+    # at l=3.5 every prime the masks hold has p - 1 < hi/8 of the range it
+    # is appended for, and no block sieved, held or streamed, spans more
+    # than _SIEVE_BLOCK integers; a small block makes the streams long
+    discs = [f.disc for f in fields_with_regulator_below(3.5)]
+    want = _minimal_sets(discs, False)
+    held, blocks = [], []
+    append, sweep, sieve = _MaskMatrix.append, search._sweep_sets, search._accel.primes_in_range
+
+    def spy_append(self, primes):
+        held.append([int(primes.max()), None] if len(primes) else [0, None])
+        append(self, primes)
+
+    def spy_sweep(masks, lo, hi):
+        for row in held:
+            row[1] = row[1] or hi
+        return sweep(masks, lo, hi)
+
+    def spy_sieve(a, b):
+        blocks.append(b - a)
+        return sieve(a, b)
+
+    monkeypatch.setattr(_MaskMatrix, "append", spy_append)
+    monkeypatch.setattr(search, "_sweep_sets", spy_sweep)
+    monkeypatch.setattr(search._accel, "primes_in_range", spy_sieve)
+    monkeypatch.setattr(search, "_SIEVE_BLOCK", 1 << 10)
+    assert _minimal_sets(discs, False) == want
+    assert want[0] > 1 << 14 and len(held) > 10
+    assert all(p - 1 < hi / 8 for p, hi in held)
+    assert max(blocks) <= 1 << 10 and len(blocks) > 50
+
+
+def test_sweep_hands_no_dead_batch_to_first_passes(monkeypatch):
+    # a batch whose slices all stay below lo, because even its dearest
+    # completion does, is skipped before it reaches first_passes
+    live = []
+    first_passes = _IdealPool.first_passes
+
+    def spy(self, accs, j0s, j1s):
+        live.append(bool((j1s > j0s).any()))
+        return first_passes(self, accs, j0s, j1s)
+
+    monkeypatch.setattr(_IdealPool, "first_passes", spy)
+    res = valid_algebra_3d(2.0, pool_norm_bound=100)
+    assert (res.factor, res.tested_below_optimum) == (536_739_840, 110_850)
+    assert len(live) > 1000 and all(live)
