@@ -517,7 +517,7 @@ def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
     append, sweep, sieve = _MaskMatrix.append, search._sweep_sets, search._accel.primes_in_range
 
     def spy_append(self, primes):
-        held.append([int(primes.max()), None] if len(primes) else [0, None])
+        held.append([int(primes.max(initial=0)), None])
         append(self, primes)
 
     def spy_sweep(masks, lo, hi):
