@@ -42,10 +42,13 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def primes_in_range(lo: int, hi: int, segment: int = 1 << 20) -> np.ndarray:
+_SEGMENT = 1 << 20  # odd numbers struck per segment of primes_in_range
+
+
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """All primes p with lo <= p < hi, ascending, as an int64 array.
 
-    The odd numbers of [lo, hi) are sieved `segment` at a time by the odd
+    The odd numbers of [lo, hi) are sieved _SEGMENT at a time by the odd
     primes up to sqrt(hi - 1).
     """
     lo = max(lo, 2)
@@ -53,8 +56,8 @@ def primes_in_range(lo: int, hi: int, segment: int = 1 << 20) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     out = [np.array([2], dtype=np.int64)] if lo == 2 else []
     base = primes_up_to(math.isqrt(hi - 1))[1:].tolist()
-    for a in range(lo | 1, hi, 2 * segment):
-        n = min(segment, (hi - a + 1) // 2)  # the odd numbers a, a+2, ... < hi
+    for a in range(lo | 1, hi, 2 * _SEGMENT):
+        n = min(_SEGMENT, (hi - a + 1) // 2)  # the odd numbers a, a+2, ... < hi
         b = a + 2 * n
         composite = np.zeros(n, dtype=np.bool_)
         for q in base:

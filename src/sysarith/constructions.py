@@ -4,7 +4,9 @@ The family generator adjoins a fixed non-split prime and a growing sequence of
 non-split primes to a base algebra, preserving the systole field while the
 area factor grows by an exact integer identity.  The cover constructions build
 an algebra obstructing every quadratic field (resp. extension of Q(i)) below a
-discriminant bound by greedy set cover with certified witnesses.
+discriminant bound by greedy set cover with certified witnesses.  Both bases
+run one greedy driver: each supplies the split rows of its primes (resp.
+prime ideals) up to a window, and the torsion conditions of quaternion.py.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ import numpy as np
 
 from . import _accel
 from .errors import InputError, NoCandidateError, SysarithError
-from .gaussian import (
-    GaussianInt,
-    _ideal_key,
-    gaussian_primes_up_to_norm,
-    quad_exts_with_disc_below,
-    quad_residue_symbol,
-)
+from .gaussian import gaussian_primes_up_to_norm, quad_exts_with_disc_below
 from .geodesics import MODE_PAPER, exact_systole_q
 from .quaternion import (
+    TORSION_Q,
+    TORSION_QI,
     QuaternionAlgebraQ,
+    _unmet,
     algebra_q,
     algebra_qi,
     embeds_q,
@@ -41,6 +40,7 @@ from .real_quadratic import (
     squarefree_part,
 )
 from .search import _certify_q, _certify_qi, _minimal_sets, _split_rows_qi
+from .volume import area_factor
 
 _COVER_DISC_CAP = 10_000_000
 _PRIMORIAL_CAP = 100_000_000
@@ -161,9 +161,7 @@ class CoverResult:
 
     @property
     def factor(self) -> int:
-        return math.prod(
-            (m.norm if hasattr(m, "norm") else m) - 1
-            for m in self.algebra.ram_sorted)
+        return area_factor(self.algebra)
 
     def to_json(self) -> dict:
         def member_json(m):
@@ -205,7 +203,7 @@ def _greedy_cover(rows, full_mask):
     while uncovered:
         best_i, best_n = None, 0
         for i, row in enumerate(rows):
-            n = bin(row & uncovered).count("1")
+            n = (row & uncovered).bit_count()
             if n > best_n:
                 best_i, best_n = i, n
         if best_i is None:
@@ -224,6 +222,52 @@ def _greedy_cover(rows, full_mask):
     return kept
 
 
+def _cover_bound(x: float) -> float:
+    """The discriminant bound e^(2+2x) of a cover, for a valid x."""
+    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
+        raise InputError(f"x must be a finite real >= 0, got {x!r}")
+    bound = math.exp(2.0 + 2.0 * x)
+    if bound > _COVER_DISC_CAP:
+        raise InputError(f"discriminant bound e^(2+2x) = {bound:.3g} exceeds "
+                         f"the supported cap {_COVER_DISC_CAP}")
+    return bound
+
+
+def _greedy_roles(n_fields: int, window: int, rows_in, torsion) -> list:
+    """The (member, role) list of a greedy cover of n_fields fields.
+
+    rows_in(window) gives the primes (or ideals) up to the window,
+    ascending, and their split rows as ints.  The window doubles until the
+    greedy cover of its rows covers every field; its picks are the cover
+    members, in member order.  The torsion conditions (those of
+    quaternion.py, or () for none) that no cover member meets are met by
+    one more member: the first of the window that meets them all, which
+    the first window holds (13 over Q, the norm-49 ideal over Q(i)).
+    Parity members, the first not yet taken, make the set even.
+    """
+    full_mask = (1 << n_fields) - 1
+    while True:
+        members, rows = rows_in(window)
+        picks = _greedy_cover(rows, full_mask)
+        if picks is not None:
+            break
+        if window > 64 * _COVER_DISC_CAP:
+            raise NoCandidateError(f"no window up to {window} covers all {n_fields} fields")
+        window *= 2
+    roles = [(members[i], ROLE_COVER) for i in sorted(picks)]
+    missing = _unmet(torsion, [m for m, _ in roles])
+    if missing:
+        addition = next((m for m in members if all(c(m) for c in missing)), None)
+        if addition is None:
+            raise SysarithError(f"internal: no member up to {window} meets the "
+                                "missing torsion conditions")
+        roles.append((addition, ROLE_TORSION))
+    while len(roles) < 2 or len(roles) % 2 != 0:
+        taken = [m for m, _ in roles]
+        roles.append((next(m for m in members if m not in taken), ROLE_PARITY))
+    return roles
+
+
 def cover_algebra_2d(x: float, require_torsion_free: bool = False,
                      exact: bool = False) -> CoverResult:
     """An admissible prime set in which every real quadratic field with
@@ -231,150 +275,47 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
 
     Greedy by default; `exact` (x <= 1.5) finds the minimal-factor such set.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise InputError(f"x must be a finite real >= 0, got {x!r}")
-    bound = math.exp(2.0 + 2.0 * x)
-    if bound > _COVER_DISC_CAP:
-        raise InputError(f"discriminant bound e^(2+2x) = {bound:.3g} exceeds "
-                         f"the supported cap {_COVER_DISC_CAP}")
-    fields = real_fields_with_disc_below(bound)
-    if exact:
-        return _exact_cover_2d(x, fields, require_torsion_free)
+    fields = real_fields_with_disc_below(_cover_bound(x))
     discs = [f.disc for f in fields]
-    full_mask = (1 << len(fields)) - 1
+    if exact:
+        if x > 1.5:
+            raise InputError(f"exact cover is supported only for x <= 1.5, got {x}")
+        _, sets, _ = _minimal_sets(discs, require_torsion_free)
+        roles = [(p, ROLE_COVER) for p in sets[0]]
+    else:
+        tables = _accel.character_tables(discs)
 
-    tables = _accel.character_tables(discs)
-    window = max(1000, 3 * max(discs, default=0))
-    while True:
-        primes = [int(p) for p in _accel.primes_up_to(window)]
-        words = _accel.build_split_masks(
-            np.array(primes, dtype=np.int64), tables)
-        rows = _accel.masks_to_ints(words)
-        covered_any = 0
-        for r in rows:
-            covered_any |= r
-        if covered_any & full_mask == full_mask:
-            break
-        if window > 64 * _COVER_DISC_CAP:
-            raise NoCandidateError(
-                f"no prime window covers every field below disc bound {bound:.3g}")
-        window *= 2
+        def rows_in(window):
+            primes = _accel.primes_up_to(window)
+            words = _accel.build_split_masks(primes, tables)
+            return primes.tolist(), _accel.masks_to_ints(words)
 
-    picks = _greedy_cover(rows, full_mask)
-    if picks is None:
-        raise SysarithError("internal: the covering prime window left a field uncovered")
-    ram = [primes[i] for i in picks]
-    roles = [(p, ROLE_COVER) for p in sorted(ram)]
-
-    if require_torsion_free:
-        for addition in _torsion_additions_2d(ram, primes):
-            ram.append(addition)
-            roles.append((addition, ROLE_TORSION))
-    while len(ram) < 2 or len(ram) % 2 != 0:
-        parity = next(p for p in primes if p not in ram)
-        ram.append(parity)
-        roles.append((parity, ROLE_PARITY))
-
-    algebra = algebra_q(ram)
+        window = max(1000, 3 * max(discs, default=0))
+        roles = _greedy_roles(len(fields), window, rows_in,
+                              TORSION_Q if require_torsion_free else ())
+    algebra = algebra_q(m for m, _ in roles)
     return CoverResult(algebra=algebra, fields=tuple(fields),
                        certificate=_certify_q(algebra.ram_sorted, fields),
-                       roles=tuple(roles))
-
-
-def _torsion_additions_2d(ram: list[int], window_primes: list[int]) -> list[int]:
-    """Primes to append so the set meets both torsion conditions."""
-    has4 = any(p % 4 == 1 for p in ram)
-    has3 = any(p % 3 == 1 for p in ram)
-    if has4 and has3:
-        return []
-    if not has4 and not has3:
-        both = next(p for p in window_primes if p % 12 == 1 and p not in ram)
-        return [both]
-    residue = 4 if not has4 else 3
-    return [next(p for p in window_primes if p % residue == 1 and p not in ram)]
-
-
-def _exact_cover_2d(x: float, fields, require_torsion_free: bool) -> CoverResult:
-    if x > 1.5:
-        raise InputError(f"exact cover is supported only for x <= 1.5, got {x}")
-    _, sets, _ = _minimal_sets([f.disc for f in fields], require_torsion_free)
-    algebra = algebra_q(sets[0])
-    return CoverResult(
-        algebra=algebra, fields=tuple(fields),
-        certificate=_certify_q(algebra.ram_sorted, fields),
-        roles=tuple((p, ROLE_COVER) for p in algebra.ram_sorted), exact=True)
+                       roles=tuple(roles), exact=bool(exact))
 
 
 def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResult:
     """An admissible Gaussian prime-ideal set in which every quadratic
     extension of Q(i) with relative discriminant norm <= e^(2+2x) has a split
     ideal, with certificate."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise InputError(f"x must be a finite real >= 0, got {x!r}")
-    bound = math.exp(2.0 + 2.0 * x)
-    if bound > _COVER_DISC_CAP:
-        raise InputError(f"discriminant-norm bound e^(2+2x) = {bound:.3g} exceeds "
-                         f"the supported cap {_COVER_DISC_CAP}")
-    exts = quad_exts_with_disc_below(bound)
-    full_mask = (1 << len(exts)) - 1
+    exts = quad_exts_with_disc_below(_cover_bound(x))
+
+    def rows_in(window):
+        pool = gaussian_primes_up_to_norm(window)
+        return pool, _split_rows_qi(pool, exts)
 
     window = max(200, 3 * max((e.rel_disc_norm for e in exts), default=0))
-    while True:
-        pool = gaussian_primes_up_to_norm(window)
-        rows = _split_rows_qi(pool, exts)
-        covered_any = 0
-        for r in rows:
-            covered_any |= r
-        if covered_any & full_mask == full_mask:
-            break
-        if window > 64 * _COVER_DISC_CAP:
-            raise NoCandidateError(
-                f"no ideal window covers every extension below norm bound {bound:.3g}")
-        window *= 2
-
-    picks = _greedy_cover(rows, full_mask)
-    if picks is None:
-        raise SysarithError("internal: the covering ideal window left an extension uncovered")
-    ram = [pool[i] for i in picks]
-    roles = [(P, ROLE_COVER) for P in sorted(ram, key=_ideal_key)]
-
-    if require_torsion_free:
-        for addition in _torsion_additions_3d(ram, pool):
-            ram.append(addition)
-            roles.append((addition, ROLE_TORSION))
-    while len(ram) < 2 or len(ram) % 2 != 0:
-        parity = next(P for P in pool if P not in ram)
-        ram.append(parity)
-        roles.append((parity, ROLE_PARITY))
-
-    algebra = algebra_qi(ram)
+    roles = _greedy_roles(len(exts), window, rows_in,
+                          TORSION_QI if require_torsion_free else ())
+    algebra = algebra_qi(m for m, _ in roles)
     return CoverResult(algebra=algebra, fields=tuple(exts),
                        certificate=_certify_qi(algebra.ram_sorted, exts),
                        roles=tuple(roles))
-
-
-def _torsion_additions_3d(ram: list, pool: list) -> list:
-    """Ideals to append so the set meets both Q(i) torsion conditions."""
-    two, three = GaussianInt(2, 0), GaussianInt(3, 0)
-
-    def sym(P, z):
-        return quad_residue_symbol(z, P) if P.norm % 2 == 1 else 0
-
-    has2 = any(sym(P, two) == 1 for P in ram)
-    has3 = any(sym(P, three) == 1 for P in ram)
-    if has2 and has3:
-        return []
-    odd = [P for P in pool if P.norm % 2 == 1 and P not in ram]
-    if not has2 and not has3:
-        both = next((P for P in odd
-                     if sym(P, two) == 1 and sym(P, three) == 1), None)
-        if both is not None:
-            return [both]
-        first = next(P for P in odd if sym(P, two) == 1)
-        second = next(P for P in odd if P != first and sym(P, three) == 1)
-        return [first, second]
-    want = two if not has2 else three
-    return [next(P for P in odd if sym(P, want) == 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,8 @@ def gaussian_primes_up_to_norm(bound: int) -> list[GaussianPrimeIdeal]:
     come from one sieve, so the ideals are built without ideal_above's
     primality test.
     """
+    if not math.isfinite(bound):
+        raise InputError(f"norm bound must be finite, got {bound!r}")
     bound = int(math.floor(bound))
     out = []
     for p in _accel.primes_up_to(bound).tolist():
@@ -414,8 +416,8 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
     few builds and no call builds past twice its own bound.
     """
     global _exts_memo
-    if bound < 0:
-        raise InputError(f"bound must be nonnegative, got {bound}")
+    if not 0 <= bound < math.inf:
+        raise InputError(f"bound must be finite and nonnegative, got {bound!r}")
     limit = math.floor(bound)
     held, exts = _exts_memo
     if held < limit:

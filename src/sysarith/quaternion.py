@@ -94,25 +94,29 @@ def embeds_qi(ext: GaussianQuadExt, B: QuaternionAlgebraQi) -> bool:
     return all(splitting_in_ext(P, ext) != SPLIT for P in B.ram)
 
 
+# The torsion conditions, one per killed torsion order: B is torsion-free iff
+# each holds at some ramified prime.  Over Q(i), Q(i)(zeta_8) = Q(i)(sqrt(2))
+# and Q(i)(zeta_12) = Q(i)(sqrt(3)), so an odd P at which 2 (resp. 3) is a
+# square obstructs the torsion-generating extension.
+_TWO, _THREE = GaussianInt(2, 0), GaussianInt(3, 0)
+TORSION_Q = (lambda p: p % 4 == 1, lambda p: p % 3 == 1)
+TORSION_QI = (lambda P: P.norm % 2 == 1 and quad_residue_symbol(_TWO, P) == 1,
+              lambda P: P.norm % 2 == 1 and quad_residue_symbol(_THREE, P) == 1)
+
+
+def _unmet(conditions, ram) -> list:
+    """The conditions that no member of ram meets."""
+    return [c for c in conditions if not any(c(m) for m in ram)]
+
+
 def torsion_free_q(B: QuaternionAlgebraQ) -> bool:
     """Kills 2- and 3-torsion: some p = 1 mod 4 and some p = 1 mod 3 ramify."""
-    return any(p % 4 == 1 for p in B.ram) and any(p % 3 == 1 for p in B.ram)
-
-
-_TWO = GaussianInt(2, 0)
-_THREE = GaussianInt(3, 0)
+    return not _unmet(TORSION_Q, B.ram)
 
 
 def torsion_free_qi(B: QuaternionAlgebraQi) -> bool:
-    """Some odd ramified prime sees 2 as a square, and some sees 3.
-
-    Q(i)(zeta_8) = Q(i)(sqrt(2)) and Q(i)(zeta_12) = Q(i)(sqrt(3)), so these
-    residue conditions obstruct the torsion-generating extensions.
-    """
-    odd = [P for P in B.ram if P.norm % 2 == 1]
-    return any(quad_residue_symbol(_TWO, P) == 1 for P in odd) and any(
-        quad_residue_symbol(_THREE, P) == 1 for P in odd
-    )
+    """Some odd ramified prime sees 2 as a square, and some sees 3."""
+    return not _unmet(TORSION_QI, B.ram)
 
 
 def excluded_fields_subset(A, B, pool) -> bool:

@@ -53,7 +53,7 @@ from .gaussian import (
     quad_exts_with_disc_below,
     splitting_in_ext,
 )
-from .quaternion import algebra_q, algebra_qi
+from .quaternion import TORSION_Q, algebra_q, algebra_qi
 from .real_quadratic import (
     fields_with_regulator_below,
     is_prime,
@@ -75,9 +75,9 @@ _WORD = (1 << 64) - 1
 _WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
 _BATCH_ROWS = 1 << 16  # word-0 rows tested per vectorized step
 _GATHER_CELLS = 1 << 18  # survivor x bit cells re-checked per gather
-# the 0/1 tables of the torsion bits, periodic like the character tables
-_TORSION_TABLES = [np.array([0, 1, 0, 0], dtype=np.int8),  # p = 1 mod 4
-                   np.array([0, 1, 0], dtype=np.int8)]     # p = 1 mod 3
+# the 0/1 tables of the torsion bits: quaternion.TORSION_Q over its period 12
+_TORSION_TABLES = [np.array([c(r) for r in range(12)], dtype=np.int8)
+                   for c in TORSION_Q]
 
 
 def _grow(buf: np.ndarray, n: int, extra: int) -> np.ndarray:
@@ -116,10 +116,7 @@ class _MaskMatrix:
                        + (_TORSION_TABLES if torsion else []))
         bits = len(self.tables)
         self.width = max(1, (bits + 63) // 64)
-        self.target_int = (1 << bits) - 1
-        self.target = np.array(
-            [(self.target_int >> (64 * w)) & _WORD for w in range(self.width)],
-            dtype=np.uint64)
+        self.target = (1 << bits) - 1
         self.flat = (np.concatenate(self.tables) if self.tables
                      else np.zeros(0, dtype=np.int8))
         self.periods = np.array([len(t) for t in self.tables], dtype=np.int64)
@@ -175,7 +172,7 @@ class _MaskMatrix:
 
     def open_bits(self, acc: int) -> np.ndarray:
         """The bits above word 0 that a prefix with row OR `acc` leaves open."""
-        rest = (self.target_int & ~acc) >> 64
+        rest = (self.target & ~acc) >> 64
         raw = np.frombuffer(rest.to_bytes(8 * self.width, "little"), dtype=np.uint8)
         return np.flatnonzero(np.unpackbits(raw, bitorder="little")) + 64
 
@@ -204,7 +201,7 @@ class _MaskMatrix:
 
     def _first_pass(self, acc: int, j0: int, j1: int) -> int | None:
         """The first pass of one slice, read in place in steps."""
-        need0 = np.uint64(self.target_int & ~acc & _WORD)
+        need0 = np.uint64(self.target & ~acc & _WORD)
         w0 = self.w0
         for s0 in range(j0, j1, _BATCH_ROWS):
             hits = ((w0[s0:min(j1, s0 + _BATCH_ROWS)] & need0) == need0).nonzero()[0]
@@ -226,7 +223,7 @@ class _MaskMatrix:
         lens = j1s - j0s
         ends = np.cumsum(lens)
         starts = ends - lens
-        need0 = np.array([self.target_int & ~acc & _WORD for acc in accs], dtype=np.uint64)
+        need0 = np.array([self.target & ~acc & _WORD for acc in accs], dtype=np.uint64)
         out: list[int | None] = [None] * len(accs)
         k = 0
         while k < len(accs):
@@ -321,33 +318,24 @@ def _check_l(l: float) -> None:
 # slice of the sorted factors, the slices of a prefix's run as one batch.
 # The first range containing a passing set holds the optimum and all its
 # ties; earlier ranges were exhausted without a pass.  The surface search,
-# the exact cover over Q and the Q(i) search all run this sweep, over a
-# _MaskMatrix or an _IdealPool; over Q the pairs past hi/8 are streamed.
+# the exact cover over Q and the Q(i) search all run this sweep, _sweep_sets
+# then _sets_below, over a _MaskMatrix or an _IdealPool; over Q the pairs
+# past hi/8 are streamed between the two.
 
 _SIEVE_BLOCK = 1 << 22  # integers sieved per block, bounds the primes a block holds
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
 _PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones before a q - 1 >= hi/8
 
 
-def _sweep_range_full(masks, lo, hi):
-    """Test every set with factor in [lo, hi): (best, winners, n_below).
-
-    `masks` must hold every prime (or ideal) whose factor is below hi, its
-    factors ascending in the int64 array `facs`, and hi must be at most
-    2^63 - 1.  best is the least passing factor (None if no set passes),
-    winners the index tuples of every set with factor best, and n_below
-    the number of sets with factor below best (all sets of the range if
-    none passes).  The surface search's masks hold every prime whose
-    factor is below hi/8, and it streams the rest: it runs the two halves,
-    _sweep_sets and _sets_below, around its pair stream, _sweep_pairs.
-    """
-    best, winners, batches = _sweep_sets(masks, lo, hi)
-    return best, winners, _sets_below(masks.facs, batches, best)
-
-
 def _sweep_sets(masks, lo, hi):
     """Test every set with factor in [lo, hi) whose members `masks` holds:
-    (best, winners, batches), batches for _sets_below.
+    (best, winners, batches).  best is the least passing factor (None if no
+    set passes), winners the index tuples of every set with factor best,
+    and _sets_below(masks.facs, batches, best) counts the sets below best.
+    `masks` holds its factors ascending in the int64 array `facs`, and hi
+    is at most 2^63 - 1.  The Q(i) search holds every ideal whose factor
+    is below hi; the surface search holds the primes whose factor is below
+    hi/8 and streams the pairs past them (_sweep_pairs).
 
     The cardinalities run up to the largest even k whose k smallest
     factors multiply to less than hi, the most members a set below hi can
@@ -626,8 +614,9 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     need a range past the sweep's int64 limit 2^63 - 1.
     """
     _check_l(l)
-    if pool_norm_bound < 2:
-        raise InputError(f"pool norm bound must be >= 2, got {pool_norm_bound}")
+    if not 2 <= pool_norm_bound < math.inf:
+        raise InputError(
+            f"pool norm bound must be finite and >= 2, got {pool_norm_bound!r}")
     exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
     pool = gaussian_primes_up_to_norm(pool_norm_bound)
     masks = _IdealPool(pool, exts)
@@ -635,8 +624,8 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     n_below = 0
     lo = 2
     while True:
-        best, winners, n = _sweep_range_full(masks, lo, 2 * lo)
-        n_below += n
+        best, winners, batches = _sweep_sets(masks, lo, 2 * lo)
+        n_below += _sets_below(masks.facs, batches, best)
         if best is not None:
             break
         lo *= 2
@@ -732,7 +721,11 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     1.466.
     """
     _check_l(l)
-    norms = sorted(int(n) for n in ram_norm_multiset)
+    norms = list(ram_norm_multiset)
+    for n in norms:
+        if not isinstance(n, (int, np.integer)):
+            raise InputError(f"ideal norms must be integers, got {n!r}")
+    norms = sorted(int(n) for n in norms)
     if len(norms) < 2 or len(norms) % 2 != 0:
         raise InadmissibleAlgebraError(
             f"ramification multiset must have even cardinality >= 2, got {norms}")

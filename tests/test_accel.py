@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sysarith import _accel
 from sysarith._accel import (
     build_split_masks,
     character_table,
@@ -63,10 +64,11 @@ def test_character_table_is_the_kronecker_symbol():
 
 
 @pytest.mark.parametrize("segment", [997, 1 << 20])
-def test_primes_in_range_accumulates_the_sieve(segment):
+def test_primes_in_range_accumulates_the_sieve(segment, monkeypatch):
     # the ranges [2^k, 2^(k+1)) of the surface sweep; 997 is prime, so no
     # segment boundary falls on a multiple of a small prime
-    got = np.concatenate([primes_in_range(1 << k, 1 << (k + 1), segment)
+    monkeypatch.setattr(_accel, "_SEGMENT", segment)
+    got = np.concatenate([primes_in_range(1 << k, 1 << (k + 1))
                           for k in range(21)])
     assert got.dtype == np.int64
     assert got.tolist() == sieve_primes((1 << 21) - 1)
@@ -74,7 +76,8 @@ def test_primes_in_range_accumulates_the_sieve(segment):
     assert primes_in_range(0, 3).tolist() == [2]
     assert primes_in_range(3, 3).tolist() == []
     assert primes_in_range(10, 5).tolist() == []
-    assert primes_in_range(24, 30, segment=1).tolist() == [29]
+    monkeypatch.setattr(_accel, "_SEGMENT", 1)
+    assert primes_in_range(24, 30).tolist() == [29]
 
 
 def test_split_masks_empty_inputs():

@@ -126,6 +126,17 @@ def test_cover_2d_torsion_free():
     verify_cover_2d(cover)
 
 
+def test_cover_2d_torsion_adds_the_first_prime_meeting_the_missing_condition():
+    # 29 = 1 mod 4 covers; neither 29 nor 647 is 1 mod 3, so 7 is added
+    cover = cover_algebra_2d(0.75, require_torsion_free=True)
+    assert cover.roles == ((29, ROLE_COVER), (647, ROLE_COVER),
+                           (7, ROLE_TORSION), (2, ROLE_PARITY))
+    assert 29 % 4 == 1 and 29 % 3 != 1 and 647 % 3 != 1
+    assert 7 % 3 == 1
+    assert torsion_free_q(cover.algebra)
+    verify_cover_2d(cover)
+
+
 def test_cover_2d_exact():
     cover = cover_algebra_2d(0, exact=True)
     assert member_names(cover) == [2, 11]
@@ -194,6 +205,30 @@ def test_cover_3d_torsion_free():
     cover = cover_algebra_3d(0, require_torsion_free=True)
     assert cover.algebra.ram_norms == (2, 49)
     assert torsion_free_qi(cover.algebra)  # 2 and 3 are both squares in F_49
+
+
+def test_cover_3d_torsion_adds_the_first_ideal_meeting_the_missing_condition():
+    # 3 is a square mod the norm-13 cover ideal but 2 is not (13 = 5 mod 8),
+    # so the norm-9 ideal (3) is added: 2 = -1 = i^2 in F_9 = F_3[i]
+    cover = cover_algebra_3d(0.25, require_torsion_free=True)
+    assert [(str(m.gen), m.norm, role) for m, role in cover.roles] == [
+        ("3+2i", 13, ROLE_COVER), ("3", 9, ROLE_TORSION)]
+    (P, _), (added, _) = cover.roles
+
+    def square(z, Q):
+        p = Q.norm if Q.kind == "split" else Q.gen.a
+        return brute_symbol_qi(z, 0, Q.gen.a, Q.gen.b, p) == "split"
+
+    assert square(3, P) and not square(2, P)
+    assert square(2, added)
+    assert torsion_free_qi(cover.algebra)
+    verify_cover_3d(cover)
+
+
+def test_greedy_roles_raises_when_no_member_meets_the_torsion_conditions():
+    with pytest.raises(SysarithError, match="torsion"):
+        constructions._greedy_roles(1, 4, lambda window: ([2, 3], [1, 0]),
+                                    (lambda m: False,))
 
 
 def test_cover_3d_wider():

@@ -31,8 +31,9 @@ from sysarith.search import (
     _IdealPool,
     _MaskMatrix,
     _minimal_sets,
-    _sweep_range_full,
+    _sets_below,
     _split_rows_qi,
+    _sweep_sets,
     minimal_algebra_2d,
     valid_algebra_3d,
     verify_exclusion_3d,
@@ -170,7 +171,7 @@ def test_mask_matrix_torsion_bits(n_fields):
 
     assert bit(n_fields) == [p % 4 == 1 for p in primes.tolist()]
     assert bit(n_fields + 1) == [p % 3 == 1 for p in primes.tolist()]
-    assert sum(bin(int(w)).count("1") for w in masks.target) == n_fields + 2
+    assert masks.target.bit_count() == n_fields + 2
 
 
 @functools.cache
@@ -228,8 +229,9 @@ def test_sweep_keeps_ties_inside_a_batch(rows, target):
         best = min((math.prod(facs[i] for i in c) for c in passing), default=None)
         winners = sorted(c for c in passing if math.prod(facs[i] for i in c) == best)
         n_below = sum(best is None or math.prod(facs[i] for i in c) < best for c in in_range)
-        got = _sweep_range_full(masks, lo, 2 * lo)
-        assert (got[0], sorted(got[1]), got[2]) == (best, winners, n_below), lo
+        got, got_winners, batches = _sweep_sets(masks, lo, 2 * lo)
+        got_below = _sets_below(masks.facs, batches, got)
+        assert (got, sorted(got_winners), got_below) == (best, winners, n_below), lo
 
 
 def test_minimal_result_json_roundtrips():
@@ -384,6 +386,18 @@ def test_valid_algebra_3d_errors():
         valid_algebra_3d(1.0, 2)  # pool is just (1+i)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    quad_exts_with_disc_below,
+    gaussian_primes_up_to_norm,
+    lambda bound: valid_algebra_3d(1.0, bound),
+], ids=["quad_exts", "gaussian_primes", "valid_algebra_3d"])
+def test_non_finite_bounds_raise_input_error(call, bound):
+    # each call floors its bound, which would leak ValueError or OverflowError
+    with pytest.raises(InputError):
+        call(bound)
+
+
 def test_verify_exclusion_norm_multiset_2_5_9_13():
     rep = verify_exclusion_3d([2, 5, 9, 13], 1.0)
     assert rep.valid is False
@@ -442,6 +456,14 @@ def test_verify_exclusion_input_errors():
         verify_exclusion_3d([2], 1.0)
     with pytest.raises(InadmissibleAlgebraError):
         verify_exclusion_3d([2, 5, 9], 1.0)
+
+
+@pytest.mark.parametrize("norms", [[2, 5.7], [2, math.nan], [2, 5.0], [2, "5"]])
+def test_verify_exclusion_takes_integer_norms_only(norms):
+    # a float norm was truncated (5.7 checked as 5) and a NaN leaked ValueError
+    with pytest.raises(InputError, match="integers"):
+        verify_exclusion_3d(norms, 1.0)
+    assert verify_exclusion_3d(np.array([2, 5]), 1.0).norms == (2, 5)
 
 
 def test_exclusion_report_json():
