@@ -77,13 +77,14 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
 # smallest-prime-factor table (factors the discriminants)
 
 def smallest_factor_table(n: int) -> np.ndarray:
-    """spf[m] = smallest prime factor of m for 2 <= m <= n; spf[0] = spf[1] = 1."""
-    spf = np.zeros(n + 1, dtype=np.int64)
+    """spf[m] = smallest prime factor of m for 2 <= m <= n; spf[0] = spf[1] = 1.
+
+    The primes p <= sqrt(n) strike their multiples from p * p, largest
+    first, so the smallest factor of a composite is written last."""
+    spf = np.arange(n + 1, dtype=np.int64)
     spf[:2] = 1
-    for p in range(2, n + 1):
-        if spf[p] == 0:
-            sl = spf[p::p]
-            sl[sl == 0] = p
+    for p in primes_up_to(math.isqrt(n))[::-1].tolist():
+        spf[p * p::p] = p
     return spf
 
 

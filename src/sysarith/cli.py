@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 
 from .constructions import (
     cover_algebra_2d,
@@ -31,7 +30,7 @@ from .errors import (
 from .geodesics import MODE_PAPER, MODE_TRACE, exact_systole_q
 from .quaternion import algebra_q
 from .real_quadratic import quad_field
-from .search import _norm_choices, minimal_algebra_2d, valid_algebra_3d
+from .search import _norm_options, minimal_algebra_2d, valid_algebra_3d
 from .volume import coarea_q, format_volume, volume_constant_qi, volume_qi
 
 HEADER_L = "Lower Bound for Systole Length l"
@@ -196,12 +195,7 @@ def _cmd_volume(args) -> int:
     else:
         if args.ram_norms is None:
             raise InputError("--base qi requires --ram-norms")
-        norms = sorted(_parse_int_list(args.ram_norms, "norm"))
-        for norm, mult in Counter(norms).items():
-            _norm_choices(norm, mult)  # validates realizability
-        if len(norms) % 2 != 0 or len(norms) < 2:
-            raise InputError(
-                f"norm multiset must have even cardinality >= 2, got {norms}")
+        norms, _ = _norm_options(_parse_int_list(args.ram_norms, "norm"))
         vol = volume_constant_qi() * math.prod(n - 1 for n in norms)
         factor = math.prod(n - 1 for n in norms)
         members = norms

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .errors import InputError, NoCandidateError, SysarithError
+from .errors import InputError, NoCandidateError, SysarithError, check_int, check_real
 from .gaussian import gaussian_primes_up_to_norm, quad_exts_with_disc_below
 from .geodesics import MODE_PAPER, exact_systole_q
 from .quaternion import (
@@ -108,8 +108,7 @@ def same_systole_family_q(B: QuaternionAlgebraQ, L: QuadFieldQ,
     then the next such primes p1 < p2 < ...; each entry satisfies the exact
     identity factor(ram_i) = factor(B) * (p0 - 1) * (pi - 1).
     """
-    if count < 0:
-        raise InputError(f"count must be >= 0, got {count}")
+    count = check_int(count, "count", 0)
     if not embeds_q(L, B):
         raise InputError(
             f"field d={L.d} does not embed into the base algebra {B.ram_sorted}")
@@ -182,15 +181,9 @@ class CoverResult:
 
 def real_fields_with_disc_below(bound: float) -> list[QuadFieldQ]:
     """All real quadratic fields with fundamental discriminant <= bound."""
-    out = []
-    d = 1
-    while True:
-        d += 1
-        if d > bound:
-            break
-        if is_squarefree(d) and fundamental_discriminant(d) <= bound:
-            out.append(quad_field(d))
-    return out
+    check_real(bound, "bound")
+    return [quad_field(d) for d in range(2, math.floor(bound) + 1)
+            if is_squarefree(d) and fundamental_discriminant(d) <= bound]
 
 
 def _greedy_cover(rows, full_mask):
@@ -224,8 +217,7 @@ def _greedy_cover(rows, full_mask):
 
 def _cover_bound(x: float) -> float:
     """The discriminant bound e^(2+2x) of a cover, for a valid x."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise InputError(f"x must be a finite real >= 0, got {x!r}")
+    check_real(x, "x", 0)
     bound = math.exp(2.0 + 2.0 * x)
     if bound > _COVER_DISC_CAP:
         raise InputError(f"discriminant bound e^(2+2x) = {bound:.3g} exceeds "
@@ -323,8 +315,7 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
 
 def primorial_log_bound(x: float) -> float:
     """log of the primorial of x (sum of log p over primes p <= x)."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 2):
-        raise InputError(f"primorial bound needs x >= 2, got {x!r}")
+    check_real(x, "x", 2)
     if x > _PRIMORIAL_CAP:
         raise InputError(f"x = {x:.3g} exceeds the supported cap {_PRIMORIAL_CAP}")
     primes = _accel.primes_up_to(int(x))
@@ -333,10 +324,9 @@ def primorial_log_bound(x: float) -> float:
 
 def theorem_area_log_bound_2d(x: float, c1: float, c2: float) -> float:
     """log of the area majorant pi/3 times the primorial of 2*c1*e^((2+2x)*c2)."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise InputError(f"x must be a finite real >= 0, got {x!r}")
-    if c1 < 1 or c2 < 1:
-        raise InputError(f"constants must satisfy c1, c2 >= 1, got {c1}, {c2}")
+    check_real(x, "x", 0)
+    check_real(c1, "c1", 1)
+    check_real(c2, "c2", 1)
     threshold = 2.0 * c1 * math.exp((2.0 + 2.0 * x) * c2)
     return math.log(math.pi / 3.0) + primorial_log_bound(threshold)
 
@@ -359,7 +349,7 @@ def multiquadratic_discriminant(a_list) -> tuple[int, int]:
     Computed from the product of the discriminants of the 2^m - 1 quadratic
     subfields; r is read off that product and lies in {0, 2, 3}.
     """
-    a = list(a_list)
+    a = [check_int(ai, "generator") for ai in a_list]
     m = len(a)
     if m == 0:
         raise InputError("need at least one generator")
@@ -402,10 +392,8 @@ def multiquadratic_discriminant(a_list) -> tuple[int, int]:
 def silverman_disc_bound(n: int, x: float, absolute_qi: bool = False) -> float:
     """The discriminant-norm bound e^(2(n+x)) for degree-n base fields; the
     absolute form over Q(i) (n = 2) is 16 * e^(2(2+x))."""
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"degree n must be an integer >= 1, got {n!r}")
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise InputError(f"x must be a finite real >= 0, got {x!r}")
+    n = check_int(n, "degree n", 1)
+    check_real(x, "x", 0)
     if absolute_qi:
         if n != 2:
             raise InputError("the absolute Q(i) form requires n = 2")

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateExtensionError, InputError, SysarithError
+from .errors import DegenerateExtensionError, InputError, SysarithError, check_int, check_real
 from .real_quadratic import INERT, RAMIFIED, SPLIT, is_prime
 
 from . import _accel
@@ -102,7 +102,7 @@ def _ideal_key(P: GaussianPrimeIdeal) -> tuple:
 
 def splitting_in_qi(p: int) -> str:
     """Behaviour of a rational prime in Z[i]: 2 ramifies, 1 mod 4 splits."""
-    if not is_prime(p):
+    if not is_prime(check_int(p, "p")):
         raise InputError(f"{p} is not prime")
     if p == 2:
         return RAMIFIED
@@ -147,9 +147,7 @@ def gaussian_primes_up_to_norm(bound: int) -> list[GaussianPrimeIdeal]:
     come from one sieve, so the ideals are built without ideal_above's
     primality test.
     """
-    if not math.isfinite(bound):
-        raise InputError(f"norm bound must be finite, got {bound!r}")
-    bound = int(math.floor(bound))
+    bound = math.floor(check_real(bound, "norm bound"))
     out = []
     for p in _accel.primes_up_to(bound).tolist():
         if p == 2:
@@ -416,9 +414,7 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
     few builds and no call builds past twice its own bound.
     """
     global _exts_memo
-    if not 0 <= bound < math.inf:
-        raise InputError(f"bound must be finite and nonnegative, got {bound!r}")
-    limit = math.floor(bound)
+    limit = math.floor(check_real(bound, "bound", 0))
     held, exts = _exts_memo
     if held < limit:
         held = max(limit, 2 * held)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, NonHyperbolicError
+from .errors import InputError, NonHyperbolicError, check_real
 from .quaternion import QuaternionAlgebraQ, embeds_q, require_admissible
 from .real_quadratic import (
     QuadFieldQ,
@@ -94,8 +94,7 @@ def exact_systole_q(B: QuaternionAlgebraQ, mode: str = MODE_PAPER, cap: float = 
     embeddable trace is as short as the cap.
     """
     require_admissible(B)
-    if not cap > 0:
-        raise InputError(f"cap must be positive, got {cap}")
+    check_real(cap, "cap", 0, strict=True, finite=False)
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     hit = _first_embeddable_trace(B, cap)

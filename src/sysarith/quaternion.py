@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InadmissibleAlgebraError, InputError
+from .errors import InadmissibleAlgebraError, InputError, check_int
 from .gaussian import (
     GaussianInt,
     GaussianPrimeIdeal,
@@ -52,7 +52,7 @@ class QuaternionAlgebraQi:
 
 
 def algebra_q(primes: Iterable[int]) -> QuaternionAlgebraQ:
-    ram = frozenset(primes)
+    ram = frozenset(check_int(p, "prime") for p in primes)
     for p in ram:
         if not is_prime(p):
             raise InputError(f"ramification set contains non-prime {p}")

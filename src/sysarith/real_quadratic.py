@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import InputError, SysarithError
+from .errors import InputError, SysarithError, check_int, check_real
 
 SPLIT = "split"
 INERT = "inert"
@@ -140,11 +140,11 @@ def splitting_type_q(field, p: int) -> str:
     return RAMIFIED
 
 
-def _check_field_d(d: int) -> None:
-    if d < 2:
-        raise InputError(f"d must be an integer >= 2, got {d}")
+def _check_field_d(d: int) -> int:
+    d = check_int(d, "d", 2)
     if not is_squarefree(d):
         raise InputError(f"d must be squarefree, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class QuadFieldQ:
 
 
 def quad_field(d: int) -> QuadFieldQ:
-    _check_field_d(d)
+    d = _check_field_d(d)
     return QuadFieldQ(d, fundamental_discriminant(d))
 
 
@@ -271,8 +271,7 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     lower bound, which equals the regulator at d = n^2 + 4 and can round
     above it; the exact regulator test filters the extra d.
     """
-    if not bound > 0:
-        raise InputError(f"bound must be positive, got {bound}")
+    check_real(bound, "bound", 0, strict=True)
     if bound > 10:
         raise InputError(
             f"regulator bound {bound} would scan ~e^(2*bound) discriminants; "

@@ -32,6 +32,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,8 @@ from .errors import (
     InputError,
     NoCandidateError,
     SysarithError,
+    check_int,
+    check_real,
 )
 from .gaussian import (
     SPLIT,
@@ -81,11 +85,11 @@ _TORSION_TABLES = [np.array([c(r) for r in range(12)], dtype=np.int8)
 
 
 def _grow(buf: np.ndarray, n: int, extra: int) -> np.ndarray:
-    """buf, or a copy of its first n rows with room for n + extra; the
-    capacity at least doubles, so appending costs O(1) per row."""
+    """buf, or a copy of its first n entries with room for n + extra; the
+    capacity at least doubles, so appending costs O(1) per entry."""
     if n + extra <= len(buf):
         return buf
-    out = np.empty((max(n + extra, 2 * len(buf)),) + buf.shape[1:], dtype=buf.dtype)
+    out = np.empty(max(n + extra, 2 * len(buf)), dtype=buf.dtype)
     out[:n] = buf[:n]
     return out
 
@@ -100,12 +104,12 @@ class _MaskMatrix:
     `tables` lists their tables in that order; a bit is set where its
     table reads 1.  Every held prime gets its word 0 (`w0`), stored next
     to its factor p - 1 (`facs`), the one array the sweep searches.  Full
-    rows are built only for the prime indices [0, n) that `ensure(n)` asks
-    for: the sweep's prefixes.  `first_passes` filters the last primes of
-    a batch of sets on word 0 alone, and `covers` re-checks the few
-    survivors exactly, on the bits above word 0, by one gather from the
-    concatenated tables.  `append` adds the primes of the next range; the
-    buffers grow geometrically.
+    rows, as Python ints, are built only for the prime indices [0, n) that
+    `prefix_rows(n)` asks for: the sweep's prefixes.  `first_passes`
+    filters the last primes of a batch of sets on word 0 alone, and
+    `covers` re-checks the few survivors exactly, on the bits above word 0,
+    by one gather from the concatenated tables.  `append` adds the primes
+    of the next range; the buffers grow geometrically.
     """
 
     def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool):
@@ -124,8 +128,7 @@ class _MaskMatrix:
         self.n = 0
         self._facs = np.empty(0, dtype=np.int64)
         self._w0 = np.empty(0, dtype=np.uint64)
-        self._rows = np.empty((0, self.width), dtype=np.uint64)
-        self._n_rows = 0
+        self._prefix: list[int] = []
         self.append(primes)
 
     @property
@@ -152,23 +155,18 @@ class _MaskMatrix:
         self._w0[n:n + m] = self._words(primes, 1)[:, 0]
         self.n = n + m
 
-    def ensure(self, n_rows: int) -> np.ndarray:
-        """Return the full rows of at least the prime indices [0, n_rows).
+    def prefix_rows(self, n_rows: int) -> list[int]:
+        """The full rows of at least the prime indices [0, n_rows), as ints.
 
         The rows built grow geometrically, so a sweep whose prefixes reach
         a little further each range builds them in few calls.
         """
-        have = self._n_rows
+        have = len(self._prefix)
         if n_rows > have:
             want = min(self.n, max(n_rows, 2 * have))
-            self._rows = _grow(self._rows, have, want - have)
-            self._rows[have:want] = self._words(self._facs[have:want] + 1, self.width)
-            self._n_rows = want
-        return self._rows[:self._n_rows]
-
-    def prefix_rows(self, n_rows: int) -> list[int]:
-        """The full rows of at least the prime indices [0, n_rows), as ints."""
-        return _accel.masks_to_ints(self.ensure(n_rows))
+            self._prefix += _accel.masks_to_ints(
+                self._words(self._facs[have:want] + 1, self.width))
+        return self._prefix
 
     def open_bits(self, acc: int) -> np.ndarray:
         """The bits above word 0 that a prefix with row OR `acc` leaves open."""
@@ -303,11 +301,6 @@ def _split_rows_qi(pool, exts) -> list[int]:
         rows.append(int.from_bytes(np.packbits(sym == 1, bitorder="little").tobytes(),
                                    "little"))
     return rows
-
-
-def _check_l(l: float) -> None:
-    if not (isinstance(l, (int, float)) and math.isfinite(l) and l > 0):
-        raise InputError(f"systole bound must be a positive finite real, got {l!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +581,7 @@ def minimal_algebra_2d(l: float, require_torsion_free: bool = False) -> SearchRe
     """All minimal-area-factor admissible prime sets obstructing every field
     with regulator < l (optionally also torsion-free), with certificates.
     """
-    _check_l(l)
+    check_real(l, "systole bound", 0, strict=True)
     fields = fields_with_regulator_below(l)
     factor, sets, n_below = _minimal_sets(
         [f.disc for f in fields], require_torsion_free)
@@ -613,10 +606,8 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     is raised when no even subset passes, and when the least factor would
     need a range past the sweep's int64 limit 2^63 - 1.
     """
-    _check_l(l)
-    if not 2 <= pool_norm_bound < math.inf:
-        raise InputError(
-            f"pool norm bound must be finite and >= 2, got {pool_norm_bound!r}")
+    check_real(l, "systole bound", 0, strict=True)
+    check_real(pool_norm_bound, "pool norm bound", 2)
     exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
     pool = gaussian_primes_up_to_norm(pool_norm_bound)
     masks = _IdealPool(pool, exts)
@@ -705,6 +696,20 @@ def _norm_choices(norm: int, multiplicity: int):
     raise InputError(f"no Gaussian prime ideal has norm {norm}")
 
 
+def _norm_options(ram_norm_multiset) -> tuple[list[int], list]:
+    """The sorted norms and, per distinct norm ascending, the ideal tuples
+    realizing its multiplicity; checks integers, then an even number >= 2,
+    then realizability."""
+    if not isinstance(ram_norm_multiset, Iterable):
+        raise InputError(
+            f"ideal norms must be an iterable of integers, got {ram_norm_multiset!r}")
+    norms = sorted(check_int(n, "ideal norm", 1) for n in ram_norm_multiset)
+    if len(norms) < 2 or len(norms) % 2 != 0:
+        raise InadmissibleAlgebraError(
+            f"ramification multiset must have even cardinality >= 2, got {norms}")
+    return norms, [_norm_choices(n, m) for n, m in sorted(Counter(norms).items())]
+
+
 def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     """Check whether some conjugate assignment of the norm multiset obstructs
     every quadratic extension of Q(i) with relative discriminant norm at most
@@ -720,19 +725,8 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     assignment of (2, 5, 9, 13) leaves open has no geodesic shorter than
     1.466.
     """
-    _check_l(l)
-    norms = list(ram_norm_multiset)
-    for n in norms:
-        if not isinstance(n, (int, np.integer)):
-            raise InputError(f"ideal norms must be integers, got {n!r}")
-    norms = sorted(int(n) for n in norms)
-    if len(norms) < 2 or len(norms) % 2 != 0:
-        raise InadmissibleAlgebraError(
-            f"ramification multiset must have even cardinality >= 2, got {norms}")
-    counts: dict[int, int] = {}
-    for n in norms:
-        counts[n] = counts.get(n, 0) + 1
-    options = [_norm_choices(n, m) for n, m in sorted(counts.items())]
+    check_real(l, "systole bound", 0, strict=True)
+    norms, options = _norm_options(ram_norm_multiset)
     exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
 
     combos = [tuple(sorted((P for group in combo for P in group), key=_ideal_key))

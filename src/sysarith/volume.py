@@ -7,6 +7,7 @@ constant is evaluated once to double precision via mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -33,9 +34,7 @@ def coarea_q(B) -> float:
     return math.pi / 3 * area_factor(B)
 
 
-_VOLUME_CONSTANT: float | None = None
-
-
+@functools.cache
 def volume_constant_qi() -> float:
     """zeta_{Q(i)}(2) * |disc|^(3/2) / (4 pi^2) with disc = -4.
 
@@ -43,13 +42,9 @@ def volume_constant_qi() -> float:
     Catalan/3; both routes agree, and the lattice sum
     tests/oracles.lattice_zeta_qi gives an independent slow check.
     """
-    global _VOLUME_CONSTANT
-    if _VOLUME_CONSTANT is None:
-        with mpmath.workprec(80):
-            beta2 = mpmath.nsum(lambda n: (-1) ** n / (2 * n + 1) ** 2, [0, mpmath.inf])
-            val = 8 * mpmath.zeta(2) * beta2 / (4 * mpmath.pi**2)
-            _VOLUME_CONSTANT = float(val)
-    return _VOLUME_CONSTANT
+    with mpmath.workprec(80):
+        beta2 = mpmath.nsum(lambda n: (-1) ** n / (2 * n + 1) ** 2, [0, mpmath.inf])
+        return float(8 * mpmath.zeta(2) * beta2 / (4 * mpmath.pi**2))
 
 
 def volume_qi(B: QuaternionAlgebraQi) -> float:

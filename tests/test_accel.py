@@ -85,3 +85,13 @@ def test_split_masks_empty_inputs():
     assert build_split_masks(np.empty(0, dtype=np.int64),
                              character_tables([5, 8])).shape == (0, 1)
     assert character_tables([]) == []
+
+
+def test_smallest_factor_table_matches_trial_division():
+    # trial division by every m from 2 up gives the least prime factor
+    brute = [1, 1] + [next(m for m in range(2, k + 1) if k % m == 0)
+                      for k in range(2, 5001)]
+    for n in (0, 1, 2, 3, 4, 8, 9, 10, 48, 49, 50, 4999, 5000):
+        spf = smallest_factor_table(n)
+        assert spf.dtype == np.int64
+        assert spf.tolist() == brute[:n + 1], n

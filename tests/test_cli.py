@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sysarith import cli
+from sysarith import InputError, cli, verify_exclusion_3d
 from sysarith.cli import HEADER_FACTOR, HEADER_L, HEADER_SET, HEADER_VOLUME, main
 
 
@@ -174,6 +174,16 @@ def test_input_errors_exit_1(capsys, args):
     code, _, err = run(capsys, *args)
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize("norms", ["2,5,9", "3", "2,3", "2,2", "5,5,5,2", "0,5"])
+def test_volume_qi_checks_norms_like_verify_exclusion(capsys, norms):
+    # one check of a norm multiset: integers, even cardinality >= 2, realizable
+    code, _, err = run(capsys, "volume", "--base", "qi", "--ram-norms", norms)
+    with pytest.raises(InputError) as e:
+        verify_exclusion_3d([int(n) for n in norms.split(",")], 1.0)
+    assert code == 1
+    assert err == f"error: {e.value}\n"
 
 
 @pytest.mark.parametrize("args", [

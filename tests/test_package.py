@@ -5,9 +5,29 @@ import importlib
 import re
 from pathlib import Path
 
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 import sysarith
+from sysarith import (
+    InputError,
+    algebra_q,
+    exact_systole_q,
+    fields_with_regulator_below,
+    gaussian_primes_up_to_norm,
+    ideal_above,
+    minimal_algebra_2d,
+    multiquadratic_discriminant,
+    quad_exts_with_disc_below,
+    quad_field,
+    same_systole_family_q,
+    valid_algebra_3d,
+    verify_exclusion_3d,
+)
+from sysarith.errors import check_int, check_real
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -85,3 +105,48 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     assert sorted(sysarith.__all__) == PUBLIC_NAMES
+
+
+# wrong-typed arguments that leaked TypeError (or built a float-valued
+# field) before every entry point checked its arguments in errors.py
+MALFORMED_CALLS = {
+    "family count 2.5": lambda: same_systole_family_q(
+        algebra_q([3, 5, 7, 11]), quad_field(77), 2.5),
+    "pool bound '100'": lambda: valid_algebra_3d(1.0, "100"),
+    "extension bound '9'": lambda: quad_exts_with_disc_below("9"),
+    "norm multiset 5": lambda: verify_exclusion_3d(5, 1.0),
+    "systole cap '5'": lambda: exact_systole_q(algebra_q([2, 31]), "paper", "5"),
+    "regulator bound '1'": lambda: fields_with_regulator_below("1"),
+    "ideal norm bound '10'": lambda: gaussian_primes_up_to_norm("10"),
+    "field d 5.0": lambda: quad_field(5.0),
+    "prime 5.0": lambda: ideal_above(5.0),
+    "ramified prime 2.0": lambda: algebra_q([2.0, 3]),
+    "generator 2.5": lambda: multiquadratic_discriminant([2.5, 3]),  # never returned
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS.values(), ids=MALFORMED_CALLS.keys())
+def test_malformed_arguments_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_numpy_scalars_pass_the_checks():
+    assert minimal_algebra_2d(np.int64(1)) == minimal_algebra_2d(1)
+    assert quad_field(np.int64(5)) == quad_field(5)
+    assert type(quad_field(np.int64(5)).d) is int
+
+
+def test_checkers():
+    assert check_real(np.float32(0.5), "x", 0) == 0.5
+    assert check_real(Fraction(1, 3), "x", 0, strict=True) == Fraction(1, 3)
+    assert check_real(math.inf, "cap", 0, strict=True, finite=False) == math.inf
+    for bad in (math.nan, math.inf, -1, 0, "1", None, 1j):
+        with pytest.raises(InputError, match="x must be a finite real > 0"):
+            check_real(bad, "x", 0, strict=True)
+    with pytest.raises(InputError, match="cap must be a real > 0"):
+        check_real(math.nan, "cap", 0, strict=True, finite=False)
+    assert check_int(np.uint8(7), "n", 1) == 7 and type(check_int(np.int64(7), "n")) is int
+    for bad in (2.0, "3", np.float64(3), 0, None):
+        with pytest.raises(InputError, match="n must be one of the integers >= 1"):
+            check_int(bad, "n", 1)
