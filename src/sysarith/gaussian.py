@@ -129,6 +129,7 @@ def _sum_two_squares(p: int) -> tuple[int, int]:
 
 def ideal_above(p: int, conjugate: bool = False) -> GaussianPrimeIdeal:
     """The canonical prime above p; conjugate=True picks b+ai for split p."""
+    p = check_int(p, "p")
     kind = splitting_in_qi(p)
     if kind == RAMIFIED:
         return GaussianPrimeIdeal(GaussianInt(1, 1), 2, RAMIFIED)

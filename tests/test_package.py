@@ -135,6 +135,8 @@ def test_numpy_scalars_pass_the_checks():
     assert minimal_algebra_2d(np.int64(1)) == minimal_algebra_2d(1)
     assert quad_field(np.int64(5)) == quad_field(5)
     assert type(quad_field(np.int64(5)).d) is int
+    assert ideal_above(np.int64(3)).to_json() == ideal_above(3).to_json()
+    assert type(ideal_above(np.int64(3)).norm) is int
 
 
 def test_checkers():
