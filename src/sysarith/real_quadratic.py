@@ -236,7 +236,7 @@ def _unit_log(u: FundamentalUnit, disc: int) -> float:
 
 def fundamental_unit(d: int, cutoff: float | None = None):
     """Fundamental unit of Q(sqrt(d)), or EXCEEDS_CUTOFF if its log > cutoff."""
-    _check_field_d(d)
+    d = _check_field_d(d)
     u = _pqa_unit(fundamental_discriminant(d), cutoff)
     if u is EXCEEDS_CUTOFF or (cutoff is not None and regulator(d) > cutoff):
         return EXCEEDS_CUTOFF
@@ -246,7 +246,7 @@ def fundamental_unit(d: int, cutoff: float | None = None):
 @functools.cache
 def regulator(d: int) -> float:
     """log of the fundamental unit (norm -1 units included), memoized."""
-    _check_field_d(d)
+    d = _check_field_d(d)
     return _unit_log(fundamental_unit(d), fundamental_discriminant(d))
 
 

@@ -17,12 +17,14 @@ from sysarith import (
     algebra_q,
     exact_systole_q,
     fields_with_regulator_below,
+    fundamental_unit,
     gaussian_primes_up_to_norm,
     ideal_above,
     minimal_algebra_2d,
     multiquadratic_discriminant,
     quad_exts_with_disc_below,
     quad_field,
+    regulator,
     same_systole_family_q,
     valid_algebra_3d,
     verify_exclusion_3d,
@@ -137,6 +139,10 @@ def test_numpy_scalars_pass_the_checks():
     assert type(quad_field(np.int64(5)).d) is int
     assert ideal_above(np.int64(3)).to_json() == ideal_above(3).to_json()
     assert type(ideal_above(np.int64(3)).norm) is int
+    # the unit of Q(sqrt 526) outgrows int64; the cache is bypassed so the
+    # numpy d itself reaches the continued fraction
+    assert fundamental_unit(np.int64(526)) == fundamental_unit(526)
+    assert regulator.__wrapped__(np.int64(526)) == regulator(526)
 
 
 def test_checkers():
