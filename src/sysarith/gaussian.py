@@ -53,35 +53,32 @@ class GaussianInt:
 
 ONE = GaussianInt(1, 0)
 IUNIT = GaussianInt(0, 1)
-_UNITS = (ONE, IUNIT, GaussianInt(-1, 0), GaussianInt(0, -1))
-
-
-def _divmod_gauss(z: GaussianInt, w: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
-    n = w.norm
-    t = z * w.conj()
-    qa = (2 * t.a + n) // (2 * n)
-    qb = (2 * t.b + n) // (2 * n)
-    q = GaussianInt(qa, qb)
-    r = GaussianInt(z.a - (q * w).a, z.b - (q * w).b)
-    return q, r
 
 
 def _exact_div(z: GaussianInt, w: GaussianInt) -> GaussianInt | None:
-    q, r = _divmod_gauss(z, w)
-    if r.a == 0 and r.b == 0:
-        return q
-    return None
+    """z / w if w divides z in Z[i], else None: z / w = z * conj(w) / N(w)."""
+    n, t = w.norm, z * w.conj()
+    if t.a % n or t.b % n:
+        return None
+    return GaussianInt(t.a // n, t.b // n)
+
+
+def _first_quadrant(a: int, b: int) -> tuple[int, int]:
+    """The associate i^k * (a + bi) with a > 0, b >= 0, for a + bi != 0."""
+    if a > 0 and b >= 0:
+        return a, b
+    if a <= 0 and b > 0:
+        return b, -a
+    if a < 0 and b <= 0:
+        return -a, -b
+    return -b, a
 
 
 def canonical_associate(z: GaussianInt) -> GaussianInt:
     """The associate i^k * z with a > 0, b >= 0 (first quadrant, real axis in)."""
     if z.a == 0 and z.b == 0:
         return z
-    for u in _UNITS:
-        w = z * u
-        if w.a > 0 and w.b >= 0:
-            return w
-    raise SysarithError(f"internal: no associate of {z} lies in the first quadrant")
+    return GaussianInt(*_first_quadrant(z.a, z.b))
 
 
 @dataclass(frozen=True)
@@ -313,17 +310,18 @@ def _defect_table() -> tuple[tuple[int, ...], ...]:
                  for a in range(16))
 
 
-def _two_type(delta: GaussianInt) -> tuple[int, str]:
+def _two_type(a: int, b: int) -> tuple[int, str]:
     """The (1+i)-exponent of the relative discriminant of Q(i)(sqrt(delta))
-    and the splitting of (1+i) in it, for odd delta."""
-    defect = _defect_table()[delta.a % 16][delta.b % 16]
+    and the splitting of (1+i) in it, for odd delta = a + bi."""
+    defect = _defect_table()[a % 16][b % 16]
     if defect >= 5:
         return 0, SPLIT
     if defect == 4:
         return 0, INERT
     if defect in (1, 3):
         return 5 - defect, RAMIFIED
-    raise SysarithError(f"2-adic defect of {delta} is {defect}, expected 1 or 3")
+    raise SysarithError(
+        f"2-adic defect of {GaussianInt(a, b)} is {defect}, expected 1 or 3")
 
 
 @dataclass(frozen=True)
@@ -358,7 +356,7 @@ def _ext_from_parts(unit_exp: int, gens: tuple[GaussianInt, ...]) -> GaussianQua
     if len(odd) != len(gens):
         two_exp, two_kind = 5, RAMIFIED
     else:
-        two_exp, two_kind = _two_type(delta)
+        two_exp, two_kind = _two_type(delta.a, delta.b)
     odd_part = ONE
     for g in odd:
         odd_part = odd_part * g
@@ -408,63 +406,67 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
 
     Sorted by (rel_disc_norm, delta norm, unit_exp, generator keys); the
     smallest possible norm is 9 (delta = 3), so small bounds give [].  The
-    key starts with the norm, so a smaller bound's list is a prefix of a
-    larger one's: the process keeps the longest list built, and each call
-    returns a new list sliced from it.  A bound past the kept limit rebuilds
-    up to max(floor(bound), 2 * kept limit), so an ascending ladder costs a
-    few builds and no call builds past twice its own bound.
+    process keeps the extensions up to the largest limit asked for, and each
+    call returns a new list sliced from them.  A bound past the kept limit
+    extends the list to max(floor(bound), 2 * kept limit): the key starts
+    with the norm, so the extensions past the old limit, built by one
+    descent, sort after every kept one and are appended.  Each extension is
+    built once per process, and no call builds past twice its own bound.
     """
     global _exts_memo
     limit = math.floor(check_real(bound, "bound", 0))
     held, exts = _exts_memo
     if held < limit:
-        held = max(limit, 2 * held)
-        exts = _quad_exts_up_to(held)
-        _exts_memo = held, exts
+        grown = max(limit, 2 * held)
+        exts = exts + _quad_exts_up_to(grown, held)
+        _exts_memo = grown, exts
     return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]
 
 
-def _quad_exts_up_to(limit: int) -> list[GaussianQuadExt]:
-    """The sorted extensions with rel_disc_norm <= limit, by descent.
+def _quad_exts_up_to(limit: int, above: int = 0) -> list[GaussianQuadExt]:
+    """The sorted extensions with above < rel_disc_norm <= limit, by descent.
 
     The odd generators are chosen in norm order, each step carrying their
-    product; a product and its unit give the odd delta, whose (1+i)-exponent
-    is read off its residue mod 16, and the same delta times (1+i), whose
-    exponent is 5.
+    product as plain ints (a, b), its norm and the generators' sort keys; a
+    product and its unit give the odd delta, whose (1+i)-exponent is read off
+    its residue mod 16, and the same delta times (1+i), whose exponent is 5.
+    Only an extension whose norm lies in the interval becomes GaussianInts
+    and a GaussianQuadExt.
     """
-    odd_gens = [P.gen for P in gaussian_primes_up_to_norm(limit) if P.norm % 2 == 1]
+    odd = [(P.gen, P.gen.a, P.gen.b, P.norm, _ideal_key(P))
+           for P in gaussian_primes_up_to_norm(limit) if P.norm % 2 == 1]
     pi = GaussianInt(1, 1)
-    out: list[GaussianQuadExt] = []
+    pi_key = (2, 1, 1)
+    out: list[tuple[tuple, GaussianQuadExt]] = []  # (sort key, extension)
 
-    def emit(gens: tuple[GaussianInt, ...], prod: GaussianInt, norm_prod: int) -> None:
-        odd_part = canonical_associate(prod)
-        for unit_exp, delta in ((0, prod), (1, IUNIT * prod)):
+    def emit(gens: tuple[GaussianInt, ...], keys: tuple, a: int, b: int, n: int) -> None:
+        kept = []
+        for unit_exp, da, db in ((0, a, b), (1, -b, a)):
             if gens or unit_exp:  # delta = 1 is a square
-                two_exp, kind = _two_type(delta)
-                if norm_prod << two_exp <= limit:
-                    out.append(GaussianQuadExt(delta, unit_exp, gens, odd_part,
-                                               two_exp, norm_prod << two_exp, kind))
-            if norm_prod << 5 <= limit:
-                out.append(GaussianQuadExt(delta * pi, unit_exp, (pi,) + gens, odd_part,
-                                           5, norm_prod << 5, RAMIFIED))
+                two_exp, kind = _two_type(da, db)
+                if above < n << two_exp <= limit:
+                    kept.append((n << two_exp, n, unit_exp, keys, da, db, gens,
+                                 two_exp, kind))
+            if above < n << 5 <= limit:
+                kept.append((n << 5, 2 * n, unit_exp, (pi_key,) + keys, da - db,
+                             da + db, (pi,) + gens, 5, RAMIFIED))
+        if kept:
+            odd_part = GaussianInt(*_first_quadrant(a, b))
+            for norm, delta_norm, unit_exp, ks, da, db, gs, two_exp, kind in kept:
+                out.append(((norm, delta_norm, unit_exp, ks),
+                            GaussianQuadExt(GaussianInt(da, db), unit_exp, gs, odd_part,
+                                            two_exp, norm, kind)))
 
-    def rec(start: int, gens: tuple[GaussianInt, ...], prod: GaussianInt,
-            norm_prod: int) -> None:
-        emit(gens, prod, norm_prod)
-        for j in range(start, len(odd_gens)):
-            g = odd_gens[j]
-            n = norm_prod * g.norm
-            if n > limit:
+    def rec(start: int, gens: tuple[GaussianInt, ...], keys: tuple, a: int, b: int,
+            n: int) -> None:
+        emit(gens, keys, a, b, n)
+        for j in range(start, len(odd)):
+            g, ga, gb, gn, gk = odd[j]
+            m = n * gn
+            if m > limit:
                 break  # norms ascending, nothing later fits either
-            rec(j + 1, gens + (g,), prod * g, n)
+            rec(j + 1, gens + (g,), keys + (gk,), a * ga - b * gb, a * gb + b * ga, m)
 
-    rec(0, (), ONE, 1)
-    out.sort(
-        key=lambda e: (
-            e.rel_disc_norm,
-            e.delta.norm,
-            e.unit_exp,
-            tuple((g.norm, g.b, g.a) for g in e.gens),
-        )
-    )
-    return out
+    rec(0, (), (), 1, 0, 1)
+    out.sort(key=lambda t: t[0])
+    return [e for _, e in out]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, NonHyperbolicError, check_real
+from .errors import InputError, NonHyperbolicError, check_int, check_real
 from .quaternion import QuaternionAlgebraQ, embeds_q, require_admissible
 from .real_quadratic import (
     QuadFieldQ,
@@ -37,7 +37,7 @@ def geodesic_length_from_trace(t: int, dimension: int = 2) -> float:
     """Length of the closed geodesic of trace t; doubled in dimension 3."""
     if dimension not in (2, 3):
         raise InputError(f"dimension must be 2 or 3, got {dimension}")
-    a = abs(t)
+    a = abs(check_int(t, "trace t"))
     if a <= 2:
         raise NonHyperbolicError(f"trace {t} is not hyperbolic")
     length = math.log((a + math.sqrt(a * a - 4)) / 2)

@@ -48,8 +48,7 @@ def is_prime(n: int) -> bool:
 
 
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        raise InputError(f"expected a positive integer, got {n}")
+    n = check_int(n, "n", 1)
     if n % 4 == 0:
         return False
     while n % 2 == 0:
@@ -122,6 +121,7 @@ def kronecker(a: int, n: int) -> int:
 
 def kronecker_symbol(d: int, p: int) -> int:
     """(disc/p) for disc the discriminant of Q(sqrt(d)); 0 iff p | disc."""
+    d, p = check_int(d, "d"), check_int(p, "p")
     if d == 0:
         raise InputError("d must be nonzero")
     if not is_prime(p):
@@ -256,8 +256,7 @@ def regulator_lower_bound(d: int) -> float:
     At most the regulator of every Q(sqrt(d)) with d >= 5, and equal to it
     at d = n^2 + 4, where (n + sqrt(d))/2 is the fundamental unit.
     """
-    if d < 4:
-        raise InputError(f"bound needs d >= 4, got {d}")
+    d = check_int(d, "d", 4)
     return math.log((math.sqrt(d - 4) + math.sqrt(d)) / 2)
 
 
@@ -276,13 +275,11 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
         raise InputError(
             f"regulator bound {bound} would scan ~e^(2*bound) discriminants; "
             "bounds above 10 are not supported")
-    out = []
-    for d in (2, 3):
-        if regulator(d) < bound:
-            out.append(quad_field(d))
+    out = [QuadFieldQ(d, fundamental_discriminant(d)) for d in (2, 3)
+           if regulator(d) < bound]
     for d in range(5, math.floor(4 * math.cosh(bound) ** 2) + 2):
         if is_squarefree(d):
-            u = fundamental_unit(d, cutoff=bound)
-            if u is not EXCEEDS_CUTOFF and regulator(d) < bound:
-                out.append(quad_field(d))
-    return sorted(out, key=lambda f: f.d)
+            disc = fundamental_discriminant(d)
+            if _pqa_unit(disc, bound) is not EXCEEDS_CUTOFF and regulator(d) < bound:
+                out.append(QuadFieldQ(d, disc))
+    return out

@@ -36,15 +36,15 @@ def coarea_q(B) -> float:
 
 @functools.cache
 def volume_constant_qi() -> float:
-    """zeta_{Q(i)}(2) * |disc|^(3/2) / (4 pi^2) with disc = -4.
+    """zeta_{Q(i)}(2) * |disc|^(3/2) / (4 pi^2) with disc = -4, = Catalan/3.
 
-    Via the functional factorization zeta_{Q(i)} = zeta * beta this equals
-    Catalan/3; both routes agree, and the lattice sum
-    tests/oracles.lattice_zeta_qi gives an independent slow check.
+    zeta_{Q(i)} = zeta * beta factors the Dedekind zeta, and zeta(2) = pi^2/6
+    with beta(2) = Catalan's constant G gives 8 * (pi^2/6) * G / (4 pi^2)
+    = G/3.  The lattice sum tests/oracles.lattice_zeta_qi gives an
+    independent slow check.
     """
     with mpmath.workprec(80):
-        beta2 = mpmath.nsum(lambda n: (-1) ** n / (2 * n + 1) ** 2, [0, mpmath.inf])
-        return float(8 * mpmath.zeta(2) * beta2 / (4 * mpmath.pi**2))
+        return float(mpmath.catalan / 3)
 
 
 def volume_qi(B: QuaternionAlgebraQi) -> float:

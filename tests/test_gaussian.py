@@ -1,5 +1,6 @@
 """Gaussian integers: ideals, residue symbols, quadratic extensions of Q(i)."""
 
+import hashlib
 import math
 import random
 
@@ -333,3 +334,45 @@ def test_extension_memo_hands_out_new_lists(monkeypatch):
     prefix.reverse()
     assert quad_exts_with_disc_below(50) == want[:12]
     assert quad_exts_with_disc_below(500) == want
+
+
+def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+    descent = gaussian._quad_exts_up_to
+    calls = []
+
+    def spy(limit, above=0):
+        exts = descent(limit, above)
+        calls.append((above, limit, exts))
+        return exts
+
+    monkeypatch.setattr(gaussian, "_quad_exts_up_to", spy)
+    for bound in sorted(MEMO_BOUNDS):
+        quad_exts_with_disc_below(bound)
+    # each descent starts where the last one ended, so no extension is built
+    # twice and the appended pieces are exactly the held list
+    assert [above for above, _, _ in calls] == [0] + [limit for _, limit, _ in calls[:-1]]
+    assert all(above < limit for above, limit, _ in calls)
+    held, exts = gaussian._exts_memo
+    assert held == calls[-1][1]
+    assert [e for _, _, piece in calls for e in piece] == exts
+
+
+@pytest.mark.parametrize("above,limit", [(0, 50), (9, 50), (31, 500), (403, 3000),
+                                         (2980, 5960)])
+def test_descent_builds_only_the_norms_above(above, limit):
+    whole = gaussian._quad_exts_up_to(limit)
+    assert gaussian._quad_exts_up_to(limit, above) == [
+        e for e in whole if e.rel_disc_norm > above]
+
+
+def test_extension_list_at_e10_is_pinned():
+    # recorded from the descent that rebuilt its list from norm 9 on every
+    # growth; test_quad_ext_reconstructs_from_delta checks each element
+    exts = quad_exts_with_disc_below(math.exp(10))
+    rows = [(e.delta.a, e.delta.b, e.unit_exp, tuple((g.a, g.b) for g in e.gens),
+             e.rel_disc_odd.a, e.rel_disc_odd.b, e.rel_disc_two_exp, e.rel_disc_norm,
+             e.two_splitting) for e in exts]
+    assert len(rows) == 5745
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "94da05d25944235cc449c06b2a91a02d41b5e615d3b3c00a24b24fc573957893")

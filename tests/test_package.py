@@ -19,12 +19,16 @@ from sysarith import (
     fields_with_regulator_below,
     fundamental_unit,
     gaussian_primes_up_to_norm,
+    geodesic_length_from_trace,
     ideal_above,
+    is_squarefree,
+    kronecker_symbol,
     minimal_algebra_2d,
     multiquadratic_discriminant,
     quad_exts_with_disc_below,
     quad_field,
     regulator,
+    regulator_lower_bound,
     same_systole_family_q,
     valid_algebra_3d,
     verify_exclusion_3d,
@@ -110,7 +114,8 @@ def test_public_surface_is_pinned():
 
 
 # wrong-typed arguments that leaked TypeError (or built a float-valued
-# field) before every entry point checked its arguments in errors.py
+# field, or returned a symbol) before every entry point checked its
+# arguments in errors.py
 MALFORMED_CALLS = {
     "family count 2.5": lambda: same_systole_family_q(
         algebra_q([3, 5, 7, 11]), quad_field(77), 2.5),
@@ -124,6 +129,11 @@ MALFORMED_CALLS = {
     "prime 5.0": lambda: ideal_above(5.0),
     "ramified prime 2.0": lambda: algebra_q([2.0, 3]),
     "generator 2.5": lambda: multiquadratic_discriminant([2.5, 3]),  # never returned
+    "squarefree test '5'": lambda: is_squarefree("5"),
+    "regulator lower bound '9'": lambda: regulator_lower_bound("9"),
+    "trace '5'": lambda: geodesic_length_from_trace("5"),
+    "kronecker prime 3.0": lambda: kronecker_symbol(5, 3.0),  # returned -1
+    "kronecker d 5.0": lambda: kronecker_symbol(5.0, 3),  # returned -1
 }
 
 
