@@ -53,9 +53,10 @@ def check_real(value, name: str, lo=-math.inf, *, strict: bool = False,
 def check_int(value, name: str, lo=-math.inf) -> int:
     """int(value), if value is an integer >= lo; else InputError.
 
-    A plain int skips the ABC test, which costs 0.3 us: the regulator scan
-    checks every field it visits."""
-    if not ((isinstance(value, int) or isinstance(value, numbers.Integral))
-            and value >= lo):
+    A plain int returns at once, without the ABC test (0.3 us) or the int()
+    call: the regulator scan and the Q covers check every d they visit."""
+    if type(value) is int and value >= lo:
+        return value
+    if not (isinstance(value, numbers.Integral) and value >= lo):
         _reject(name, "one of the integers", lo, False, value)
     return int(value)

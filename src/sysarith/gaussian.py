@@ -410,8 +410,8 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
     call returns a new list sliced from them.  A bound past the kept limit
     extends the list to max(floor(bound), 2 * kept limit): the key starts
     with the norm, so the extensions past the old limit, built by one
-    descent, sort after every kept one and are appended.  Each extension is
-    built once per process, and no call builds past twice its own bound.
+    descent, sort after every kept one and are appended.  So the memo builds
+    each extension once, and no call builds past twice its own bound.
     """
     global _exts_memo
     limit = math.floor(check_real(bound, "bound", 0))

@@ -263,21 +263,20 @@ def regulator_lower_bound(d: int) -> float:
 def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     """All real quadratic fields with regulator < bound, ascending d.
 
-    d = 2 and 3 sit below the generic lower bound, so they are tested
-    directly; from d = 5 on the bound is monotone and truncates the scan.
-    regulator_lower_bound(d) < bound exactly when d < 4 cosh(bound)^2.  The
-    scan runs to floor(4 cosh(bound)^2) + 1 rather than comparing the float
+    From d = 5 on regulator_lower_bound is monotone and truncates the scan:
+    it is below bound exactly when d < 4 cosh(bound)^2.  The scan runs from
+    d = 2 to floor(4 cosh(bound)^2) + 1 rather than comparing the float
     lower bound, which equals the regulator at d = n^2 + 4 and can round
-    above it; the exact regulator test filters the extra d.
+    above it; the exact regulator test filters the extra d.  d = 2 and 3,
+    where the lower bound does not hold, lie in every scan.
     """
     check_real(bound, "bound", 0, strict=True)
     if bound > 10:
         raise InputError(
             f"regulator bound {bound} would scan ~e^(2*bound) discriminants; "
             "bounds above 10 are not supported")
-    out = [QuadFieldQ(d, fundamental_discriminant(d)) for d in (2, 3)
-           if regulator(d) < bound]
-    for d in range(5, math.floor(4 * math.cosh(bound) ** 2) + 2):
+    out = []
+    for d in range(2, math.floor(4 * math.cosh(bound) ** 2) + 2):
         if is_squarefree(d):
             disc = fundamental_discriminant(d)
             if _pqa_unit(disc, bound) is not EXCEEDS_CUTOFF and regulator(d) < bound:
