@@ -367,8 +367,8 @@ def test_descent_builds_only_the_norms_above(above, limit):
 
 
 def test_extension_list_at_e10_is_pinned():
-    # recorded from the descent that rebuilt its list from norm 9 on every
-    # growth; test_quad_ext_reconstructs_from_delta checks each element
+    # every field of every extension, in order; the digest pins the list as
+    # a whole, and test_quad_ext_reconstructs_from_delta checks each element
     exts = quad_exts_with_disc_below(math.exp(10))
     rows = [(e.delta.a, e.delta.b, e.unit_exp, tuple((g.a, g.b) for g in e.gens),
              e.rel_disc_odd.a, e.rel_disc_odd.b, e.rel_disc_two_exp, e.rel_disc_norm,
