@@ -1,14 +1,14 @@
-"""Numeric kernels in numpy: the prime sieves, character tables and packed
+"""Numeric kernels in numpy: the prime sieve, character tables and packed
 split masks.
 
 Only machine-word arithmetic lives here.  Anything needing big integers
 (fundamental units, subset products) stays in pure Python elsewhere.
 
-`primes_up_to` sieves [0, n] in one bool array.  `primes_in_range` is an
-odd-only segmented sieve (Bays & Hudson, BIT 17, 1977): it strikes one
-segment of odd numbers at a time with the odd primes up to sqrt(hi), so a
-sweep over the ranges [2^k, 2^(k+1)) extends the primes it has without
-re-sieving from 2, and its scratch is one segment, not hi bytes.
+`prime_segments` is the one prime sieve: odd-only and segmented (Bays &
+Hudson, BIT 17, 1977), it strikes one segment of odd numbers at a time with
+the odd primes up to sqrt(hi), so its scratch is one segment, not hi bytes,
+and a sweep over the ranges [2^k, 2^(k+1)) extends the primes it has
+without re-sieving from 2.  `primes_up_to` joins its segments.
 
 `character_table` builds the Kronecker character of a fundamental
 discriminant as the product of the Legendre tables of the odd primes
@@ -19,6 +19,7 @@ Computational Algebraic Number Theory, §1.4).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -28,33 +29,23 @@ JIT_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
-# prime sieves
+# the prime sieve
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an int64 array."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=np.bool_)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+_SEGMENT = 1 << 20  # odd numbers struck per segment of prime_segments
 
 
-_SEGMENT = 1 << 20  # odd numbers struck per segment of primes_in_range
+def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The primes p with lo <= p < hi, ascending, as int64 arrays: one per
+    segment of at most 2 * _SEGMENT integers that holds a prime.
 
-
-def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """All primes p with lo <= p < hi, ascending, as an int64 array.
-
-    The odd numbers of [lo, hi) are sieved _SEGMENT at a time by the odd
-    primes up to sqrt(hi - 1).
+    The odd numbers of each segment are struck by the odd primes up to
+    sqrt(hi - 1), sieved once per call.
     """
     lo = max(lo, 2)
     if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    out = [np.array([2], dtype=np.int64)] if lo == 2 else []
+        return
+    if lo == 2:
+        yield np.array([2], dtype=np.int64)
     base = primes_up_to(math.isqrt(hi - 1))[1:].tolist()
     for a in range(lo | 1, hi, 2 * _SEGMENT):
         n = min(_SEGMENT, (hi - a + 1) // 2)  # the odd numbers a, a+2, ... < hi
@@ -69,8 +60,14 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
                 if m % 2 == 0:
                     m += q
             composite[(m - a) // 2 :: q] = True
-        out.append(a + 2 * np.flatnonzero(~composite))
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        primes = a + 2 * np.flatnonzero(~composite)
+        if len(primes):
+            yield primes
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as an int64 array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(2, n + 1)])
 
 
 # ---------------------------------------------------------------------------

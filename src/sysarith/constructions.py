@@ -35,7 +35,6 @@ from .real_quadratic import (
     fundamental_discriminant,
     is_prime,
     is_squarefree,
-    quad_field,
     splitting_type_q,
     squarefree_part,
 )
@@ -182,8 +181,8 @@ class CoverResult:
 def real_fields_with_disc_below(bound: float) -> list[QuadFieldQ]:
     """All real quadratic fields with fundamental discriminant <= bound."""
     check_real(bound, "bound")
-    return [quad_field(d) for d in range(2, math.floor(bound) + 1)
-            if is_squarefree(d) and fundamental_discriminant(d) <= bound]
+    return [QuadFieldQ(d, disc) for d in range(2, math.floor(bound) + 1)
+            if is_squarefree(d) and (disc := fundamental_discriminant(d)) <= bound]
 
 
 def _greedy_cover(rows, full_mask):

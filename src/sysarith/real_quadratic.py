@@ -179,23 +179,13 @@ class FundamentalUnit:
         return {"x": self.x, "y": self.y, "norm": self.norm}
 
 
-class _ExceedsCutoff:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "EXCEEDS_CUTOFF"
-
-
-EXCEEDS_CUTOFF = _ExceedsCutoff()
-
-
-def _pqa_unit(D: int, cutoff: float | None):
+def _pqa_unit(D: int, cutoff: float = math.inf) -> FundamentalUnit | None:
     """Continued fraction of (P0 + sqrt(D))/2 for the discriminant D.
 
     Convergents G_i/B_i satisfy G^2 - D*B^2 = +-4 exactly at the period end;
-    the period parity gives the unit norm.  When a cutoff is supplied we bail
-    out as soon as the convergent alone forces log(unit) > cutoff, which
-    keeps the bounded field scan cheap for fields with huge regulators.
+    the period parity gives the unit norm.  None once a convergent alone
+    forces log(unit) > cutoff, which keeps the bounded field scan cheap for
+    fields with huge regulators.
     """
     sq = math.isqrt(D)
     P0 = sq if (sq - D) % 2 == 0 else sq - 1
@@ -203,20 +193,20 @@ def _pqa_unit(D: int, cutoff: float | None):
     P, Q = P0, Q0
     g_prev, g_prev2 = 2, -P0
     b_prev, b_prev2 = 0, 1
-    limit = math.exp(cutoff) + 1.0 if cutoff is not None else None
+    limit = math.exp(cutoff)
     length = 0
     while True:
         a = (P + sq) // Q
         g = a * g_prev + g_prev2
         b = a * b_prev + b_prev2
         length += 1
+        # the unit lies in (G-1, G+1) of the final G, and G only grows
+        if g - 1 > limit:
+            return None
         P = a * Q - P
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
             break
-        # the unit lies in (G-1, G+1), so G-1 > e^cutoff already decides
-        if limit is not None and g - 1 > limit:
-            return EXCEEDS_CUTOFF
         g_prev2, g_prev = g_prev, g
         b_prev2, b_prev = b_prev, b
     norm = 1 if length % 2 == 0 else -1
@@ -234,13 +224,10 @@ def _unit_log(u: FundamentalUnit, disc: int) -> float:
         return float(mpmath.log(val))
 
 
-def fundamental_unit(d: int, cutoff: float | None = None):
-    """Fundamental unit of Q(sqrt(d)), or EXCEEDS_CUTOFF if its log > cutoff."""
+def fundamental_unit(d: int) -> FundamentalUnit:
+    """Fundamental unit of Q(sqrt(d))."""
     d = _check_field_d(d)
-    u = _pqa_unit(fundamental_discriminant(d), cutoff)
-    if u is EXCEEDS_CUTOFF or (cutoff is not None and regulator(d) > cutoff):
-        return EXCEEDS_CUTOFF
-    return u
+    return _pqa_unit(fundamental_discriminant(d))
 
 
 @functools.cache
@@ -268,7 +255,9 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     d = 2 to floor(4 cosh(bound)^2) + 1 rather than comparing the float
     lower bound, which equals the regulator at d = n^2 + 4 and can round
     above it; the exact regulator test filters the extra d.  d = 2 and 3,
-    where the lower bound does not hold, lie in every scan.
+    where the lower bound does not hold, lie in every scan.  Each d runs
+    one continued fraction, stopped once it passes e^bound, and the log of
+    its unit is the value regulator(d) returns.
     """
     check_real(bound, "bound", 0, strict=True)
     if bound > 10:
@@ -279,6 +268,7 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     for d in range(2, math.floor(4 * math.cosh(bound) ** 2) + 2):
         if is_squarefree(d):
             disc = fundamental_discriminant(d)
-            if _pqa_unit(disc, bound) is not EXCEEDS_CUTOFF and regulator(d) < bound:
+            u = _pqa_unit(disc, bound)
+            if u is not None and _unit_log(u, disc) < bound:
                 out.append(QuadFieldQ(d, disc))
     return out

@@ -14,9 +14,9 @@ form one batch: the last prime of each is filtered on word 0 by a few
 vectorized steps for the whole batch, and the few rows that pass are
 re-checked exactly on the fields and torsion bits that the rest of the set
 leaves open.  The pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are
-streamed: each range sieves those q in ascending blocks and keeps, one
-field at a time, the q that split the fields p leaves open, up to the
-running optimum.
+streamed: each range reads those q from the ascending segments of one
+prime sieve and keeps, one field at a time, the q that split the fields p
+leaves open, up to the running optimum.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
@@ -109,7 +109,7 @@ class _MaskMatrix:
     filters the last primes of a batch of sets on word 0 alone, and
     `covers` re-checks the few survivors exactly, on the bits above word 0,
     by one gather from the concatenated tables.  `append` adds the primes
-    of the next range; the buffers grow geometrically.
+    of the next segment; the buffers grow geometrically.
     """
 
     def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool):
@@ -315,7 +315,6 @@ def _split_rows_qi(pool, exts) -> list[int]:
 # then _sets_below, over a _MaskMatrix or an _IdealPool; over Q the pairs
 # past hi/8 are streamed between the two.
 
-_SIEVE_BLOCK = 1 << 22  # integers sieved per block, bounds the primes a block holds
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
 _PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones before a q - 1 >= hi/8
 
@@ -427,15 +426,16 @@ def _sweep_pairs(masks, lo, hi, cut, best):
 
     best, the least passing factor of the range so far or None, goes out
     lowered by the pairs, with the pairs of factor best and the number of
-    pairs below it.  The q are sieved once, in ascending blocks of at most
-    _SIEVE_BLOCK integers, and each block is tested for every p whose
-    window meets it: the q of the window are filtered one table at a time,
-    over the bits p leaves open in rarity order, keeping those that split
-    it.  The first survivor is p's least passing pair and ends p's stream.
-    The windows end at the running best, so no q past it is sieved.  The
-    count is of primes: each block adds the q of each window below the
-    running limit, and the q that the final best leaves above are sieved
-    again and taken back.
+    pairs below it.  The q are read once, from the ascending segments of
+    one _accel.prime_segments stream, and each segment is tested for every
+    p whose window meets it: the q of the window are filtered one table at
+    a time, over the bits p leaves open in rarity order, keeping those that
+    split it.  The first survivor is p's least passing pair and ends p's
+    stream.  The windows end at the running best, and the stream stops at
+    the first segment that no open window reaches.  The count is of
+    primes: each segment adds the q of each window up to the running
+    limit, `reach[p]` is the last q counted for p, and the q that the
+    final best leaves above are sieved again and taken back.
     """
     def top(p, x):  # the largest q with (p - 1)(q - 1) < x
         return (x - 1) // (p - 1) + 1
@@ -445,12 +445,12 @@ def _sweep_pairs(masks, lo, hi, cut, best):
     low = {p: max(top(p, lo), cut, p) for p in _PAIR_FIRSTS}  # p's window is q > low[p]
     reach = dict(low)  # the q counted for p are those in (low[p], reach[p]]
     pairs: list[tuple] = []
-    n, a = 0, cut + 1
+    n = 0
     if best is not None:
         hi = best + 1
-    while opens and (last := max(top(p, hi) for p in opens)) >= a:
-        b = min(a + _SIEVE_BLOCK, last + 1)
-        qs = _accel.primes_in_range(a, b)
+    for qs in _accel.prime_segments(cut + 1, top(2, hi) + 1):  # 2's window is the widest
+        if all(top(p, hi) < qs[0] for p in opens):
+            break
         for p in list(opens):
             i0, i1 = qs.searchsorted([low[p], top(p, hi)], side="right")
             cand = qs[i0:i1]
@@ -465,16 +465,13 @@ def _sweep_pairs(masks, lo, hi, cut, best):
                 pairs.append((p, int(cand[0])))
                 del opens[p]
         for p in _PAIR_FIRSTS:
-            end = min(top(p, hi), b - 1)
-            if end > reach[p]:
-                i0, i1 = qs.searchsorted([reach[p], end], side="right")
+            i0, i1 = qs.searchsorted([reach[p], top(p, hi)], side="right")
+            if i1 > i0:
                 n += int(i1 - i0)
-                reach[p] = end
-        a = b
+                reach[p] = int(qs[i1 - 1])
     for p in _PAIR_FIRSTS:
-        end = reach[p] + 1
-        for c in range(max(top(p, hi if best is None else best), low[p]) + 1, end, _SIEVE_BLOCK):
-            n -= len(_accel.primes_in_range(c, min(end, c + _SIEVE_BLOCK)))
+        below = max(top(p, hi if best is None else best), low[p])
+        n -= sum(len(qs) for qs in _accel.prime_segments(below + 1, reach[p] + 1))
     return best, pairs, n
 
 
@@ -484,20 +481,20 @@ def _minimal_sets(discs: list[int], torsion: bool):
     some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
 
     Range [lo, hi) with hi = 2lo holds the primes with p - 1 < hi/8 in the
-    masks, appending those sieved since the last range; _sweep_sets tests
+    masks, appending the segments of those sieved since the last range,
+    one _accel.prime_segments array at a time; _sweep_sets tests
     the sets of held primes and _sweep_pairs the pairs past them.  The
     loop ends: every field has split primes and a prime = 1 mod 12 meets
     both torsion bits, so some even set passes.
     """
     masks = _MaskMatrix(np.empty(0, dtype=np.int64), discs, torsion)
     n_below = 0
-    lo, held = 2, 2  # the primes below held are in masks
+    lo = 2
     while True:
         hi = 2 * lo
         cut = hi // 8
-        for a in range(held, cut + 1, _SIEVE_BLOCK):
-            masks.append(_accel.primes_in_range(a, min(cut + 1, a + _SIEVE_BLOCK)))
-        held = max(held, cut + 1)
+        for qs in _accel.prime_segments(lo // 8 + 1, cut + 1):  # the p in (lo/8, hi/8]
+            masks.append(qs)
         best, winners, batches = _sweep_sets(masks, lo, hi)
         facs = masks.facs
         sets = [tuple(int(facs[i]) + 1 for i in w) for w in winners]

@@ -8,7 +8,8 @@ from sysarith._accel import (
     build_split_masks,
     character_table,
     character_tables,
-    primes_in_range,
+    prime_segments,
+    primes_up_to,
     smallest_factor_table,
 )
 from sysarith.real_quadratic import kronecker
@@ -63,21 +64,31 @@ def test_character_table_is_the_kronecker_symbol():
         assert chi.tolist() == [kronecker(disc, r) for r in range(disc)], disc
 
 
-@pytest.mark.parametrize("segment", [997, 1 << 20])
-def test_primes_in_range_accumulates_the_sieve(segment, monkeypatch):
-    # the ranges [2^k, 2^(k+1)) of the surface sweep; 997 is prime, so no
-    # segment boundary falls on a multiple of a small prime
+@pytest.mark.parametrize("segment", [1, 7, 997, _accel._SEGMENT])
+def test_prime_segments_match_the_oracle_sieve(segment, monkeypatch):
+    # 997 is prime, so no segment boundary falls on a multiple of a small
+    # prime; the pairs include lo <= 2, an odd and an even lo, and hi <= lo
     monkeypatch.setattr(_accel, "_SEGMENT", segment)
-    got = np.concatenate([primes_in_range(1 << k, 1 << (k + 1))
-                          for k in range(21)])
-    assert got.dtype == np.int64
-    assert got.tolist() == sieve_primes((1 << 21) - 1)
-    assert primes_in_range(0, 2).tolist() == []
-    assert primes_in_range(0, 3).tolist() == [2]
-    assert primes_in_range(3, 3).tolist() == []
-    assert primes_in_range(10, 5).tolist() == []
-    monkeypatch.setattr(_accel, "_SEGMENT", 1)
-    assert primes_in_range(24, 30).tolist() == [29]
+    oracle = sieve_primes(1 << 14)
+    for lo, hi in [(0, 2), (0, 3), (1, 12), (2, 3), (2, 4), (3, 3), (10, 5),
+                   (24, 30), (25, 30), (97, 98), (1000, 5000), (0, 1 << 14),
+                   (1 << 13, (1 << 14) + 1)]:
+        segments = list(prime_segments(lo, hi))
+        assert all(s.dtype == np.int64 and len(s) for s in segments), (lo, hi)
+        assert all(s[-1] - s[0] < 2 * segment for s in segments), (lo, hi)
+        got = np.concatenate([np.empty(0, dtype=np.int64), *segments]).tolist()
+        assert got == [p for p in oracle if lo <= p < hi], (lo, hi)
+    # the ranges [2^k, 2^(k+1)) of the surface sweep: ascending and disjoint
+    got = [s.tolist() for k in range(14) for s in prime_segments(1 << k, 1 << (k + 1))]
+    assert sum(got, []) == oracle
+    assert all(a[-1] < b[0] for a, b in zip(got, got[1:]))
+
+
+def test_primes_up_to_matches_the_oracle_sieve():
+    for n in (0, 1, 2, 3, 4, 5, 1024, 23840):
+        got = primes_up_to(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == sieve_primes(n), n
 
 
 def test_split_masks_empty_inputs():

@@ -7,9 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sysarith import real_quadratic
 from sysarith.errors import InputError
 from sysarith.real_quadratic import (
-    EXCEEDS_CUTOFF,
+    _pqa_unit,
     fields_with_regulator_below,
     fundamental_discriminant,
     fundamental_unit,
@@ -132,10 +133,11 @@ def test_regulator_lower_bound_is_a_lower_bound():
         regulator_lower_bound(3)
 
 
-def test_unit_cutoff_sentinel():
-    assert fundamental_unit(94, cutoff=1.0) is EXCEEDS_CUTOFF
-    u = fundamental_unit(94, cutoff=20.0)
-    assert u is not EXCEEDS_CUTOFF and u.y == 221064
+def test_unit_cutoff_returns_none():
+    # Q(sqrt 94) has disc 4*94 and unit 2143295 + 221064 sqrt(94), log ~ 15.3
+    assert _pqa_unit(4 * 94, 1.0) is None
+    assert _pqa_unit(4 * 94, 20.0) == fundamental_unit(94)
+    assert fundamental_unit(94).y == 221064
 
 
 def test_fields_with_regulator_below():
@@ -169,6 +171,26 @@ def test_fields_with_regulator_below_keeps_n2_plus_4_at_its_regulator():
         assert reg == pytest.approx(math.log((n + math.sqrt(d)) / 2), rel=1e-12)
         assert d in [f.d for f in fields_with_regulator_below(math.nextafter(reg, math.inf))], d
         assert d not in [f.d for f in fields_with_regulator_below(reg)], d
+
+
+def test_field_scan_runs_one_fraction_per_field(monkeypatch):
+    # each squarefree d of the scan runs one continued fraction, and a kept
+    # field's regulator comes from it, not from a second one
+    calls = []
+    pqa = real_quadratic._pqa_unit
+
+    def spy(D, cutoff=math.inf):
+        calls.append(D)
+        return pqa(D, cutoff)
+
+    monkeypatch.setattr(real_quadratic, "_pqa_unit", spy)
+    regulator.cache_clear()
+    fields = fields_with_regulator_below(3.0)
+    scanned = [d for d in range(2, math.floor(4 * math.cosh(3.0) ** 2) + 2)
+               if brute_is_squarefree(d)]
+    assert len(calls) == len(set(calls)) == len(scanned) == 246
+    monkeypatch.undo()
+    assert all(f.regulator < 3.0 for f in fields)
 
 
 def test_fields_with_regulator_below_guards():

@@ -508,9 +508,11 @@ STREAMED = [
     ("2 splits all", lambda: euler_fields(6, split=(2,)), False, (2, [(2, 3)])),
     ("2 splits all", lambda: euler_fields(6, split=(2,)), True, (12, [(2, 13)])),
 ]
-# the sieve's default block, then one of a few integers, so that the
-# streams span many blocks and the take-back of the count is exercised
-SIEVE_BLOCKS = (search._SIEVE_BLOCK, 7)
+# the sieve's default segment, then segments of a few odd numbers, so that
+# the streams span many segments and the take-back of the count is
+# exercised; with 11, a window that a streamed pair lowers ends inside a
+# segment, which the stream must still read
+SEGMENTS = (search._accel._SEGMENT, 3, 11)
 
 
 @pytest.mark.parametrize("case,fields,torsion,optimum", STREAMED,
@@ -523,20 +525,20 @@ def test_streamed_pairs_match_naive_oracle(case, fields, torsion, optimum, monke
     assert n_below == sum(len(naive_prime_sets(factor, c)) for c in cards)
     if case == "far":
         assert sets[0][1] - 1 >= (1 << factor.bit_length()) // 8
-    for block, batch_rows in itertools.product(SIEVE_BLOCKS, STEP_ROWS):
-        monkeypatch.setattr(search, "_SIEVE_BLOCK", block)
+    for segment, batch_rows in itertools.product(SEGMENTS, STEP_ROWS):
+        monkeypatch.setattr(search._accel, "_SEGMENT", segment)
         monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
-        assert _minimal_sets(ds, torsion) == want, (block, batch_rows)
+        assert _minimal_sets(ds, torsion) == want, (segment, batch_rows)
 
 
 def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
     # at l=3.5 every prime the masks hold has p - 1 < hi/8 of the range it
-    # is appended for, and no block sieved, held or streamed, spans more
-    # than _SIEVE_BLOCK integers; a small block makes the streams long
+    # is appended for, and no segment sieved, held or streamed, spans more
+    # than 2 * _SEGMENT integers; a small segment makes the streams long
     discs = [f.disc for f in fields_with_regulator_below(3.5)]
     want = _minimal_sets(discs, False)
-    held, blocks = [], []
-    append, sweep, sieve = _MaskMatrix.append, search._sweep_sets, search._accel.primes_in_range
+    held, spans = [], []
+    append, sweep, sieve = _MaskMatrix.append, search._sweep_sets, search._accel.prime_segments
 
     def spy_append(self, primes):
         held.append([int(primes.max(initial=0)), None])
@@ -547,18 +549,19 @@ def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
             row[1] = row[1] or hi
         return sweep(masks, lo, hi)
 
-    def spy_sieve(a, b):
-        blocks.append(b - a)
-        return sieve(a, b)
+    def spy_sieve(lo, hi):
+        for qs in sieve(lo, hi):
+            spans.append(int(qs[-1] - qs[0]) + 1)
+            yield qs
 
     monkeypatch.setattr(_MaskMatrix, "append", spy_append)
     monkeypatch.setattr(search, "_sweep_sets", spy_sweep)
-    monkeypatch.setattr(search._accel, "primes_in_range", spy_sieve)
-    monkeypatch.setattr(search, "_SIEVE_BLOCK", 1 << 10)
+    monkeypatch.setattr(search._accel, "prime_segments", spy_sieve)
+    monkeypatch.setattr(search._accel, "_SEGMENT", 1 << 9)
     assert _minimal_sets(discs, False) == want
     assert want[0] > 1 << 14 and len(held) > 10
     assert all(p - 1 < hi / 8 for p, hi in held)
-    assert max(blocks) <= 1 << 10 and len(blocks) > 50
+    assert max(spans) <= 1 << 10 and len(spans) > 50
 
 
 def test_sweep_hands_no_dead_batch_to_first_passes(monkeypatch):
