@@ -39,14 +39,20 @@ def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     segment of at most 2 * _SEGMENT integers that holds a prime.
 
     The odd numbers of each segment are struck by the odd primes up to
-    sqrt(hi - 1), sieved once per call.
+    s = sqrt(hi - 1), found once per call from the odd numbers 3 ... s,
+    which strike themselves: no sieve runs inside another.
     """
     lo = max(lo, 2)
     if hi <= lo:
         return
     if lo == 2:
         yield np.array([2], dtype=np.int64)
-    base = primes_up_to(math.isqrt(hi - 1))[1:].tolist()
+    s = math.isqrt(hi - 1)
+    composite = np.zeros(max(0, (s - 1) // 2), dtype=np.bool_)  # 3, 5, ..., s
+    for q in range(3, math.isqrt(s) + 1, 2):
+        if not composite[(q - 3) // 2]:
+            composite[(q * q - 3) // 2::q] = True
+    base = (3 + 2 * np.flatnonzero(~composite)).tolist()
     for a in range(lo | 1, hi, 2 * _SEGMENT):
         n = min(_SEGMENT, (hi - a + 1) // 2)  # the odd numbers a, a+2, ... < hi
         b = a + 2 * n

@@ -6,17 +6,20 @@ in order, counting the sets it tests on the way.  The first range holding
 a passing set yields the optimum with all its ties.  A set of four or more
 primes has every factor below hi/8 of its range [lo, hi), as does a pair
 {p, q} with p >= 11; so the masks hold every prime whose factor is below
-hi/8, and the caller streams the rest.  The masks are built only as far as
-the sweep reads them: full rows for the small primes that open a set, and
-for every held prime a single word 0 holding the 64 fields that the fewest
-small primes split.  The sets that share all but their last two members
-form one batch: the last prime of each is filtered on word 0 by a few
-vectorized steps for the whole batch, and the few rows that pass are
+hi/8, and the pairs past them are found apart.  A set of six or more reads
+only primes below hi/480, so the primes up to hi/8 are appended after those
+sets have run and lowered hi to their best.  The masks are built only as
+far as the sweep reads them: full rows for the small primes that open a
+set, and for every held prime a single word 0 holding the 64 fields that
+the fewest small primes split.  The sets that share all but their last two
+members form one batch: the last prime of each is filtered on word 0 by a
+few vectorized steps for the whole batch, and the few rows that pass are
 re-checked exactly on the fields and torsion bits that the rest of the set
 leaves open.  The pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are
-streamed: each range reads those q from the ascending segments of one
-prime sieve and keeps, one field at a time, the q that split the fields p
-leaves open, up to the running optimum.
+not sieved: a wheel over the tables that p leaves open walks the q that
+could split them, and is_prime settles the first survivor, p's least pair
+up to the running optimum; their count comes from pi(x) at the window ends,
+by two Lucy tables at the end of the search.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
@@ -97,7 +100,8 @@ def _grow(buf: np.ndarray, n: int, extra: int) -> np.ndarray:
 class _MaskMatrix:
     """Split masks for an ascending prime list, built only as far as the
     sweep reads them.  The surface search holds every prime whose factor
-    is below hi/8 of its range here, and streams the rest (_sweep_pairs).
+    is below hi/8 of its range here, and finds the pairs past them apart
+    (_sweep_pairs).
 
     Bits are ordered so that word 0 holds the 64 fields that the fewest
     small primes split; the other fields follow, then the torsion bits.
@@ -313,21 +317,28 @@ def _split_rows_qi(pool, exts) -> list[int]:
 # ties; earlier ranges were exhausted without a pass.  The surface search,
 # the exact cover over Q and the Q(i) search all run this sweep, _sweep_sets
 # then _sets_below, over a _MaskMatrix or an _IdealPool; over Q the pairs
-# past hi/8 are streamed between the two.
+# past hi/8 are found by wheels between the two.
 
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
 _PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones before a q - 1 >= hi/8
 
 
-def _sweep_sets(masks, lo, hi):
+def _last_q(x, m):
+    """The largest q with m(q - 1) < x."""
+    return (x - 1) // m + 1
+
+
+def _sweep_sets(masks, lo, hi, grow=None):
     """Test every set with factor in [lo, hi) whose members `masks` holds:
     (best, winners, batches).  best is the least passing factor (None if no
     set passes), winners the index tuples of every set with factor best,
     and _sets_below(masks.facs, batches, best) counts the sets below best.
     `masks` holds its factors ascending in the int64 array `facs`, and hi
     is at most 2^63 - 1.  The Q(i) search holds every ideal whose factor
-    is below hi; the surface search holds the primes whose factor is below
-    hi/8 and streams the pairs past them (_sweep_pairs).
+    is below hi.  The surface search holds the primes that the sets of six
+    or more members read, and `grow(hi)`, called with the running limit
+    once before the first cardinality below six is swept (or at the end),
+    appends the primes below hi/8 that the 4-sets and the pairs read.
 
     The cardinalities run up to the largest even k whose k smallest
     factors multiply to less than hi, the most members a set below hi can
@@ -338,7 +349,9 @@ def _sweep_sets(masks, lo, hi):
     holds their full rows as Python ints, and each stack entry carries its
     prefix's row OR.  A prefix is dead when even the largest factors that
     can complete it leave it below lo, and the descent starts each member's
-    loop past the dead ones.
+    loop past the dead ones.  No member of a k-set has a factor above
+    (hi - 1) over the product of the k - 1 smallest factors, so `dear`
+    takes the largest factors up to that bound.
 
     The members i that can follow a prefix form a run, and the run is one
     batch: one searchsorted pair bounds all its slices, and
@@ -355,16 +368,23 @@ def _sweep_sets(masks, lo, hi):
         if prod >= hi:
             break
         top += 2
-    short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + top
-    facs = facs_np[:short].tolist()
-    rows = masks.prefix_rows(short)
-    dear = [1]  # dear[r]: the product of the r largest factors, the most r members reach
-    for f in reversed(facs_np[len(facs_np) - top:].tolist()):
-        dear.append(dear[-1] * f)
     best = None
     winners: list[tuple] = []
     batches = []
     for card in range(top, 1, -2):
+        if card < 6 and grow is not None:
+            del facs_np  # a view would keep the buffers that grow replaces
+            grow(hi)
+            grow = None
+        facs_np = masks.facs
+        short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + card
+        facs = facs_np[:short].tolist()
+        rows = masks.prefix_rows(short)
+        bound = (hi - 1) // math.prod(facs[:card - 1])
+        dear = [1]  # dear[r]: the product of the r largest factors a member can have
+        for f in reversed(facs_np[:np.searchsorted(facs_np, bound, side="right")]
+                          [1 - card:].tolist()):
+            dear.append(dear[-1] * f)
         stack = [((), 1, 0, 0)]
         while stack:
             prefix, prod, start, acc = stack.pop()
@@ -404,6 +424,8 @@ def _sweep_sets(masks, lo, hi):
                 if rest is None or rest >= hi:
                     break
                 stack.append((prefix + (i,), prod * facs[i], i + 1, acc | rows[i]))
+    if grow is not None:
+        grow(hi)
     return best, winners, batches
 
 
@@ -420,59 +442,150 @@ def _sets_below(facs_np, batches, best) -> int:
     return int((j1s - j0s).sum())
 
 
-def _sweep_pairs(masks, lo, hi, cut, best):
-    """Test the pairs {p, q} with p in _PAIR_FIRSTS, q > p, q - 1 >= cut
-    and factor (p - 1)(q - 1) in [lo, hi) against the tables of `masks`.
+def _prime_pi(n):
+    """pi(v), the number of primes <= v, for every v <= sqrt(n) and every
+    v = floor(n/k) or floor(n/k) + 1 with k >= 1.
 
-    best, the least passing factor of the range so far or None, goes out
-    lowered by the pairs, with the pairs of factor best and the number of
-    pairs below it.  The q are read once, from the ascending segments of
-    one _accel.prime_segments stream, and each segment is tested for every
-    p whose window meets it: the q of the window are filtered one table at
-    a time, over the bits p leaves open in rarity order, keeping those that
-    split it.  The first survivor is p's least passing pair and ends p's
-    stream.  The windows end at the running best, and the stream stops at
-    the first segment that no open window reaches.  The count is of
-    primes: each segment adds the q of each window up to the running
-    limit, `reach[p]` is the last q counted for p, and the q that the
-    final best leaves above are sieved again and taken back.
+    Lucy's table holds S(v) at every v = floor(n/k) (the Legendre sum of
+    Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985): S(v) starts at
+    v - 1, and each prime p <= sqrt(n) in turn takes S(v // p) - S(p - 1),
+    the numbers whose least prime factor is p, from every S(v) with
+    v >= p^2.  `small[v]` holds v <= sqrt(n) and `large[k]` holds n // k,
+    one numpy step per prime and array; a v one past a table value adds
+    is_prime(v).
     """
-    def top(p, x):  # the largest q with (p - 1)(q - 1) < x
-        return (x - 1) // (p - 1) + 1
+    r = math.isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)
+    small[0] = 0
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = n // np.arange(1, r + 1) - 1
+    for p in _accel.primes_up_to(r).tolist():
+        sp = small[p - 1]
+        kmax = min(r, n // (p * p))
+        kb = min(kmax, r // p)  # n // (kp) is in large for k <= kb, in small past it
+        large[1:kb + 1] -= large[p:kb * p + 1:p] - sp
+        large[kb + 1:kmax + 1] -= small[n // (np.arange(kb + 1, kmax + 1) * p)] - sp
+        if p * p <= r:
+            small[p * p:] -= small[np.arange(p * p, r + 1) // p] - sp
 
-    flat, offsets, periods = masks.flat, masks.offsets, masks.periods
-    opens = {p: np.flatnonzero(flat[offsets + p % periods] != 1).tolist() for p in _PAIR_FIRSTS}
-    low = {p: max(top(p, lo), cut, p) for p in _PAIR_FIRSTS}  # p's window is q > low[p]
-    reach = dict(low)  # the q counted for p are those in (low[p], reach[p]]
-    pairs: list[tuple] = []
-    n = 0
-    if best is not None:
-        hi = best + 1
-    for qs in _accel.prime_segments(cut + 1, top(2, hi) + 1):  # 2's window is the widest
-        if all(top(p, hi) < qs[0] for p in opens):
-            break
-        for p in list(opens):
-            i0, i1 = qs.searchsorted([low[p], top(p, hi)], side="right")
-            cand = qs[i0:i1]
-            for bit in opens[p]:
-                if not len(cand):
+    def pi(v):
+        if v <= r:
+            return int(small[v])
+        k = n // v
+        if k and n // k == v:
+            return int(large[k])
+        return pi(v - 1) + is_prime(v)
+
+    return pi
+
+
+_WHEEL_CAP = 1 << 22  # the largest wheel modulus
+_SCAN_ROWS = 1 << 16  # wheel candidates made per fold or scan step
+
+
+class _PairWheel:
+    """The least prime q in a window that splits every field, and meets
+    every torsion bit, that a small prime p leaves open: the q of p's
+    passing pairs {p, q}.
+
+    The open tables with the smallest periods fold into a wheel (Pritchard,
+    Acta Inf. 17, 1982): the residues mod the lcm M of their periods at
+    which each of them reads 1.  `least(a, b)` walks n = r + kM upward
+    through (a, b] in steps of at most _SCAN_ROWS candidates, filters each
+    step with the other open tables in rarity order, and returns the first
+    survivor that is_prime accepts.  The wheel is built once per search and
+    grows with the windows: before a scan it folds in the next tables while
+    M stays within the window's length and _WHEEL_CAP, and a fold within
+    _SCAN_ROWS candidates.
+    """
+
+    def __init__(self, masks, p: int):
+        self.flat, self.offsets, self.periods = masks.flat, masks.offsets, masks.periods
+        self.rest = np.flatnonzero(self.flat[self.offsets + p % self.periods] != 1).tolist()
+        self.queue = sorted(self.rest, key=lambda bit: self.periods[bit])
+        self.modulus = 1
+        self.residues = np.zeros(1, dtype=np.int64)
+
+    def _split(self, n: np.ndarray, bit: int) -> np.ndarray:
+        return n[self.flat[self.offsets[bit] + n % self.periods[bit]] == 1]
+
+    def _fold(self, limit: int) -> None:
+        while self.queue:
+            bit = self.queue[0]
+            m = math.lcm(self.modulus, int(self.periods[bit]))
+            if m > limit or len(self.residues) * (m // self.modulus) > _SCAN_ROWS:
+                return
+            self.residues = self._split(
+                (np.arange(0, m, self.modulus)[:, None] + self.residues).ravel(), bit)
+            self.modulus = m
+            self.rest.remove(self.queue.pop(0))
+
+    def least(self, a: int, b: int) -> int | None:
+        self._fold(min(_WHEEL_CAP, b - a))
+        m, res = self.modulus, self.residues
+        if not len(res):
+            return None
+        step = max(1, _SCAN_ROWS // len(res))
+        k1 = b // m + 1
+        for k in range((a + 1) // m, k1, step):
+            n = ((np.arange(k, min(k + step, k1)) * m)[:, None] + res).ravel()
+            n = n[(n > a) & (n <= b)]
+            for bit in self.rest:
+                if not len(n):
                     break
-                cand = cand[flat[offsets[bit] + cand % periods[bit]] == 1]
-            if len(cand):
-                factor = (p - 1) * (int(cand[0]) - 1)
-                if best is None or factor < best:
-                    best, hi, pairs = factor, factor + 1, []
-                pairs.append((p, int(cand[0])))
-                del opens[p]
-        for p in _PAIR_FIRSTS:
-            i0, i1 = qs.searchsorted([reach[p], top(p, hi)], side="right")
-            if i1 > i0:
-                n += int(i1 - i0)
-                reach[p] = int(qs[i1 - 1])
-    for p in _PAIR_FIRSTS:
-        below = max(top(p, hi if best is None else best), low[p])
-        n -= sum(len(qs) for qs in _accel.prime_segments(below + 1, reach[p] + 1))
-    return best, pairs, n
+                n = self._split(n, bit)
+            for q in n.tolist():
+                if is_prime(q):
+                    return q
+        return None
+
+
+def _sweep_pairs(wheels, lo, hi, cut, best):
+    """The pairs {p, q} with p in _PAIR_FIRSTS, q > cut (the primes the
+    masks hold end at cut) and factor (p - 1)(q - 1) in [lo, hi): (best,
+    pairs).  best, the least passing factor of the range so far or None,
+    goes out lowered by the pairs, with the pairs of factor best.
+
+    Each p's window of q runs from past the largest of top(p, lo), cut and
+    p to top(p, hi), with top(p, x) = _last_q(x, p - 1) and hi lowered to
+    best + 1 by every pass, and wheels[p] finds its least passing q.  No
+    prime is sieved: _pairs_below counts the q of the windows at the end
+    of the search.
+    """
+    pairs = []
+    for p, wheel in wheels.items():
+        if best is not None:
+            hi = best + 1
+        a, b = max(_last_q(lo, p - 1), cut, p), _last_q(hi, p - 1)
+        q = wheel.least(a, b) if a < b else None
+        if q is not None:
+            factor = (p - 1) * (q - 1)
+            if best is None or factor < best:
+                best, pairs = factor, []
+            pairs.append((p, q))
+    return best, pairs
+
+
+def _pairs_below(ranges, best) -> int:
+    """The number of pairs {p, q} that _sweep_pairs tested below best over
+    the ranges (lo, hi, cut, held) of a search, held = pi(cut) the primes
+    the masks held: for each range and p in _PAIR_FIRSTS, the primes in
+    p's window past max(top(p, lo), cut, p) up to top(p, min(hi, best)).
+
+    Only the last range ends at best.  Every other window end is
+    top(p, x) = floor((x - 1)/(p - 1)) + 1 for x a power of two at most
+    the last range's lo, so it is floor(N/m) or one more for N = lo - 1
+    and m = (p - 1) lo/x; the last range's ends are floor(N/(p - 1)) + 1
+    for N = best - 1.  Two _prime_pi tables count them all.
+    """
+    pi_lo, pi_best = _prime_pi(ranges[-1][0] - 1), _prime_pi(best - 1)
+    n = 0
+    for lo, hi, cut, held in ranges:
+        pi_end = pi_best if best < hi else pi_lo
+        for i, p in enumerate(_PAIR_FIRSTS):
+            start = max(pi_lo(_last_q(lo, p - 1)), held, i + 1)
+            n += max(pi_end(_last_q(min(hi, best), p - 1)), start) - start
+    return n
 
 
 def _minimal_sets(discs: list[int], torsion: bool):
@@ -480,30 +593,41 @@ def _minimal_sets(discs: list[int], torsion: bool):
     every disc has a split prime (and, with `torsion`, some p = 1 mod 4 and
     some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
 
-    Range [lo, hi) with hi = 2lo holds the primes with p - 1 < hi/8 in the
-    masks, appending the segments of those sieved since the last range,
-    one _accel.prime_segments array at a time; _sweep_sets tests
-    the sets of held primes and _sweep_pairs the pairs past them.  The
-    loop ends: every field has split primes and a prime = 1 mod 12 meets
-    both torsion bits, so some even set passes.
+    The masks hold every prime p <= held, appended from the segments of
+    _accel.prime_segments.  A range [lo, hi) with hi = 2lo first holds the
+    primes its sets of six or more read, those with 480(p - 1) < hi (and
+    2, 3, 5, 7 once hi/8 passes them, so that the sweep sees the 4-sets);
+    _sweep_sets then holds the primes with 8(p - 1) < hi before its 4-sets,
+    with hi lowered to best + 1 by the larger sets.  _sweep_pairs tests the
+    pairs past the held primes, and _pairs_below counts them once, at the
+    end.  The loop ends: every field has split primes and a prime = 1 mod 12
+    meets both torsion bits, so some even set passes.
     """
     masks = _MaskMatrix(np.empty(0, dtype=np.int64), discs, torsion)
-    n_below = 0
+    wheels = {p: _PairWheel(masks, p) for p in _PAIR_FIRSTS}
+    held = 0
+
+    def hold(c):
+        nonlocal held
+        for qs in _accel.prime_segments(held + 1, c + 1):
+            masks.append(qs)
+        held = max(held, c)
+
+    ranges = []
+    n_sets = 0
     lo = 2
     while True:
         hi = 2 * lo
-        cut = hi // 8
-        for qs in _accel.prime_segments(lo // 8 + 1, cut + 1):  # the p in (lo/8, hi/8]
-            masks.append(qs)
-        best, winners, batches = _sweep_sets(masks, lo, hi)
-        facs = masks.facs
-        sets = [tuple(int(facs[i]) + 1 for i in w) for w in winners]
-        best_pair, pairs, n = _sweep_pairs(masks, lo, hi, cut, best)
+        hold(max(_last_q(hi, 480), min(_last_q(hi, 8), 7)))
+        best, winners, batches = _sweep_sets(masks, lo, hi, lambda h: hold(_last_q(h, 8)))
+        sets = [tuple((masks.facs[list(w)] + 1).tolist()) for w in winners]
+        best_pair, pairs = _sweep_pairs(wheels, lo, hi, held, best)
         if best_pair != best:
             best, sets = best_pair, []
-        n_below += n + _sets_below(facs, batches, best)
+        n_sets += _sets_below(masks.facs, batches, best)
+        ranges.append((lo, hi, held, masks.n))
         if best is not None:
-            return best, sorted(sets + pairs), n_below
+            return best, sorted(sets + pairs), n_sets + _pairs_below(ranges, best)
         lo = hi
 
 

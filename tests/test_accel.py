@@ -91,6 +91,23 @@ def test_primes_up_to_matches_the_oracle_sieve():
         assert got.tolist() == sieve_primes(n), n
 
 
+def test_prime_segments_run_no_nested_sieve(monkeypatch):
+    # the base primes up to sqrt(hi - 1) come from odd numbers that strike
+    # themselves, not from another call of the sieve
+    calls = []
+    sieve = _accel.prime_segments
+
+    def spy(lo, hi):
+        calls.append((lo, hi))
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(_accel, "prime_segments", spy)
+    for n in (1024, 23840, 10 ** 6):
+        calls.clear()
+        assert primes_up_to(n).tolist() == sieve_primes(n), n
+        assert calls == [(2, n + 1)], n
+
+
 def test_split_masks_empty_inputs():
     assert build_split_masks(np.array([2, 3, 5], dtype=np.int64), []).shape == (3, 0)
     assert build_split_masks(np.empty(0, dtype=np.int64),

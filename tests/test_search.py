@@ -1,5 +1,6 @@
 """The range sweep and the certified minimal-algebra searches."""
 
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -508,11 +509,11 @@ STREAMED = [
     ("2 splits all", lambda: euler_fields(6, split=(2,)), False, (2, [(2, 3)])),
     ("2 splits all", lambda: euler_fields(6, split=(2,)), True, (12, [(2, 13)])),
 ]
-# the sieve's default segment, then segments of a few odd numbers, so that
-# the streams span many segments and the take-back of the count is
-# exercised; with 11, a window that a streamed pair lowers ends inside a
-# segment, which the stream must still read
-SEGMENTS = (search._accel._SEGMENT, 3, 11)
+# the default wheel and the trivial one (cap 1), which leaves every table to
+# the scan; and the default scan step and one of 3 candidates, so that the
+# wheel stays small and the scans take many steps
+WHEEL_CAPS = (search._WHEEL_CAP, 1)
+SCAN_ROWS = (search._SCAN_ROWS, 3)
 
 
 @pytest.mark.parametrize("case,fields,torsion,optimum", STREAMED,
@@ -525,29 +526,40 @@ def test_streamed_pairs_match_naive_oracle(case, fields, torsion, optimum, monke
     assert n_below == sum(len(naive_prime_sets(factor, c)) for c in cards)
     if case == "far":
         assert sets[0][1] - 1 >= (1 << factor.bit_length()) // 8
-    for segment, batch_rows in itertools.product(SEGMENTS, STEP_ROWS):
-        monkeypatch.setattr(search._accel, "_SEGMENT", segment)
+    for cap, scan, batch_rows in itertools.product(WHEEL_CAPS, SCAN_ROWS, STEP_ROWS):
+        monkeypatch.setattr(search, "_WHEEL_CAP", cap)
+        monkeypatch.setattr(search, "_SCAN_ROWS", scan)
         monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
-        assert _minimal_sets(ds, torsion) == want, (segment, batch_rows)
+        assert _minimal_sets(ds, torsion) == want, (cap, scan, batch_rows)
 
 
 def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
-    # at l=3.5 every prime the masks hold has p - 1 < hi/8 of the range it
-    # is appended for, and no segment sieved, held or streamed, spans more
-    # than 2 * _SEGMENT integers; a small segment makes the streams long
+    # at l=3.5 every prime the masks hold has p - 1 < h/8, h the running
+    # limit of the range when it is appended (hi, or best + 1 once a set of
+    # six or more passes), and no segment sieved spans more than
+    # 2 * _SEGMENT integers; a small segment makes the holds take many
     discs = [f.disc for f in fields_with_regulator_below(3.5)]
     want = _minimal_sets(discs, False)
-    held, spans = [], []
+    held, spans, grown = [], [], []
     append, sweep, sieve = _MaskMatrix.append, search._sweep_sets, search._accel.prime_segments
 
     def spy_append(self, primes):
         held.append([int(primes.max(initial=0)), None])
         append(self, primes)
 
-    def spy_sweep(masks, lo, hi):
+    def mark(h):
         for row in held:
-            row[1] = row[1] or hi
-        return sweep(masks, lo, hi)
+            row[1] = row[1] or h
+
+    def spy_sweep(masks, lo, hi, grow):
+        mark(hi)
+
+        def spy_grow(h):
+            grow(h)
+            mark(h)
+            grown.append(((masks.facs + 1).tolist(), h))
+
+        return sweep(masks, lo, hi, spy_grow)
 
     def spy_sieve(lo, hi):
         for qs in sieve(lo, hi):
@@ -557,11 +569,88 @@ def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
     monkeypatch.setattr(_MaskMatrix, "append", spy_append)
     monkeypatch.setattr(search, "_sweep_sets", spy_sweep)
     monkeypatch.setattr(search._accel, "prime_segments", spy_sieve)
-    monkeypatch.setattr(search._accel, "_SEGMENT", 1 << 9)
+    monkeypatch.setattr(search._accel, "_SEGMENT", 1 << 6)
     assert _minimal_sets(discs, False) == want
     assert want[0] > 1 << 14 and len(held) > 10
-    assert all(p - 1 < hi / 8 for p, hi in held)
-    assert max(spans) <= 1 << 10 and len(spans) > 50
+    assert all(p - 1 < h / 8 for p, h in held)
+    assert max(spans) <= 1 << 7 and len(spans) > 50
+    # the 4-sets and the pairs then find every prime with 8(p - 1) < h held
+    primes = sieve_primes(want[0] // 4)
+    assert len(grown) > 10
+    for got, h in grown:
+        assert got == [p for p in primes if 8 * (p - 1) < h], h
+
+
+def test_surface_search_sieves_no_prime_past_hi_over_8(monkeypatch):
+    # the pairs past the held primes are found by the wheels and counted by
+    # pi(x), so no call of the sieve reaches past hi/8 of the last range
+    calls = []
+    sieve = search._accel.prime_segments
+
+    def spy(lo, hi):
+        calls.append(hi)
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(search._accel, "prime_segments", spy)
+    res = minimal_algebra_2d(3.5)
+    assert (res.factor, res.tested_below_optimum) == (127_512, 63_757)
+    last_hi = 1 << res.factor.bit_length()
+    assert len(calls) > 10 and max(calls) <= last_hi // 8 + 1
+
+
+# every v <= sqrt(n) and every floor(n/k) and floor(n/k) + 1
+PI_NS = [*range(201), *(2 ** k - 1 for k in range(8, 21)), 997, 7919, 65_537, 1_000_003]
+
+
+def test_prime_pi_matches_the_oracle_sieve():
+    primes = sieve_primes(max(PI_NS) + 1)
+    for n in PI_NS:
+        pi = search._prime_pi(n)
+        r = math.isqrt(n)
+        values = {v for k in range(1, r + 1) for v in (n // k, n // k + 1)}
+        values |= set(range(r + 1)) | {n // (r + 1) + 1}
+        for v in sorted(values):
+            assert pi(v) == bisect.bisect_right(primes, v), (n, v)
+
+
+def brute_least_pair_q(ds, torsion, p, a, b):
+    """The least prime q in (a, b] that splits every Q(sqrt d) in which p
+    does not split and, with torsion, meets q = 1 mod 4 and q = 1 mod 3
+    where p does not."""
+    need = [d for d in ds if brute_splitting_q(d, p) != "split"]
+    mods = [m for m in ((4, 3) if torsion else ()) if p % m != 1]
+    for q in sieve_primes(b):
+        if q > a and all(q % m == 1 for m in mods) and all(
+                brute_splitting_q(d, q) == "split" for d in need):
+            return q
+    return None
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+def test_pair_wheel_finds_the_least_splitting_prime(torsion, monkeypatch):
+    # six fields with periods 5 ... 28, and windows that grow along a ladder
+    # as the search's do, so the same wheel folds in more tables as it goes;
+    # some windows hold no pass
+    ds = [2, 3, 5, 6, 7, 13]
+    discs = [d if d % 4 == 1 else 4 * d for d in ds]
+    windows = [(0, 2), (2, 10), (10, 40), (40, 100), (100, 400), (400, 460),
+               (460, 1600), (1600, 4000)]
+    for cap, scan in itertools.product((search._WHEEL_CAP, 1, 120), SCAN_ROWS):
+        monkeypatch.setattr(search, "_WHEEL_CAP", cap)
+        monkeypatch.setattr(search, "_SCAN_ROWS", scan)
+        masks = _MaskMatrix(np.empty(0, dtype=np.int64), discs, torsion)
+        for p in search._PAIR_FIRSTS:
+            wheel = search._PairWheel(masks, p)
+            found = []
+            for a, b in windows:
+                want = brute_least_pair_q(ds, torsion, p, a, b)
+                assert wheel.least(a, b) == want, (cap, scan, p, a, b)
+                found += [want] if want else []
+            # a window opens past its lower end, even where that end passes
+            for a in found:
+                want = brute_least_pair_q(ds, torsion, p, a, a + 600)
+                assert wheel.least(a, a + 600) == want, (cap, scan, p, a)
+            assert wheel.modulus <= cap and len(wheel.residues) <= scan
 
 
 def test_sweep_hands_no_dead_batch_to_first_passes(monkeypatch):
