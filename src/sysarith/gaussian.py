@@ -145,16 +145,22 @@ def gaussian_primes_up_to_norm(bound: int) -> list[GaussianPrimeIdeal]:
     come from one sieve, so the ideals are built without ideal_above's
     primality test.
     """
-    bound = math.floor(check_real(bound, "norm bound"))
+    return _gaussian_primes(0, math.floor(check_real(bound, "norm bound")))
+
+
+def _gaussian_primes(above: int, bound: int) -> list[GaussianPrimeIdeal]:
+    """The primes of Z[i] with above < norm <= bound, sorted by (norm, b, a)."""
     out = []
     for p in _accel.primes_up_to(bound).tolist():
         if p == 2:
-            out.append(GaussianPrimeIdeal(GaussianInt(1, 1), 2, RAMIFIED))
+            if above < 2:
+                out.append(GaussianPrimeIdeal(GaussianInt(1, 1), 2, RAMIFIED))
         elif p % 4 == 1:
-            a, b = _sum_two_squares(p)
-            out += [GaussianPrimeIdeal(GaussianInt(a, b), p, SPLIT),
-                    GaussianPrimeIdeal(GaussianInt(b, a), p, SPLIT)]
-        elif p * p <= bound:
+            if above < p:
+                a, b = _sum_two_squares(p)
+                out += [GaussianPrimeIdeal(GaussianInt(a, b), p, SPLIT),
+                        GaussianPrimeIdeal(GaussianInt(b, a), p, SPLIT)]
+        elif above < p * p <= bound:
             out.append(GaussianPrimeIdeal(GaussianInt(p, 0), p * p, INERT))
     out.sort(key=_ideal_key)
     return out
@@ -423,6 +429,21 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
     return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]
 
 
+# (limit, (gen, a, b, norm, key) of every odd prime of norm <= limit, sorted):
+# the descents' generators, extended like _exts_memo, so each is built once
+_odd_memo: tuple[int, list[tuple]] = (0, [])
+
+
+def _odd_generators(limit: int) -> list[tuple]:
+    global _odd_memo
+    held, odd = _odd_memo
+    if held < limit:
+        odd = odd + [(P.gen, P.gen.a, P.gen.b, P.norm, _ideal_key(P))
+                     for P in _gaussian_primes(held, limit) if P.norm % 2 == 1]
+        _odd_memo = limit, odd
+    return odd[:bisect.bisect_right(odd, limit, key=lambda g: g[3])]
+
+
 def _quad_exts_up_to(limit: int, above: int = 0) -> list[GaussianQuadExt]:
     """The sorted extensions with above < rel_disc_norm <= limit, by descent.
 
@@ -433,8 +454,7 @@ def _quad_exts_up_to(limit: int, above: int = 0) -> list[GaussianQuadExt]:
     Only an extension whose norm lies in the interval becomes GaussianInts
     and a GaussianQuadExt.
     """
-    odd = [(P.gen, P.gen.a, P.gen.b, P.norm, _ideal_key(P))
-           for P in gaussian_primes_up_to_norm(limit) if P.norm % 2 == 1]
+    odd = _odd_generators(limit)
     pi = GaussianInt(1, 1)
     pi_key = (2, 1, 1)
     out: list[tuple[tuple, GaussianQuadExt]] = []  # (sort key, extension)

@@ -358,6 +358,35 @@ def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
     assert [e for _, _, piece in calls for e in piece] == exts
 
 
+def test_descents_build_each_generator_once(monkeypatch):
+    # the descents read their odd generators from a kept list that grows by
+    # the ideals past its limit, so an ascending ladder builds each ideal once
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+    monkeypatch.setattr(gaussian, "_odd_memo", (0, []))
+    build = gaussian._gaussian_primes
+    calls = []
+
+    def spy(above, bound):
+        ideals = build(above, bound)
+        calls.append((above, bound, ideals))
+        return ideals
+
+    monkeypatch.setattr(gaussian, "_gaussian_primes", spy)
+    for bound in sorted(MEMO_BOUNDS):
+        quad_exts_with_disc_below(bound)
+    assert [above for above, _, _ in calls] == [0] + [bound for _, bound, _ in calls[:-1]]
+    built = [P for _, _, piece in calls for P in piece]
+    assert built == gaussian_primes_up_to_norm(calls[-1][1])
+    assert [g[0] for g in gaussian._odd_memo[1]] == [P.gen for P in built if P.norm % 2]
+
+
+@pytest.mark.parametrize("above,bound", [(0, 1), (1, 2), (2, 9), (8, 9), (9, 50), (24, 25),
+                                         (48, 49), (49, 121), (100, 23840)])
+def test_gaussian_primes_above_a_norm(above, bound):
+    assert gaussian._gaussian_primes(above, bound) == [
+        P for P in gaussian_primes_up_to_norm(bound) if P.norm > above]
+
+
 @pytest.mark.parametrize("above,limit", [(0, 50), (9, 50), (31, 500), (403, 3000),
                                          (2980, 5960)])
 def test_descent_builds_only_the_norms_above(above, limit):
