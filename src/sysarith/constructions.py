@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _accel
 from .errors import InputError, NoCandidateError, SysarithError, check_int, check_real
-from .gaussian import gaussian_primes_up_to_norm, quad_exts_with_disc_below
+from .gaussian import _DISC_CAP, gaussian_primes_up_to_norm, quad_exts_with_disc_below
 from .geodesics import MODE_PAPER, exact_systole_q
 from .quaternion import (
     TORSION_Q,
@@ -41,7 +41,6 @@ from .real_quadratic import (
 from .search import _certify_q, _certify_qi, _minimal_sets, _split_rows_qi
 from .volume import area_factor
 
-_COVER_DISC_CAP = 10_000_000
 _PRIMORIAL_CAP = 100_000_000
 
 ROLE_COVER = "cover"
@@ -218,9 +217,9 @@ def _cover_bound(x: float) -> float:
     """The discriminant bound e^(2+2x) of a cover, for a valid x."""
     check_real(x, "x", 0)
     bound = math.exp(2.0 + 2.0 * x)
-    if bound > _COVER_DISC_CAP:
+    if bound > _DISC_CAP:
         raise InputError(f"discriminant bound e^(2+2x) = {bound:.3g} exceeds "
-                         f"the supported cap {_COVER_DISC_CAP}")
+                         f"the supported cap {_DISC_CAP}")
     return bound
 
 
@@ -242,7 +241,7 @@ def _greedy_roles(n_fields: int, window: int, rows_in, torsion) -> list:
         picks = _greedy_cover(rows, full_mask)
         if picks is not None:
             break
-        if window > 64 * _COVER_DISC_CAP:
+        if window > 64 * _DISC_CAP:
             raise NoCandidateError(f"no window up to {window} covers all {n_fields} fields")
         window *= 2
     roles = [(members[i], ROLE_COVER) for i in sorted(picks)]

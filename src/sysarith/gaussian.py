@@ -402,6 +402,10 @@ def splitting_in_ext(P: GaussianPrimeIdeal, ext: GaussianQuadExt) -> str:
     return SPLIT if s == 1 else INERT
 
 
+# the largest discriminant bound of an extension list, and of the covers:
+# the list holds about 0.26 extensions per unit of norm, at about 0.8 KB each
+_DISC_CAP = 10_000_000
+
 # (limit, every extension with rel_disc_norm <= limit, sorted); rebound as
 # one tuple, so a reader never pairs a limit with another limit's list
 _exts_memo: tuple[int, list[GaussianQuadExt]] = (0, [])
@@ -414,16 +418,20 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
     smallest possible norm is 9 (delta = 3), so small bounds give [].  The
     process keeps the extensions up to the largest limit asked for, and each
     call returns a new list sliced from them.  A bound past the kept limit
-    extends the list to max(floor(bound), 2 * kept limit): the key starts
-    with the norm, so the extensions past the old limit, built by one
-    descent, sort after every kept one and are appended.  So the memo builds
-    each extension once, and no call builds past twice its own bound.
+    extends the list to max(floor(bound), 2 * kept limit), or to _DISC_CAP
+    if that is less: the key starts with the norm, so the extensions past
+    the old limit, built by one descent, sort after every kept one and are
+    appended.  So the memo builds each extension once, and no call builds
+    past twice its own bound.  A bound past _DISC_CAP raises InputError.
     """
     global _exts_memo
-    limit = math.floor(check_real(bound, "bound", 0))
+    if check_real(bound, "bound", 0) > _DISC_CAP:
+        raise InputError(f"discriminant norm bound {bound:.3g} exceeds "
+                         f"the supported cap {_DISC_CAP}")
+    limit = math.floor(bound)
     held, exts = _exts_memo
     if held < limit:
-        grown = max(limit, 2 * held)
+        grown = min(max(limit, 2 * held), _DISC_CAP)
         exts = exts + _quad_exts_up_to(grown, held)
         _exts_memo = grown, exts
     return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]

@@ -7,18 +7,19 @@ a passing set yields the optimum with all its ties.  A set of four or more
 primes has every factor below hi/8 of its range [lo, hi), as does a pair
 {p, q} with p >= 11; so the masks hold every prime whose factor is below
 hi/8, and the pairs past them are found apart.  A set of six or more reads
-only primes below hi/480, so the primes up to hi/8 are appended after those
-sets have run and lowered hi to their best.  The masks are built only as
-far as the sweep reads them: full rows for the small primes that open a
-set, and for every held prime a single word 0 holding the 64 fields that
-the fewest small primes split.  The sets that share all but their last two
-members form one batch: the last prime of each is filtered on word 0 by a
-few vectorized steps for the whole batch, and the few rows that pass are
-re-checked exactly on the fields and torsion bits that the rest of the set
-leaves open.  The pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are
-not sieved: a wheel over the tables that p leaves open walks the q that
-could split them, and is_prime settles the first survivor, p's least pair
-up to the running optimum; their count comes from pi(x) at the window ends,
+only primes below hi/480, so the masks sieve and hold the primes up to hi/8
+after those sets have run and lowered hi to their best.  The masks are
+built only as far as the sweep reads them: full rows for the small primes
+that open a set, and for every held prime a single word 0 holding the 64
+fields that the fewest small primes split.  The sets that share all but
+their last two members form one batch: the last prime of each is filtered
+on word 0 by a few vectorized steps for the whole batch, and the few rows
+that pass are re-checked on the character tables of the fields and
+torsion bits that the rest of the set leaves open.  The pairs {p, q} with
+p in 2, 3, 5, 7 and q - 1 >= hi/8 are not sieved: a wheel over the tables
+that p leaves open walks the q that could split them, the same table test
+filters them, and is_prime settles the first survivor, p's least pair up
+to the running optimum; their count comes from pi(x) at the window ends,
 by two Lucy tables at the end of the search.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
@@ -81,7 +82,6 @@ from .volume import volume_qi
 _WORD = (1 << 64) - 1
 _WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
 _BATCH_ROWS = 1 << 16  # word-0 rows tested per vectorized step
-_GATHER_CELLS = 1 << 18  # survivor x bit cells re-checked per gather
 # the 0/1 tables of the torsion bits: quaternion.TORSION_Q over its period 12
 _TORSION_TABLES = [np.array([c(r) for r in range(12)], dtype=np.int8)
                    for c in TORSION_Q]
@@ -98,25 +98,25 @@ def _grow(buf: np.ndarray, n: int, extra: int) -> np.ndarray:
 
 
 class _MaskMatrix:
-    """Split masks for an ascending prime list, built only as far as the
-    sweep reads them.  The surface search holds every prime whose factor
-    is below hi/8 of its range here, and finds the pairs past them apart
-    (_sweep_pairs).
+    """Split masks for every prime p <= held, built only as far as the
+    sweep reads them.  `hold(c)` sieves the primes up to c and adds them:
+    the surface search holds every prime whose factor is below hi/8 of its
+    range here, and finds the pairs past them apart (_sweep_pairs).
 
     Bits are ordered so that word 0 holds the 64 fields that the fewest
     small primes split; the other fields follow, then the torsion bits.
     `tables` lists their tables in that order; a bit is set where its
-    table reads 1.  Every held prime gets its word 0 (`w0`), stored next
-    to its factor p - 1 (`facs`), the one array the sweep searches.  Full
-    rows, as Python ints, are built only for the prime indices [0, n) that
-    `prefix_rows(n)` asks for: the sweep's prefixes.  `first_passes`
-    filters the last primes of a batch of sets on word 0 alone, and
-    `covers` re-checks the few survivors exactly, on the bits above word 0,
-    by one gather from the concatenated tables.  `append` adds the primes
-    of the next segment; the buffers grow geometrically.
+    table reads 1, and `passing` is the one test of those bits that reads
+    the tables themselves.  Every held prime gets its word 0 (`w0`),
+    stored next to its factor p - 1 (`facs`), the one array the sweep
+    searches; the buffers grow geometrically.  Full rows, as Python ints,
+    are built only for the prime indices [0, n) that `prefix_rows(n)` asks
+    for: the sweep's prefixes.  `first_passes` filters the last primes of
+    a batch of sets on word 0 alone, and the few survivors are re-checked
+    by `passing` on the bits above word 0 that their prefix leaves open.
     """
 
-    def __init__(self, primes: np.ndarray, discs: list[int], torsion: bool):
+    def __init__(self, discs: list[int], torsion: bool):
         tables = _accel.character_tables(discs)
         small = _accel.primes_up_to(_WORD0_RANK_BOUND)
         split = [int((chi[small % len(chi)] == 1).sum()) for chi in tables]
@@ -125,15 +125,10 @@ class _MaskMatrix:
         bits = len(self.tables)
         self.width = max(1, (bits + 63) // 64)
         self.target = (1 << bits) - 1
-        self.flat = (np.concatenate(self.tables) if self.tables
-                     else np.zeros(0, dtype=np.int8))
-        self.periods = np.array([len(t) for t in self.tables], dtype=np.int64)
-        self.offsets = np.cumsum(self.periods) - self.periods
-        self.n = 0
+        self.held = self.n = 0
         self._facs = np.empty(0, dtype=np.int64)
         self._w0 = np.empty(0, dtype=np.uint64)
         self._prefix: list[int] = []
-        self.append(primes)
 
     @property
     def facs(self) -> np.ndarray:
@@ -150,14 +145,16 @@ class _MaskMatrix:
         out[:, :built.shape[1]] = built
         return out
 
-    def append(self, primes: np.ndarray) -> None:
-        """Add primes above the current ones, with their word 0."""
-        n, m = self.n, len(primes)
-        self._facs = _grow(self._facs, n, m)
-        self._facs[n:n + m] = primes - 1
-        self._w0 = _grow(self._w0, n, m)
-        self._w0[n:n + m] = self._words(primes, 1)[:, 0]
-        self.n = n + m
+    def hold(self, c: int) -> None:
+        """Sieve the primes in (held, c] and add them, with their word 0."""
+        for primes in _accel.prime_segments(self.held + 1, c + 1):
+            n, m = self.n, len(primes)
+            self._facs = _grow(self._facs, n, m)
+            self._facs[n:n + m] = primes - 1
+            self._w0 = _grow(self._w0, n, m)
+            self._w0[n:n + m] = self._words(primes, 1)[:, 0]
+            self.n = n + m
+        self.held = max(self.held, c)
 
     def prefix_rows(self, n_rows: int) -> list[int]:
         """The full rows of at least the prime indices [0, n_rows), as ints.
@@ -178,28 +175,23 @@ class _MaskMatrix:
         raw = np.frombuffer(rest.to_bytes(8 * self.width, "little"), dtype=np.uint8)
         return np.flatnonzero(np.unpackbits(raw, bitorder="little")) + 64
 
-    def covers(self, js: np.ndarray, bits: np.ndarray) -> np.ndarray:
-        """For each prime index in js: does its row set every bit in bits?"""
-        p = self._facs[js] + 1
-        idx = self.offsets[bits] + p[:, None] % self.periods[bits]
-        return (self.flat[idx] == 1).all(axis=1)
+    def passing(self, n: np.ndarray, bits) -> np.ndarray:
+        """The entries of n, in order, at which every table of `bits` reads
+        1; one table at a time, stopping once no entry is left."""
+        for bit in bits:
+            if not len(n):
+                break
+            table = self.tables[bit]
+            n = n[table[n % len(table)] == 1]
+        return n
 
     def _recheck(self, acc: int, survivors: np.ndarray) -> int | None:
         """The first of the word-0 survivors whose row OR acc also sets the
         bits above word 0 that acc leaves open."""
         if not len(survivors):
             return None
-        high = self.open_bits(acc)
-        if not len(high):
-            return int(survivors[0])
-        step = max(1, _GATHER_CELLS // len(high))
-        for g0 in range(0, len(survivors), step):
-            group = survivors[g0:g0 + step]
-            ok = self.covers(group, high)
-            k = int(ok.argmax())
-            if ok[k]:
-                return int(group[k])
-        return None
+        p = self.passing(self._facs[survivors] + 1, self.open_bits(acc))
+        return int(self.facs.searchsorted(p[0] - 1)) if len(p) else None
 
     def _first_pass(self, acc: int, j0: int, j1: int) -> int | None:
         """The first pass of one slice, read in place in steps."""
@@ -258,6 +250,9 @@ class _IdealPool:
         self.facs = np.array([P.norm - 1 for P in pool], dtype=np.int64)
         self.rows = _split_rows_qi(pool, exts)
         self.target = (1 << len(exts)) - 1
+
+    def hold(self, c: int) -> None:
+        """The pool holds every ideal from the start."""
 
     def prefix_rows(self, n_rows: int) -> list[int]:
         return self.rows
@@ -328,17 +323,18 @@ def _last_q(x, m):
     return (x - 1) // m + 1
 
 
-def _sweep_sets(masks, lo, hi, grow=None):
+def _sweep_sets(masks, lo, hi):
     """Test every set with factor in [lo, hi) whose members `masks` holds:
     (best, winners, batches).  best is the least passing factor (None if no
     set passes), winners the index tuples of every set with factor best,
     and _sets_below(masks.facs, batches, best) counts the sets below best.
     `masks` holds its factors ascending in the int64 array `facs`, and hi
-    is at most 2^63 - 1.  The Q(i) search holds every ideal whose factor
-    is below hi.  The surface search holds the primes that the sets of six
-    or more members read, and `grow(hi)`, called with the running limit
-    once before the first cardinality below six is swept (or at the end),
-    appends the primes below hi/8 that the 4-sets and the pairs read.
+    is at most 2^63 - 1.  Once, before the first cardinality below six
+    (or at the end if there is none), the sweep calls
+    `masks.hold(_last_q(hi, 8))` with the running limit hi: the surface
+    masks then sieve and add the primes below hi/8 that the 4-sets and the
+    pairs read, past those the sets of six or more read; the Q(i) pool
+    holds every ideal from the start.
 
     The cardinalities run up to the largest even k whose k smallest
     factors multiply to less than hi, the most members a set below hi can
@@ -372,10 +368,9 @@ def _sweep_sets(masks, lo, hi, grow=None):
     winners: list[tuple] = []
     batches = []
     for card in range(top, 1, -2):
-        if card < 6 and grow is not None:
-            del facs_np  # a view would keep the buffers that grow replaces
-            grow(hi)
-            grow = None
+        if card == min(top, 4):
+            del facs_np  # a view would keep the buffers that hold replaces
+            masks.hold(_last_q(hi, 8))
         facs_np = masks.facs
         short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + card
         facs = facs_np[:short].tolist()
@@ -424,8 +419,8 @@ def _sweep_sets(masks, lo, hi, grow=None):
                 if rest is None or rest >= hi:
                     break
                 stack.append((prefix + (i,), prod * facs[i], i + 1, acc | rows[i]))
-    if grow is not None:
-        grow(hi)
+    if not top:
+        masks.hold(_last_q(hi, 8))
     return best, winners, batches
 
 
@@ -479,10 +474,6 @@ def _prime_pi(n):
     return pi
 
 
-_WHEEL_CAP = 1 << 22  # the largest wheel modulus
-_SCAN_ROWS = 1 << 16  # wheel candidates made per fold or scan step
-
-
 class _PairWheel:
     """The least prime q in a window that splits every field, and meets
     every torsion bit, that a small prime p leaves open: the q of p's
@@ -491,50 +482,42 @@ class _PairWheel:
     The open tables with the smallest periods fold into a wheel (Pritchard,
     Acta Inf. 17, 1982): the residues mod the lcm M of their periods at
     which each of them reads 1.  `least(a, b)` walks n = r + kM upward
-    through (a, b] in steps of at most _SCAN_ROWS candidates, filters each
-    step with the other open tables in rarity order, and returns the first
-    survivor that is_prime accepts.  The wheel is built once per search and
-    grows with the windows: before a scan it folds in the next tables while
-    M stays within the window's length and _WHEEL_CAP, and a fold within
-    _SCAN_ROWS candidates.
+    through (a, b] in steps of at most _BATCH_ROWS candidates, filters each
+    step with masks.passing on the other open tables in rarity order, and
+    returns the first survivor that is_prime accepts.  The wheel is built
+    once per search and grows with the windows: before a scan it folds in
+    the next tables while M stays within the window's length and a fold
+    within _BATCH_ROWS candidates.
     """
 
     def __init__(self, masks, p: int):
-        self.flat, self.offsets, self.periods = masks.flat, masks.offsets, masks.periods
-        self.rest = np.flatnonzero(self.flat[self.offsets + p % self.periods] != 1).tolist()
-        self.queue = sorted(self.rest, key=lambda bit: self.periods[bit])
+        self.masks = masks
+        self.rest = [bit for bit, t in enumerate(masks.tables) if t[p % len(t)] != 1]
+        self.queue = sorted(self.rest, key=lambda bit: len(masks.tables[bit]))
         self.modulus = 1
         self.residues = np.zeros(1, dtype=np.int64)
-
-    def _split(self, n: np.ndarray, bit: int) -> np.ndarray:
-        return n[self.flat[self.offsets[bit] + n % self.periods[bit]] == 1]
 
     def _fold(self, limit: int) -> None:
         while self.queue:
             bit = self.queue[0]
-            m = math.lcm(self.modulus, int(self.periods[bit]))
-            if m > limit or len(self.residues) * (m // self.modulus) > _SCAN_ROWS:
+            m = math.lcm(self.modulus, len(self.masks.tables[bit]))
+            if m > limit or len(self.residues) * (m // self.modulus) > _BATCH_ROWS:
                 return
-            self.residues = self._split(
-                (np.arange(0, m, self.modulus)[:, None] + self.residues).ravel(), bit)
+            self.residues = self.masks.passing(
+                (np.arange(0, m, self.modulus)[:, None] + self.residues).ravel(), [bit])
             self.modulus = m
             self.rest.remove(self.queue.pop(0))
 
     def least(self, a: int, b: int) -> int | None:
-        self._fold(min(_WHEEL_CAP, b - a))
+        self._fold(b - a)
         m, res = self.modulus, self.residues
         if not len(res):
             return None
-        step = max(1, _SCAN_ROWS // len(res))
+        step = max(1, _BATCH_ROWS // len(res))
         k1 = b // m + 1
         for k in range((a + 1) // m, k1, step):
             n = ((np.arange(k, min(k + step, k1)) * m)[:, None] + res).ravel()
-            n = n[(n > a) & (n <= b)]
-            for bit in self.rest:
-                if not len(n):
-                    break
-                n = self._split(n, bit)
-            for q in n.tolist():
+            for q in self.masks.passing(n[(n > a) & (n <= b)], self.rest).tolist():
                 if is_prime(q):
                     return q
         return None
@@ -568,9 +551,10 @@ def _sweep_pairs(wheels, lo, hi, cut, best):
 
 def _pairs_below(ranges, best) -> int:
     """The number of pairs {p, q} that _sweep_pairs tested below best over
-    the ranges (lo, hi, cut, held) of a search, held = pi(cut) the primes
-    the masks held: for each range and p in _PAIR_FIRSTS, the primes in
-    p's window past max(top(p, lo), cut, p) up to top(p, min(hi, best)).
+    the ranges (lo, hi, cut, n_held) of a search, n_held = pi(cut) the
+    primes the masks held: for each range and p in _PAIR_FIRSTS, the
+    primes in p's window past max(top(p, lo), cut, p) up to
+    top(p, min(hi, best)).
 
     Only the last range ends at best.  Every other window end is
     top(p, x) = floor((x - 1)/(p - 1)) + 1 for x a power of two at most
@@ -580,10 +564,10 @@ def _pairs_below(ranges, best) -> int:
     """
     pi_lo, pi_best = _prime_pi(ranges[-1][0] - 1), _prime_pi(best - 1)
     n = 0
-    for lo, hi, cut, held in ranges:
+    for lo, hi, cut, n_held in ranges:
         pi_end = pi_best if best < hi else pi_lo
         for i, p in enumerate(_PAIR_FIRSTS):
-            start = max(pi_lo(_last_q(lo, p - 1)), held, i + 1)
+            start = max(pi_lo(_last_q(lo, p - 1)), n_held, i + 1)
             n += max(pi_end(_last_q(min(hi, best), p - 1)), start) - start
     return n
 
@@ -593,39 +577,32 @@ def _minimal_sets(discs: list[int], torsion: bool):
     every disc has a split prime (and, with `torsion`, some p = 1 mod 4 and
     some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
 
-    The masks hold every prime p <= held, appended from the segments of
-    _accel.prime_segments.  A range [lo, hi) with hi = 2lo first holds the
-    primes its sets of six or more read, those with 480(p - 1) < hi (and
-    2, 3, 5, 7 once hi/8 passes them, so that the sweep sees the 4-sets);
-    _sweep_sets then holds the primes with 8(p - 1) < hi before its 4-sets,
-    with hi lowered to best + 1 by the larger sets.  _sweep_pairs tests the
-    pairs past the held primes, and _pairs_below counts them once, at the
-    end.  The loop ends: every field has split primes and a prime = 1 mod 12
-    meets both torsion bits, so some even set passes.
+    The masks own the primes: masks.hold(c) sieves every prime up to c
+    that they do not hold yet, and masks.held is the largest c so far.  A
+    range [lo, hi) with hi = 2lo first holds the primes its sets of six or
+    more read, those with 480(p - 1) < hi (and 2, 3, 5, 7 once hi/8 passes
+    them, so that the sweep sees the 4-sets); _sweep_sets then holds the
+    primes with 8(p - 1) < hi before its 4-sets, with hi lowered to
+    best + 1 by the larger sets.  _sweep_pairs tests the pairs past
+    masks.held, and _pairs_below counts them once, at the end.  The loop
+    ends: every field has split primes and a prime = 1 mod 12 meets both
+    torsion bits, so some even set passes.
     """
-    masks = _MaskMatrix(np.empty(0, dtype=np.int64), discs, torsion)
+    masks = _MaskMatrix(discs, torsion)
     wheels = {p: _PairWheel(masks, p) for p in _PAIR_FIRSTS}
-    held = 0
-
-    def hold(c):
-        nonlocal held
-        for qs in _accel.prime_segments(held + 1, c + 1):
-            masks.append(qs)
-        held = max(held, c)
-
     ranges = []
     n_sets = 0
     lo = 2
     while True:
         hi = 2 * lo
-        hold(max(_last_q(hi, 480), min(_last_q(hi, 8), 7)))
-        best, winners, batches = _sweep_sets(masks, lo, hi, lambda h: hold(_last_q(h, 8)))
+        masks.hold(max(_last_q(hi, 480), min(_last_q(hi, 8), 7)))
+        best, winners, batches = _sweep_sets(masks, lo, hi)
         sets = [tuple((masks.facs[list(w)] + 1).tolist()) for w in winners]
-        best_pair, pairs = _sweep_pairs(wheels, lo, hi, held, best)
+        best_pair, pairs = _sweep_pairs(wheels, lo, hi, masks.held, best)
         if best_pair != best:
             best, sets = best_pair, []
         n_sets += _sets_below(masks.facs, batches, best)
-        ranges.append((lo, hi, held, masks.n))
+        ranges.append((lo, hi, masks.held, masks.n))
         if best is not None:
             return best, sorted(sets + pairs), n_sets + _pairs_below(ranges, best)
         lo = hi
@@ -674,28 +651,27 @@ class SearchResult:
         }
 
 
-def _certify_q(primes: tuple[int, ...], fields) -> dict:
+def _certify(members: tuple, fields, splits) -> dict:
+    """field -> the first member m of the passing set with splits(field, m),
+    for every field; a field without one raises SysarithError."""
     cert = {}
     for f in fields:
-        witness = next((p for p in primes if splitting_type_q(f, p) == "split"), None)
+        witness = next((m for m in members if splits(f, m)), None)
         if witness is None:
             raise SysarithError(
-                f"internal: no prime of {primes} splits in Q(sqrt {f.d}); "
+                f"internal: no member of the set splits in {f}; "
                 "the passing set lost its certificate")
         cert[f] = witness
     return cert
 
 
+# the split tests are looked up at call time, so a test can replace them
+def _certify_q(primes: tuple[int, ...], fields) -> dict:
+    return _certify(primes, fields, lambda f, p: splitting_type_q(f, p) == "split")
+
+
 def _certify_qi(ideals: tuple[GaussianPrimeIdeal, ...], exts) -> dict:
-    cert = {}
-    for e in exts:
-        witness = next((P for P in ideals if splitting_in_ext(P, e) == SPLIT), None)
-        if witness is None:
-            raise SysarithError(
-                f"internal: no ideal of the set splits in Q(i)(sqrt {e.delta}); "
-                "the passing set lost its certificate")
-        cert[e] = witness
-    return cert
+    return _certify(ideals, exts, lambda e, P: splitting_in_ext(P, e) == SPLIT)
 
 
 def minimal_algebra_2d(l: float, require_torsion_free: bool = False) -> SearchResult:
@@ -725,7 +701,8 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     so the result is least over the pool; it is best-effort because an
     ideal outside the pool could give a smaller volume.  NoCandidateError
     is raised when no even subset passes, and when the least factor would
-    need a range past the sweep's int64 limit 2^63 - 1.
+    need a range past the sweep's int64 limit 2^63 - 1.  An l above about
+    6.06 raises InputError: e^(2(l+2)) passes the extension list's cap.
     """
     check_real(l, "systole bound", 0, strict=True)
     check_real(pool_norm_bound, "pool norm bound", 2)
@@ -844,7 +821,7 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     The list is much larger than those fields, so valid=False does not show
     the systole is below l: at l=1.0 the norm-17 extension that every
     assignment of (2, 5, 9, 13) leaves open has no geodesic shorter than
-    1.466.
+    1.466.  As in valid_algebra_3d, an l above about 6.06 raises InputError.
     """
     check_real(l, "systole bound", 0, strict=True)
     norms, options = _norm_options(ram_norm_multiset)

@@ -169,6 +169,7 @@ def test_volume(capsys):
     ["systole2d", "--ram", "2,31", "--cache", "u.tsv"],  # no such option
     ["family", "--ram", "2,x", "--count", "1"],      # malformed list
     ["search3d", "--systole", "1", "--budget", "5"],  # no such option
+    ["search3d", "--systole", "10"],                 # extension list past the cap
 ])
 def test_input_errors_exit_1(capsys, args):
     code, _, err = run(capsys, *args)

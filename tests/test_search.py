@@ -3,6 +3,7 @@
 import bisect
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sysarith import search
+from sysarith import gaussian, search
 from sysarith.errors import (
     InadmissibleAlgebraError,
     InputError,
@@ -114,7 +115,8 @@ def test_minimal_algebra_2d_rows(l, factor, sets, tested_below):
 
 
 # the sweep's default rows per vectorized step, then a few, so that a batch
-# of slices takes several steps and single slices exceed one step
+# of slices takes several steps, single slices exceed one step, and the
+# pair wheels stay small and scan in many steps
 STEP_ROWS = (search._BATCH_ROWS, 3)
 
 
@@ -162,7 +164,8 @@ def test_lost_certificate_raises_a_package_error(monkeypatch):
 def test_mask_matrix_torsion_bits(n_fields):
     # with 63 fields the two torsion bits straddle the word boundary
     primes = np.array(sieve_primes(2999), dtype=np.int64)
-    masks = _MaskMatrix(primes, [5] * n_fields, torsion=True)
+    masks = _MaskMatrix([5] * n_fields, torsion=True)
+    masks.hold(2999)
     rows = masks.prefix_rows(len(primes))
     assert len(rows) == len(primes)
     assert masks.width == (1 if n_fields == 3 else 2)
@@ -173,6 +176,64 @@ def test_mask_matrix_torsion_bits(n_fields):
     assert bit(n_fields) == [p % 4 == 1 for p in primes.tolist()]
     assert bit(n_fields + 1) == [p % 3 == 1 for p in primes.tolist()]
     assert masks.target.bit_count() == n_fields + 2
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+def test_mask_matrix_passing_matches_the_split_oracle(torsion):
+    # a field's table has period |disc| and reads 1 at the primes that
+    # split in it; the torsion tables read 1 at p = 1 mod 4 and p = 1 mod 3
+    ds = [2, 3, 5, 6, 7, 13]
+    discs = [d if d % 4 == 1 else 4 * d for d in ds]
+    masks = _MaskMatrix(discs, torsion)
+    d_of = dict(zip(discs, ds))
+    n_bits = len(ds) + 2 * torsion
+    primes = sieve_primes(3000)
+
+    def reads_1(bit, p):
+        if bit < len(ds):
+            return brute_splitting_q(d_of[len(masks.tables[bit])], p) == "split"
+        return p % (4, 3)[bit - len(ds)] == 1
+
+    def passing(bits, n=primes):
+        return masks.passing(np.array(n, dtype=np.int64), bits).tolist()
+
+    assert passing([]) == primes
+    rng = np.random.default_rng(7)
+    for b in range(n_bits):
+        assert passing([b]) == [p for p in primes if reads_1(b, p)], b
+    for _ in range(20):
+        bits = rng.permutation(n_bits)[:rng.integers(2, n_bits + 1)].tolist()
+        assert passing(bits) == [p for p in primes if all(reads_1(b, p) for b in bits)], bits
+    # a prime that only the last of the bits rejects
+    every = range(n_bits)
+    q, last = next((p, fails[0]) for p in primes
+                   if len(fails := [b for b in every if not reads_1(b, p)]) == 1)
+    bits = [b for b in every if b != last] + [last]
+    assert passing(bits[:-1], [q]) == [q] and passing(bits, [q]) == []
+
+
+@pytest.mark.parametrize("n_fields", [40, 127])
+def test_first_passes_find_the_least_passing_row(n_fields, monkeypatch):
+    # prefixes that leave one to four bits open, in word 0 and above it, so
+    # that many rows of a slice pass; each slice's answer is its least
+    # passing row, by a scan of the full rows, whether the slices share a
+    # vectorized step or one slice takes many
+    ds = [d for d in range(2, 500) if brute_is_squarefree(d)][:n_fields]
+    masks = _MaskMatrix([d if d % 4 == 1 else 4 * d for d in ds], torsion=True)
+    masks.hold(20_000)
+    rows = masks.prefix_rows(masks.n)
+    bits = n_fields + 2
+    rng = np.random.default_rng(5)
+    accs = [masks.target & ~sum(1 << int(b) for b in rng.choice(bits, k, replace=False))
+            for k in rng.integers(1, 5, size=60)]
+    j0s = rng.integers(0, masks.n, size=60)
+    j1s = np.minimum(j0s + rng.integers(0, 400, size=60), masks.n)
+    want = [next((j for j in range(j0, j1) if acc | rows[j] == masks.target), None)
+            for acc, j0, j1 in zip(accs, j0s.tolist(), j1s.tolist())]
+    assert sum(j is not None for j in want) > 30
+    for batch_rows in STEP_ROWS:
+        monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+        assert masks.first_passes(accs, j0s, j1s) == want, batch_rows
 
 
 @functools.cache
@@ -399,6 +460,20 @@ def test_non_finite_bounds_raise_input_error(call, bound):
         call(bound)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: valid_algebra_3d(10.0, 30),
+    lambda: verify_exclusion_3d([2, 5], 10.0),
+    lambda: quad_exts_with_disc_below(gaussian._DISC_CAP + 0.5),
+], ids=["valid_algebra_3d", "verify_exclusion_3d", "quad_exts"])
+def test_extension_list_past_the_cap_raises_input_error(call):
+    # l = 10 asks for the extensions of norm up to e^24, about 7e9 of them
+    # at 0.26 per unit of norm; the list refuses before it grows
+    before = gaussian._exts_memo
+    with pytest.raises(InputError, match="supported cap"):
+        call()
+    assert gaussian._exts_memo is before
+
+
 def test_verify_exclusion_norm_multiset_2_5_9_13():
     rep = verify_exclusion_3d([2, 5, 9, 13], 1.0)
     assert rep.valid is False
@@ -495,11 +570,12 @@ def euler_fields(n, split=(), inert=()):
 
 
 # the pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 of the range are
-# streamed: {2, 13} and {3, 7} tie at factor 12 across two streams; (5, 79)
-# is the optimum of [256, 512) with q - 1 = 78 past hi/8 = 64, because no
-# prime below 20 splits the last four fields; 2 splits every field of the
-# last set, so the p = 2 stream needs only the torsion bits
-STREAMED = [
+# found by the wheels: {2, 13} and {3, 7} tie at factor 12 across two
+# wheels; (5, 79) is the optimum of [256, 512) with q - 1 = 78 past
+# hi/8 = 64, because no prime below 20 splits the last four fields; 2
+# splits every field of the last set, so the p = 2 wheel needs only the
+# torsion bits
+WHEEL_PAIRS = [
     ("tie", lambda: (euler_fields(1, split=(7, 13), inert=(2, 3, 5, 11))
                      + euler_fields(1, split=(3, 13), inert=(2, 7))), False,
      (12, [(2, 13), (3, 7)])),
@@ -509,15 +585,10 @@ STREAMED = [
     ("2 splits all", lambda: euler_fields(6, split=(2,)), False, (2, [(2, 3)])),
     ("2 splits all", lambda: euler_fields(6, split=(2,)), True, (12, [(2, 13)])),
 ]
-# the default wheel and the trivial one (cap 1), which leaves every table to
-# the scan; and the default scan step and one of 3 candidates, so that the
-# wheel stays small and the scans take many steps
-WHEEL_CAPS = (search._WHEEL_CAP, 1)
-SCAN_ROWS = (search._SCAN_ROWS, 3)
 
 
-@pytest.mark.parametrize("case,fields,torsion,optimum", STREAMED,
-                         ids=[f"{c[0]}-torsion={c[2]}" for c in STREAMED])
+@pytest.mark.parametrize("case,fields,torsion,optimum", WHEEL_PAIRS,
+                         ids=[f"{c[0]}-torsion={c[2]}" for c in WHEEL_PAIRS])
 def test_streamed_pairs_match_naive_oracle(case, fields, torsion, optimum, monkeypatch):
     ds = fields()
     factor, sets, n_below = want = naive_minimal_sets(ds, torsion)
@@ -526,48 +597,50 @@ def test_streamed_pairs_match_naive_oracle(case, fields, torsion, optimum, monke
     assert n_below == sum(len(naive_prime_sets(factor, c)) for c in cards)
     if case == "far":
         assert sets[0][1] - 1 >= (1 << factor.bit_length()) // 8
-    for cap, scan, batch_rows in itertools.product(WHEEL_CAPS, SCAN_ROWS, STEP_ROWS):
-        monkeypatch.setattr(search, "_WHEEL_CAP", cap)
-        monkeypatch.setattr(search, "_SCAN_ROWS", scan)
+    # each wheel's modulus stays within the longest window it has scanned,
+    # and its residues within one step of _BATCH_ROWS candidates
+    least = search._PairWheel.least
+    longest, sizes = {}, []
+
+    def spy_least(wheel, a, b):
+        q = least(wheel, a, b)
+        longest[wheel] = max(longest.get(wheel, 0), b - a)
+        sizes.append((wheel.modulus, longest[wheel], len(wheel.residues)))
+        return q
+
+    monkeypatch.setattr(search._PairWheel, "least", spy_least)
+    for batch_rows in STEP_ROWS:
         monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
-        assert _minimal_sets(ds, torsion) == want, (cap, scan, batch_rows)
+        sizes.clear()
+        assert _minimal_sets(ds, torsion) == want, batch_rows
+        assert sizes and all(m <= w and r <= batch_rows for m, w, r in sizes), batch_rows
 
 
 def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
     # at l=3.5 every prime the masks hold has p - 1 < h/8, h the running
-    # limit of the range when it is appended (hi, or best + 1 once a set of
-    # six or more passes), and no segment sieved spans more than
-    # 2 * _SEGMENT integers; a small segment makes the holds take many
+    # limit of the range when it is held (the caller's hi: the range's, or
+    # best + 1 once a set of six or more passes), and no segment sieved
+    # spans more than 2 * _SEGMENT integers; a small segment makes the
+    # holds take many
     discs = [f.disc for f in fields_with_regulator_below(3.5)]
     want = _minimal_sets(discs, False)
     held, spans, grown = [], [], []
-    append, sweep, sieve = _MaskMatrix.append, search._sweep_sets, search._accel.prime_segments
+    hold, sieve = _MaskMatrix.hold, search._accel.prime_segments
 
-    def spy_append(self, primes):
-        held.append([int(primes.max(initial=0)), None])
-        append(self, primes)
-
-    def mark(h):
-        for row in held:
-            row[1] = row[1] or h
-
-    def spy_sweep(masks, lo, hi, grow):
-        mark(hi)
-
-        def spy_grow(h):
-            grow(h)
-            mark(h)
-            grown.append(((masks.facs + 1).tolist(), h))
-
-        return sweep(masks, lo, hi, spy_grow)
+    def spy_hold(self, c):
+        caller = inspect.currentframe().f_back
+        h = caller.f_locals["hi"]
+        hold(self, c)
+        held.append((int(self.facs[-1]) + 1 if self.n else 0, h))
+        if caller.f_code.co_name == "_sweep_sets":
+            grown.append(((self.facs + 1).tolist(), h))
 
     def spy_sieve(lo, hi):
         for qs in sieve(lo, hi):
             spans.append(int(qs[-1] - qs[0]) + 1)
             yield qs
 
-    monkeypatch.setattr(_MaskMatrix, "append", spy_append)
-    monkeypatch.setattr(search, "_sweep_sets", spy_sweep)
+    monkeypatch.setattr(_MaskMatrix, "hold", spy_hold)
     monkeypatch.setattr(search._accel, "prime_segments", spy_sieve)
     monkeypatch.setattr(search._accel, "_SEGMENT", 1 << 6)
     assert _minimal_sets(discs, False) == want
@@ -575,6 +648,7 @@ def test_surface_search_holds_only_the_primes_below_hi_over_8(monkeypatch):
     assert all(p - 1 < h / 8 for p, h in held)
     assert max(spans) <= 1 << 7 and len(spans) > 50
     # the 4-sets and the pairs then find every prime with 8(p - 1) < h held
+    # after the sweep's hold
     primes = sieve_primes(want[0] // 4)
     assert len(grown) > 10
     for got, h in grown:
@@ -635,22 +709,30 @@ def test_pair_wheel_finds_the_least_splitting_prime(torsion, monkeypatch):
     discs = [d if d % 4 == 1 else 4 * d for d in ds]
     windows = [(0, 2), (2, 10), (10, 40), (40, 100), (100, 400), (400, 460),
                (460, 1600), (1600, 4000)]
-    for cap, scan in itertools.product((search._WHEEL_CAP, 1, 120), SCAN_ROWS):
-        monkeypatch.setattr(search, "_WHEEL_CAP", cap)
-        monkeypatch.setattr(search, "_SCAN_ROWS", scan)
-        masks = _MaskMatrix(np.empty(0, dtype=np.int64), discs, torsion)
+    # after each window, the modulus stays within the longest window scanned
+    # and the residues within one step of _BATCH_ROWS candidates
+    for batch_rows in STEP_ROWS:
+        monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+        masks = _MaskMatrix(discs, torsion)
         for p in search._PAIR_FIRSTS:
             wheel = search._PairWheel(masks, p)
-            found = []
-            for a, b in windows:
+            found, longest = [], 0
+
+            def check(a, b):
+                nonlocal longest
                 want = brute_least_pair_q(ds, torsion, p, a, b)
-                assert wheel.least(a, b) == want, (cap, scan, p, a, b)
+                assert wheel.least(a, b) == want, (batch_rows, p, a, b)
+                longest = max(longest, b - a)
+                assert wheel.modulus <= longest, (batch_rows, p, a, b)
+                assert len(wheel.residues) <= batch_rows, (batch_rows, p, a, b)
+                return want
+
+            for a, b in windows:
+                want = check(a, b)
                 found += [want] if want else []
             # a window opens past its lower end, even where that end passes
             for a in found:
-                want = brute_least_pair_q(ds, torsion, p, a, a + 600)
-                assert wheel.least(a, a + 600) == want, (cap, scan, p, a)
-            assert wheel.modulus <= cap and len(wheel.residues) <= scan
+                check(a, a + 600)
 
 
 def test_sweep_hands_no_dead_batch_to_first_passes(monkeypatch):
