@@ -2,25 +2,24 @@
 
 The surface search lists the real quadratic fields whose regulator falls
 below the target and then sweeps the area-factor ranges [2, 4), [4, 8), ...
-in order, counting the sets it tests on the way.  The first range holding
-a passing set yields the optimum with all its ties.  A set of four or more
-primes has every factor below hi/8 of its range [lo, hi), as does a pair
-{p, q} with p >= 11; so the masks hold every prime whose factor is below
-hi/8, and the pairs past them are found apart.  A set of six or more reads
-only primes below hi/480, so the masks sieve and hold the primes up to hi/8
-after those sets have run and lowered hi to their best.  The masks are
-built only as far as the sweep reads them: full rows for the small primes
-that open a set, and for every held prime a single word 0 holding the 64
-fields that the fewest small primes split.  The sets that share all but
-their last two members form one batch: the last prime of each is filtered
-on word 0 by a few vectorized steps for the whole batch, and the few rows
-that pass are re-checked on the character tables of the fields and
-torsion bits that the rest of the set leaves open.  The pairs {p, q} with
-p in 2, 3, 5, 7 and q - 1 >= hi/8 are not sieved: a wheel over the tables
-that p leaves open walks the q that could split them, the same table test
-filters them, and is_prime settles the first survivor, p's least pair up
-to the running optimum; their count comes from pi(x) at the window ends,
-by two Lucy tables at the end of the search.
+in order.  The first range holding a passing set yields the optimum with
+all its ties.  A set of four or more primes has every factor below hi/8 of
+its range [lo, hi), as does a pair {p, q} with p >= 11; so the masks hold
+every prime whose factor is below hi/8, and the pairs past them are found
+apart.  A set of six or more reads only primes below hi/480, so the masks
+sieve and hold the primes up to hi/8 after those sets have run and lowered
+hi to their best.  The masks are built only as far as the sweep reads them:
+full rows for the small primes that open a set, and for every held prime a
+single word 0 holding the 64 fields that the fewest small primes split.
+The sets that share all but their last two members form one batch: the last
+prime of each is filtered on word 0 by a few vectorized steps for the whole
+batch, and the few rows that pass are re-checked on the character tables of
+the fields and torsion bits that the rest of the set leaves open.  The
+pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are not sieved: a wheel
+over the tables that p leaves open walks the q that could split them, the
+same table test filters them, and is_prime settles the first survivor, p's
+least pair up to the running optimum.  _sets_below then counts the sets
+below the optimum, from the optimum alone.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
@@ -257,6 +256,9 @@ class _IdealPool:
     def prefix_rows(self, n_rows: int) -> list[int]:
         return self.rows
 
+    def count_le(self, v: np.ndarray) -> np.ndarray:
+        return self.facs.searchsorted(v, side="right")
+
     def first_passes(self, accs: list[int], j0s: np.ndarray,
                      j1s: np.ndarray) -> list[int | None]:
         rows, target = self.rows, self.target
@@ -311,8 +313,8 @@ def _split_rows_qi(pool, exts) -> list[int]:
 # The first range containing a passing set holds the optimum and all its
 # ties; earlier ranges were exhausted without a pass.  The surface search,
 # the exact cover over Q and the Q(i) search all run this sweep, _sweep_sets
-# then _sets_below, over a _MaskMatrix or an _IdealPool; over Q the pairs
-# past hi/8 are found by wheels between the two.
+# over a _MaskMatrix or an _IdealPool, and over Q wheels find the pairs past
+# hi/8; _sets_below counts the sets below the optimum once it is known.
 
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
 _PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones before a q - 1 >= hi/8
@@ -325,9 +327,8 @@ def _last_q(x, m):
 
 def _sweep_sets(masks, lo, hi):
     """Test every set with factor in [lo, hi) whose members `masks` holds:
-    (best, winners, batches).  best is the least passing factor (None if no
-    set passes), winners the index tuples of every set with factor best,
-    and _sets_below(masks.facs, batches, best) counts the sets below best.
+    (best, winners).  best is the least passing factor (None if no set
+    passes), winners the index tuples of every set with factor best.
     `masks` holds its factors ascending in the int64 array `facs`, and hi
     is at most 2^63 - 1.  Once, before the first cardinality below six
     (or at the end if there is none), the sweep calls
@@ -366,7 +367,6 @@ def _sweep_sets(masks, lo, hi):
         top += 2
     best = None
     winners: list[tuple] = []
-    batches = []
     for card in range(top, 1, -2):
         if card == min(top, 4):
             del facs_np  # a view would keep the buffers that hold replaces
@@ -395,7 +395,6 @@ def _sweep_sets(masks, lo, hi):
                 j0s = np.maximum(facs_np.searchsorted((lo - 1) // prods + 1),
                                  np.arange(start + 1, i1 + 1))
                 j1s = np.maximum(facs_np.searchsorted((hi - 1) // prods + 1), j0s)
-                batches.append((prods, j0s, j1s))
                 accs = [acc | rows[i] for i in range(start, i1)]
                 for k, j in enumerate(masks.first_passes(accs, j0s, j1s)):
                     while j is not None:
@@ -421,20 +420,35 @@ def _sweep_sets(masks, lo, hi):
                 stack.append((prefix + (i,), prod * facs[i], i + 1, acc | rows[i]))
     if not top:
         masks.hold(_last_q(hi, 8))
-    return best, winners, batches
+    return best, winners
 
 
-def _sets_below(facs_np, batches, best) -> int:
-    """The number of sets of the batches with factor below best (all of
-    them if best is None), read from the (prods, j0s, j1s) kept for each:
-    facs_np is sorted, so those sets form a prefix of every slice."""
-    if not batches:
-        return 0
-    prods, j0s, j1s = (np.concatenate(c) for c in zip(*batches))
-    if best is not None:
-        j1s = np.clip(np.searchsorted(facs_np, (best - 1) // prods, side="right"),
-                      j0s, j1s)
-    return int((j1s - j0s).sum())
+def _runs(starts: np.ndarray, ends: np.ndarray):
+    """(k, j) for every j in [starts[k], ends[k]), by k and then j ascending."""
+    lens = np.maximum(ends - starts, 0)
+    k = np.repeat(np.arange(len(lens)), lens)
+    return k, np.arange(len(k)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
+def _sets_below(facs, best, count_le) -> int:
+    """The number of even sets of two or more members with factor below best,
+    from the factors `facs` ascending (at least those with f^2 < best) and
+    count_le(v), the number of members of factor at most each v.  A set is a
+    prefix of even size and product prod, a member i and a last member j > i:
+    for all prefixes of one size at once, each i with prod * f_i^2 < best has
+    count_le((best - 1) // (prod * f_i)) - (i + 1) last members and opens the
+    prefixes two longer by the b > i with prod * f_i * least[b] < best."""
+    small = facs[:facs.searchsorted(math.isqrt(best - 1), side="right")]
+    # f_b * f_(b+1)^2, capped at best to fit in int64
+    least = np.array([min(f * g * g, best) for f, g in itertools.pairwise(small.tolist())])
+    n, prods, starts = 0, np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    while len(prods):
+        k, i = _runs(starts, (small * small).searchsorted((best - 1) // prods, "right"))
+        prods = prods[k] * small[i]
+        n += int((count_le((best - 1) // prods) - i - 1).sum())
+        k, b = _runs(i + 1, least.searchsorted((best - 1) // prods, "right"))
+        prods, starts = prods[k] * small[b], b + 1
+    return n
 
 
 def _prime_pi(n):
@@ -472,6 +486,21 @@ def _prime_pi(n):
         return pi(v - 1) + is_prime(v)
 
     return pi
+
+
+def _sets_below_q(masks, best) -> int:
+    """_sets_below over Q, from the primes with (p - 1)^2 < best, sieved here as
+    the masks may stop short of them below best = 64.  count_le(v) = pi(v + 1)
+    reads masks.facs up to masks.held >= best/8 and one _prime_pi past it."""
+    pi = _prime_pi(best - 1)
+
+    def count_le(v):
+        n = masks.facs.searchsorted(v, side="right")
+        far = v >= masks.held
+        n[far] = [pi(x + 1) for x in v[far].tolist()]
+        return n
+
+    return _sets_below(_accel.primes_up_to(math.isqrt(best - 1) + 1) - 1, best, count_le)
 
 
 class _PairWheel:
@@ -531,9 +560,7 @@ def _sweep_pairs(wheels, lo, hi, cut, best):
 
     Each p's window of q runs from past the largest of top(p, lo), cut and
     p to top(p, hi), with top(p, x) = _last_q(x, p - 1) and hi lowered to
-    best + 1 by every pass, and wheels[p] finds its least passing q.  No
-    prime is sieved: _pairs_below counts the q of the windows at the end
-    of the search.
+    best + 1 by every pass, and wheels[p] finds its least passing q.
     """
     pairs = []
     for p, wheel in wheels.items():
@@ -549,33 +576,10 @@ def _sweep_pairs(wheels, lo, hi, cut, best):
     return best, pairs
 
 
-def _pairs_below(ranges, best) -> int:
-    """The number of pairs {p, q} that _sweep_pairs tested below best over
-    the ranges (lo, hi, cut, n_held) of a search, n_held = pi(cut) the
-    primes the masks held: for each range and p in _PAIR_FIRSTS, the
-    primes in p's window past max(top(p, lo), cut, p) up to
-    top(p, min(hi, best)).
-
-    Only the last range ends at best.  Every other window end is
-    top(p, x) = floor((x - 1)/(p - 1)) + 1 for x a power of two at most
-    the last range's lo, so it is floor(N/m) or one more for N = lo - 1
-    and m = (p - 1) lo/x; the last range's ends are floor(N/(p - 1)) + 1
-    for N = best - 1.  Two _prime_pi tables count them all.
-    """
-    pi_lo, pi_best = _prime_pi(ranges[-1][0] - 1), _prime_pi(best - 1)
-    n = 0
-    for lo, hi, cut, n_held in ranges:
-        pi_end = pi_best if best < hi else pi_lo
-        for i, p in enumerate(_PAIR_FIRSTS):
-            start = max(pi_lo(_last_q(lo, p - 1)), n_held, i + 1)
-            n += max(pi_end(_last_q(min(hi, best), p - 1)), start) - start
-    return n
-
-
 def _minimal_sets(discs: list[int], torsion: bool):
     """(factor, sets, n_below) for the least-factor even prime sets in which
     every disc has a split prime (and, with `torsion`, some p = 1 mod 4 and
-    some p = 1 mod 3); sets ascending, n_below the sets tested below factor.
+    some p = 1 mod 3); sets ascending, n_below the even sets of smaller factor.
 
     The masks own the primes: masks.hold(c) sieves every prime up to c
     that they do not hold yet, and masks.held is the largest c so far.  A
@@ -584,27 +588,23 @@ def _minimal_sets(discs: list[int], torsion: bool):
     them, so that the sweep sees the 4-sets); _sweep_sets then holds the
     primes with 8(p - 1) < hi before its 4-sets, with hi lowered to
     best + 1 by the larger sets.  _sweep_pairs tests the pairs past
-    masks.held, and _pairs_below counts them once, at the end.  The loop
-    ends: every field has split primes and a prime = 1 mod 12 meets both
-    torsion bits, so some even set passes.
+    masks.held, and _sets_below counts the sets below the optimum.  The
+    loop ends: every field has split primes and a prime = 1 mod 12 meets
+    both torsion bits, so some even set passes.
     """
     masks = _MaskMatrix(discs, torsion)
     wheels = {p: _PairWheel(masks, p) for p in _PAIR_FIRSTS}
-    ranges = []
-    n_sets = 0
     lo = 2
     while True:
         hi = 2 * lo
         masks.hold(max(_last_q(hi, 480), min(_last_q(hi, 8), 7)))
-        best, winners, batches = _sweep_sets(masks, lo, hi)
+        best, winners = _sweep_sets(masks, lo, hi)
         sets = [tuple((masks.facs[list(w)] + 1).tolist()) for w in winners]
         best_pair, pairs = _sweep_pairs(wheels, lo, hi, masks.held, best)
         if best_pair != best:
             best, sets = best_pair, []
-        n_sets += _sets_below(masks.facs, batches, best)
-        ranges.append((lo, hi, masks.held, masks.n))
         if best is not None:
-            return best, sorted(sets + pairs), n_sets + _pairs_below(ranges, best)
+            return best, sorted(sets + pairs), _sets_below_q(masks, best)
         lo = hi
 
 
@@ -623,6 +623,7 @@ class SearchResult:
     certificates: tuple  # one dict per set: field -> splitting member
     exhaustive: bool
     best_effort: bool = False
+    # the sets below the optimum, all ruled out: even prime sets, or even pool subsets
     tested_below_optimum: int = 0
     volume: float | None = None
 
@@ -710,11 +711,9 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     pool = gaussian_primes_up_to_norm(pool_norm_bound)
     masks = _IdealPool(pool, exts)
     total = math.prod(P.norm - 1 for P in pool)
-    n_below = 0
     lo = 2
     while True:
-        best, winners, batches = _sweep_sets(masks, lo, 2 * lo)
-        n_below += _sets_below(masks.facs, batches, best)
+        best, winners = _sweep_sets(masks, lo, 2 * lo)
         if best is not None:
             break
         lo *= 2
@@ -733,8 +732,8 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     certs = tuple(_certify_qi(s, exts) for s in sets)
     return SearchResult(
         l=float(l), base="Qi", factor=best, sets=tuple(sets),
-        excluded_fields=tuple(exts), certificates=certs,
-        exhaustive=False, best_effort=True, tested_below_optimum=n_below,
+        excluded_fields=tuple(exts), certificates=certs, exhaustive=False, best_effort=True,
+        tested_below_optimum=_sets_below(masks.facs, best, masks.count_le),
         volume=volume_qi(algebra_qi(sets[0])))
 
 

@@ -217,7 +217,7 @@ def test_first_passes_find_the_least_passing_row(n_fields, monkeypatch):
     # prefixes that leave one to four bits open, in word 0 and above it, so
     # that many rows of a slice pass; each slice's answer is its least
     # passing row, by a scan of the full rows, whether the slices share a
-    # vectorized step or one slice takes many
+    # vectorized step, one slice takes many, or the slices fill many steps
     ds = [d for d in range(2, 500) if brute_is_squarefree(d)][:n_fields]
     masks = _MaskMatrix([d if d % 4 == 1 else 4 * d for d in ds], torsion=True)
     masks.hold(20_000)
@@ -231,7 +231,7 @@ def test_first_passes_find_the_least_passing_row(n_fields, monkeypatch):
     want = [next((j for j in range(j0, j1) if acc | rows[j] == masks.target), None)
             for acc, j0, j1 in zip(accs, j0s.tolist(), j1s.tolist())]
     assert sum(j is not None for j in want) > 30
-    for batch_rows in STEP_ROWS:
+    for batch_rows in (*STEP_ROWS, 500):
         monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
         assert masks.first_passes(accs, j0s, j1s) == want, batch_rows
 
@@ -279,7 +279,9 @@ def test_minimal_sets_match_naive_oracle_past_word_0(n_fields, torsion, monkeypa
 def test_sweep_keeps_ties_inside_a_batch(rows, target):
     # repeated factors give tied sets in one batch, and in one slice; when
     # every set passes, the first hit of a batch lowers the limit while its
-    # later slices still hold ties and dearer passes
+    # later slices still hold ties and dearer passes.  The count of every
+    # subset below the range's best, or below its hi if none passes, reads
+    # the tied factors too
     facs = [1, 4, 4, 8, 12, 12]
     masks = _IdealPool.__new__(_IdealPool)
     masks.facs, masks.rows, masks.target = np.array(facs, dtype=np.int64), rows, target
@@ -290,10 +292,40 @@ def test_sweep_keeps_ties_inside_a_batch(rows, target):
                    if functools.reduce(int.__or__, (rows[i] for i in c)) == target]
         best = min((math.prod(facs[i] for i in c) for c in passing), default=None)
         winners = sorted(c for c in passing if math.prod(facs[i] for i in c) == best)
-        n_below = sum(best is None or math.prod(facs[i] for i in c) < best for c in in_range)
-        got, got_winners, batches = _sweep_sets(masks, lo, 2 * lo)
-        got_below = _sets_below(masks.facs, batches, got)
-        assert (got, sorted(got_winners), got_below) == (best, winners, n_below), lo
+        got, got_winners = _sweep_sets(masks, lo, 2 * lo)
+        assert (got, sorted(got_winners)) == (best, winners), lo
+        below = 2 * lo if best is None else best
+        n_below = sum(math.prod(facs[i] for i in c) < below for c in subsets)
+        assert _sets_below(masks.facs, below, masks.count_le) == n_below, lo
+
+
+@pytest.mark.parametrize("held", ["short of the root", "at the root", "past best"])
+def test_sets_below_matches_naive_prime_sets(held):
+    # every even prime set below best, for every best to 600; the masks
+    # hold the primes p <= h, and pi(x) counts the last members past them
+    top = 600
+    cards = range(2, max_ram_cardinality(top) + 1, 2)
+    factors = sorted(math.prod(p - 1 for p in s)
+                     for c in cards for s in naive_prime_sets(top, c))
+    for best in range(2, top + 1):
+        root = math.isqrt(best)
+        h = {"short of the root": root // 2, "at the root": root, "past best": best}[held]
+        masks = _MaskMatrix([5], False)
+        masks.hold(h)
+        assert search._sets_below_q(masks, best) == bisect.bisect_left(factors, best), best
+
+
+def test_sets_below_counts_the_even_pool_subsets_with_tied_factors():
+    # conjugate ideals of one norm give tied factors
+    pool = gaussian_primes_up_to_norm(30)
+    masks = _IdealPool(pool, quad_exts_with_disc_below(20))
+    facs = masks.facs.tolist()
+    assert facs == [1, 4, 4, 8, 12, 12, 16, 16, 28, 28]
+    factors = sorted(math.prod(c) for k in range(2, len(facs) + 1, 2)
+                     for c in itertools.combinations(facs, k))
+    for best in sorted({2} | {f + d for f in factors for d in (0, 1)}):
+        want = bisect.bisect_left(factors, best)
+        assert _sets_below(masks.facs, best, masks.count_le) == want, best
 
 
 def test_minimal_result_json_roundtrips():
