@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 from .constructions import (
     cover_algebra_2d,
@@ -31,7 +32,7 @@ from .geodesics import MODE_PAPER, MODE_TRACE, exact_systole_q
 from .quaternion import algebra_q
 from .real_quadratic import quad_field
 from .search import _norm_options, minimal_algebra_2d, valid_algebra_3d
-from .volume import coarea_q, format_volume, volume_constant_qi, volume_qi
+from .volume import area_factor, coarea_q, format_volume, volume_constant_qi, volume_qi
 
 HEADER_L = "Lower Bound for Systole Length l"
 HEADER_SET = "Ramification Set"
@@ -67,57 +68,52 @@ def _fmt_set(values) -> str:
     return "{" + ",".join(str(v) for v in values) + "}"
 
 
-def _emit_rows(fmt: str, headers: list[str], rows: list[list[str]],
-               footer: str | None = None) -> None:
-    if fmt == "csv":
-        print(",".join(headers))
-        for row in rows:
-            print(",".join(row))
-        return
+class _Output(NamedTuple):
+    """A subcommand's result; `table` replaces the aligned rows when set."""
+
+    payload: dict
+    headers: list[str]
+    rows: list[list[str]]
+    table: str | None = None
+
+
+def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    if footer:
-        print(footer)
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                     for row in [headers, *rows])
 
 
-def _emit(fmt: str, payload: dict, headers: list[str], rows: list[list[str]],
-          footer: str | None = None) -> None:
+def _emit(fmt: str, out: _Output) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(out.payload, indent=2))
+    elif fmt == "csv":
+        print("\n".join(",".join(row) for row in [out.headers, *out.rows]))
     else:
-        _emit_rows(fmt, headers, rows, footer)
+        print(_table(out.headers, out.rows) if out.table is None else out.table)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_search2d(args) -> int:
+def _cmd_search2d(args) -> _Output:
     res = minimal_algebra_2d(args.systole, args.torsion_free)
     rows = [[_fmt_num(args.systole), _fmt_set(s), str(res.factor)]
             for s in res.sets]
-    _emit(args.format, res.to_json(), [HEADER_L, HEADER_SET, HEADER_FACTOR], rows)
-    return EXIT_OK
+    return _Output(res.to_json(), [HEADER_L, HEADER_SET, HEADER_FACTOR], rows)
 
 
-def _cmd_search3d(args) -> int:
+def _cmd_search3d(args) -> _Output:
     res = valid_algebra_3d(args.systole, args.norm_bound)
-    rows = [[_fmt_num(args.systole),
-             _fmt_set(P.norm for P in s),
-             format_volume(res.volume)]
-            for s in res.sets]
-    _emit(args.format, res.to_json(), [HEADER_L, HEADER_SET, HEADER_VOLUME], rows)
-    return EXIT_OK
+    rows = [[_fmt_num(args.systole), _fmt_set(P.norm for P in s),
+             format_volume(res.volume)] for s in res.sets]
+    return _Output(res.to_json(), [HEADER_L, HEADER_SET, HEADER_VOLUME], rows)
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> _Output:
     base = algebra_q(_parse_int_list(args.ram, "prime"))
-    if args.field is not None:
-        field = quad_field(args.field)
-    else:
-        field = systole_field_q(base, args.cap)
+    field = (quad_field(args.field) if args.field is not None
+             else systole_field_q(base, args.cap))
     entries = same_systole_family_q(base, field, args.count)
     c_obs = growth_check(entries) if len(entries) >= 2 else None
     payload = {
@@ -126,89 +122,70 @@ def _cmd_family(args) -> int:
         "entries": [e.to_json() for e in entries],
         "c_obs": c_obs,
     }
+    headers = ["Index", HEADER_SET, HEADER_FACTOR]
     rows = [[str(e.index), _fmt_set(e.ram), str(e.factor)] for e in entries]
-    footer = None if c_obs is None else f"c_obs = {c_obs:.6g}"
-    _emit(args.format, payload, ["Index", HEADER_SET, HEADER_FACTOR], rows, footer)
-    return EXIT_OK
+    table = _table(headers, rows)
+    if c_obs is not None:
+        table += f"\nc_obs = {c_obs:.6g}"
+    return _Output(payload, headers, rows, table)
 
 
-def _cmd_cover2d(args) -> int:
+def _cmd_cover2d(args) -> _Output:
     res = cover_algebra_2d(args.systole, args.torsion_free, args.exact)
     payload = dict(res.to_json(), x=args.systole)
     rows = [[_fmt_num(args.systole), _fmt_set(res.algebra.ram_sorted),
              str(res.factor)]]
-    _emit(args.format, payload, [HEADER_L, HEADER_SET, HEADER_FACTOR], rows)
-    return EXIT_OK
+    return _Output(payload, [HEADER_L, HEADER_SET, HEADER_FACTOR], rows)
 
 
-def _cmd_cover3d(args) -> int:
+def _cmd_cover3d(args) -> _Output:
     res = cover_algebra_3d(args.systole, args.torsion_free)
     vol = volume_qi(res.algebra)
     payload = dict(res.to_json(), x=args.systole, volume=vol)
     rows = [[_fmt_num(args.systole),
              _fmt_set(P.norm for P in res.algebra.ram_sorted),
              format_volume(vol)]]
-    _emit(args.format, payload, [HEADER_L, HEADER_SET, HEADER_VOLUME], rows)
-    return EXIT_OK
+    return _Output(payload, [HEADER_L, HEADER_SET, HEADER_VOLUME], rows)
 
 
-def _cmd_systole2d(args) -> int:
+def _cmd_systole2d(args) -> _Output:
     base = algebra_q(_parse_int_list(args.ram, "prime"))
     res = exact_systole_q(base, args.mode, args.cap)
     if not res.found:
         raise NoCandidateError(
             f"no geodesic of length below {args.cap} for {args.ram}")
-    if args.format == "json":
-        print(json.dumps(res.to_json(), indent=2))
-    elif args.format == "csv":
-        print("Systole Length,Field")
-        print(f"{res.length:.6f},{res.field.d}")
-    else:
-        print(f"{res.length:.6f} (d={res.field.d})")
-    return EXIT_OK
+    length = f"{res.length:.6f}"
+    return _Output(res.to_json(), ["Systole Length", "Field"],
+                   [[length, str(res.field.d)]], f"{length} (d={res.field.d})")
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> _Output:
     value = theorem_area_log_bound_2d(args.x, args.c1, args.c2)
     payload = {"x": args.x, "c1": args.c1, "c2": args.c2,
                "log_area_bound": value}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print("x,c1,c2,Log Area Bound")
-        print(f"{_fmt_num(args.x)},{_fmt_num(args.c1)},{_fmt_num(args.c2)},"
-              f"{value:.6f}")
-    else:
-        print(f"Log Area Bound: {value:.6f}")
-    return EXIT_OK
+    row = [_fmt_num(args.x), _fmt_num(args.c1), _fmt_num(args.c2), f"{value:.6f}"]
+    return _Output(payload, ["x", "c1", "c2", "Log Area Bound"], [row],
+                   f"Log Area Bound: {row[-1]}")
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args) -> _Output:
     if args.base == "q":
         if args.ram is None:
             raise InputError("--base q requires --ram")
-        primes = _parse_int_list(args.ram, "prime")
-        algebra = algebra_q(primes)
+        algebra = algebra_q(_parse_int_list(args.ram, "prime"))
+        members, factor = algebra.ram_sorted, area_factor(algebra)
         vol = coarea_q(algebra)
-        factor = math.prod(p - 1 for p in algebra.ram_sorted)
-        members = algebra.ram_sorted
     else:
         if args.ram_norms is None:
             raise InputError("--base qi requires --ram-norms")
-        norms, _ = _norm_options(_parse_int_list(args.ram_norms, "norm"))
-        vol = volume_constant_qi() * math.prod(n - 1 for n in norms)
-        factor = math.prod(n - 1 for n in norms)
-        members = norms
+        members, _ = _norm_options(_parse_int_list(args.ram_norms, "norm"))
+        factor = math.prod(n - 1 for n in members)
+        vol = volume_constant_qi() * factor
     payload = {"base": args.base, "ram": list(members), "factor": factor,
                "volume": vol}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print(f"{HEADER_SET},{HEADER_VOLUME}")
-        print(f"{_fmt_set(members)},{format_volume(vol)}")
-    else:
-        print(format_volume(vol))
-    return EXIT_OK
+    shown = format_volume(vol)
+    return _Output(payload, [HEADER_SET, HEADER_VOLUME],
+                   [[_fmt_set(members), shown]], shown)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +278,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INPUT_ERROR
     try:
-        return args.func(args)
+        _emit(args.format, args.func(args))
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NoCandidateError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_CANDIDATE
+    return EXIT_OK
 
 
 if __name__ == "__main__":
