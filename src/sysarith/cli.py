@@ -13,6 +13,7 @@ import math
 import sys
 from typing import NamedTuple
 
+from . import __version__
 from .constructions import (
     cover_algebra_2d,
     cover_algebra_3d,
@@ -86,7 +87,7 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 def _emit(fmt: str, out: _Output) -> None:
     if fmt == "json":
-        print(json.dumps(out.payload, indent=2))
+        print(json.dumps({"version": __version__, **out.payload}, indent=2))
     elif fmt == "csv":
         print("\n".join(",".join(row) for row in [out.headers, *out.rows]))
     else:

@@ -1,11 +1,29 @@
 """Command-line interface: output formats and exit codes."""
 
+import argparse
 import json
+import math
+import re
 
 import pytest
 
-from sysarith import InputError, cli, verify_exclusion_3d
+import sysarith
+from sysarith import InputError, cli, geodesic_length_from_trace, verify_exclusion_3d
 from sysarith.cli import HEADER_FACTOR, HEADER_L, HEADER_SET, HEADER_VOLUME, main
+
+# one quick invocation of each subcommand
+SUBCOMMANDS = {
+    "search2d": ["search2d", "--systole", "0.5"],
+    "search3d": ["search3d", "--systole", "1", "--norm-bound", "30"],
+    "family": ["family", "--ram", "3,5,7,11", "--count", "2", "--field", "77"],
+    "cover2d": ["cover2d", "--systole", "0"],
+    "cover3d": ["cover3d", "--systole", "0"],
+    "systole2d": ["systole2d", "--ram", "2,31", "--cap", "3"],
+    "bounds": ["bounds", "--x", "0"],
+    "volume": ["volume", "--ram", "2,31"],
+}
+# subcommands whose table is the result alone, with no header line
+ONE_LINE_TABLES = {"systole2d", "bounds", "volume"}
 
 
 def run(capsys, *args):
@@ -197,14 +215,75 @@ def test_no_candidate_exit_2(capsys, args):
     assert "error:" in err
 
 
-def test_csv_columns_match_table_headers(capsys):
-    _, csv_out, _ = run(capsys, "search2d", "--systole", "0.5", "--format", "csv")
-    _, table_out, _ = run(capsys, "search2d", "--systole", "0.5")
+def test_subcommands_lists_every_subcommand():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_csv_columns_match_table_headers(capsys, name):
+    _, csv_out, _ = run(capsys, *SUBCOMMANDS[name], "--format", "csv")
+    _, table_out, _ = run(capsys, *SUBCOMMANDS[name])
     csv_cols = csv_out.splitlines()[0].split(",")
-    table_header = table_out.splitlines()[0]
-    assert [c for c in csv_cols] == [HEADER_L, HEADER_SET, HEADER_FACTOR]
-    for col in csv_cols:
-        assert col in table_header
+    if name in ONE_LINE_TABLES:
+        # the table shows the value of the CSV's last column
+        assert len(table_out.splitlines()) == 1
+        assert csv_out.splitlines()[1].rsplit(",", 1)[1] in table_out
+    else:
+        assert re.split(r"  +", table_out.splitlines()[0]) == csv_cols
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_json_carries_the_package_version(capsys, name):
+    code, out, _ = run(capsys, *SUBCOMMANDS[name], "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload)[0] == "version"
+    assert payload["version"] == sysarith.__version__
+
+
+def test_volume_json(capsys):
+    code, out, _ = run(capsys, "volume", "--ram", "2,31", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["base"] == "q"
+    assert payload["ram"] == [2, 31]
+    assert payload["factor"] == 30
+    assert payload["volume"] == pytest.approx(10 * math.pi, rel=1e-15)
+    code, out, _ = run(capsys, "volume", "--base", "qi", "--ram-norms", "13,2,9,5",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ram"] == [2, 5, 9, 13]
+    assert payload["factor"] == 1 * 4 * 8 * 12
+    assert payload["volume"] == pytest.approx(384 * 0.3053218647257397, rel=1e-12)
+
+
+def test_systole2d_trace_json_names_the_trace(capsys):
+    code, out, _ = run(capsys, "systole2d", "--ram", "2,31", "--mode", "trace",
+                       "--cap", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "trace"
+    assert payload["trace"] == 4
+    assert payload["d"] == 3
+    assert payload["length"] == geodesic_length_from_trace(4)
+    _, out, _ = run(capsys, "systole2d", "--ram", "2,31", "--format", "json")
+    assert "trace" not in json.loads(out)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["volume", "--base", "qi"], "--base qi requires --ram-norms"),
+    (["volume", "--ram", ","], "empty prime list: ','"),
+    (["volume", "--base", "qi", "--ram-norms", " , "], "empty norm list: ' , '"),
+    (["family", "--ram", ",", "--count", "1"], "empty prime list: ','"),
+])
+def test_missing_or_empty_lists_exit_1(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_main_module_entry_point():
