@@ -168,11 +168,14 @@ class _MaskMatrix:
                 self._words(self._facs[have:want] + 1, self.width))
         return self._prefix
 
-    def open_bits(self, acc: int) -> np.ndarray:
-        """The bits above word 0 that a prefix with row OR `acc` leaves open."""
+    def open_bits(self, acc: int):
+        """The bits above word 0 that a prefix with row OR `acc` leaves
+        open, lowest first, found one at a time as they are read."""
         rest = (self.target & ~acc) >> 64
-        raw = np.frombuffer(rest.to_bytes(8 * self.width, "little"), dtype=np.uint8)
-        return np.flatnonzero(np.unpackbits(raw, bitorder="little")) + 64
+        while rest:
+            low = rest & -rest
+            yield low.bit_length() + 63
+            rest ^= low
 
     def passing(self, n: np.ndarray, bits) -> np.ndarray:
         """The entries of n, in order, at which every table of `bits` reads

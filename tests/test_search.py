@@ -178,6 +178,17 @@ def test_mask_matrix_torsion_bits(n_fields):
     assert masks.target.bit_count() == n_fields + 2
 
 
+def test_open_bits_are_the_clear_bits_above_word_0_lowest_first():
+    masks = _MaskMatrix([5] * 150, torsion=True)  # 152 bits in three words
+    rng = np.random.default_rng(3)
+    accs = [0, masks.target, masks.target >> 100, (1 << 64) - 1,
+            *(sum(1 << b for b in range(152) if rng.random() < 0.7) for _ in range(20))]
+    for acc in accs:
+        want = [b for b in range(64, 152) if not acc >> b & 1]
+        assert list(masks.open_bits(acc)) == want, hex(acc)
+    assert next(masks.open_bits(1 << 64)) == 65
+
+
 @pytest.mark.parametrize("torsion", [False, True])
 def test_mask_matrix_passing_matches_the_split_oracle(torsion):
     # a field's table has period |disc| and reads 1 at the primes that
