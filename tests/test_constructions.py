@@ -231,6 +231,24 @@ def test_greedy_roles_raises_when_no_member_meets_the_torsion_conditions():
                                     (lambda m: False,))
 
 
+def test_greedy_roles_doubles_the_window_and_drops_redundant_picks():
+    # fields 1..6 as bits 0..5: rows {1,2,3,4}, {1,2,5} and {3,4,6}; the
+    # first window lacks the third row, so field 6 is uncovered there
+    members, rows = [2, 3, 5], [0b001111, 0b010011, 0b101100]
+    windows = []
+
+    def rows_in(window):
+        windows.append(window)
+        n = 2 if window < 20 else 3
+        return members[:n], rows[:n]
+
+    # greedy takes all three rows in turn; the last two cover the first
+    assert constructions._greedy_cover(rows, 0b111111) == [1, 2]
+    assert constructions._greedy_roles(6, 10, rows_in, ()) == [
+        (3, ROLE_COVER), (5, ROLE_COVER)]
+    assert windows == [10, 20]
+
+
 def test_cover_3d_wider():
     cover = cover_algebra_3d(0.5)
     assert member_names(cover) == ["5+2i", "8+3i"]

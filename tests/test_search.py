@@ -27,7 +27,7 @@ from sysarith.gaussian import (
     quad_exts_with_disc_below,
     splitting_in_ext,
 )
-from sysarith.quaternion import algebra_q
+from sysarith.quaternion import QuaternionAlgebraQi, algebra_q, algebra_qi
 from sysarith.real_quadratic import fields_with_regulator_below
 from sysarith.search import (
     _IdealPool,
@@ -345,6 +345,15 @@ def test_minimal_result_json_roundtrips():
     assert j["factor_or_volume"] == 30
     assert j["sets"] == [[2, 31]]
     assert j["exhaustive"] is True
+
+
+def test_search_result_algebras_over_q_and_qi():
+    assert minimal_algebra_2d(1.0).algebras() == [algebra_q([2, 31])]
+    res = valid_algebra_3d(1.0, 30)
+    algebras = res.algebras()
+    assert all(isinstance(B, QuaternionAlgebraQi) for B in algebras)
+    assert algebras == [algebra_qi(res.sets[0])]
+    assert [B.ram_norms for B in algebras] == [(2, 5, 5, 9, 13, 13)]
 
 
 def test_valid_algebra_3d_tiny_bound():
