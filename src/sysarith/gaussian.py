@@ -124,18 +124,24 @@ def _sum_two_squares(p: int) -> tuple[int, int]:
     return hi, lo
 
 
+def _ideals_above(p: int) -> tuple[GaussianPrimeIdeal, ...]:
+    """The primes of Z[i] above the prime p, which is not checked: (1+i) for
+    2, (p) of norm p^2 for p = 3 mod 4, else a+bi with a > b, then b+ai."""
+    if p == 2:
+        return (GaussianPrimeIdeal(GaussianInt(1, 1), 2, RAMIFIED),)
+    if p % 4 == 3:
+        return (GaussianPrimeIdeal(GaussianInt(p, 0), p * p, INERT),)
+    a, b = _sum_two_squares(p)
+    return (GaussianPrimeIdeal(GaussianInt(a, b), p, SPLIT),
+            GaussianPrimeIdeal(GaussianInt(b, a), p, SPLIT))
+
+
 def ideal_above(p: int, conjugate: bool = False) -> GaussianPrimeIdeal:
     """The canonical prime above p; conjugate=True picks b+ai for split p."""
     p = check_int(p, "p")
-    kind = splitting_in_qi(p)
-    if kind == RAMIFIED:
-        return GaussianPrimeIdeal(GaussianInt(1, 1), 2, RAMIFIED)
-    if kind == INERT:
-        return GaussianPrimeIdeal(GaussianInt(p, 0), p * p, INERT)
-    a, b = _sum_two_squares(p)
-    if conjugate:
-        return GaussianPrimeIdeal(GaussianInt(b, a), p, SPLIT)
-    return GaussianPrimeIdeal(GaussianInt(a, b), p, SPLIT)
+    splitting_in_qi(p)  # InputError unless p is prime
+    ideals = _ideals_above(p)
+    return ideals[-1] if conjugate else ideals[0]
 
 
 def gaussian_primes_up_to_norm(bound: int) -> list[GaussianPrimeIdeal]:
@@ -149,19 +155,11 @@ def gaussian_primes_up_to_norm(bound: int) -> list[GaussianPrimeIdeal]:
 
 
 def _gaussian_primes(above: int, bound: int) -> list[GaussianPrimeIdeal]:
-    """The primes of Z[i] with above < norm <= bound, sorted by (norm, b, a)."""
-    out = []
-    for p in _accel.primes_up_to(bound).tolist():
-        if p == 2:
-            if above < 2:
-                out.append(GaussianPrimeIdeal(GaussianInt(1, 1), 2, RAMIFIED))
-        elif p % 4 == 1:
-            if above < p:
-                a, b = _sum_two_squares(p)
-                out += [GaussianPrimeIdeal(GaussianInt(a, b), p, SPLIT),
-                        GaussianPrimeIdeal(GaussianInt(b, a), p, SPLIT)]
-        elif above < p * p <= bound:
-            out.append(GaussianPrimeIdeal(GaussianInt(p, 0), p * p, INERT))
+    """The primes of Z[i] with above < norm <= bound, sorted by (norm, b, a);
+    the norm (p, or p^2 when inert) is checked before the ideals are built."""
+    out = [P for p in _accel.primes_up_to(bound).tolist()
+           if above < (p * p if p % 4 == 3 else p) <= bound
+           for P in _ideals_above(p)]
     out.sort(key=_ideal_key)
     return out
 
@@ -212,58 +210,25 @@ def factor_gaussian(z: GaussianInt) -> tuple[GaussianInt, list[tuple[GaussianInt
     if z.norm == 0:
         raise InputError("cannot factor 0")
     factors: list[tuple[GaussianInt, int]] = []
-    n = z.norm
-    e2 = 0
-    while n % 2 == 0:
-        n //= 2
-        e2 += 1
-    if e2:
-        pi = GaussianInt(1, 1)
-        for _ in range(e2):
-            z = _exact_div(z, pi)
-        factors.append((pi, e2))
-    p = 3
-    rest = n
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            z, ex = _strip_odd_prime(z, p)
-            factors.extend(ex)
-        p += 2
-    if rest > 1:
-        z, ex = _strip_odd_prime(z, rest)
-        factors.extend(ex)
+    n, p = z.norm, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left of the norm is prime
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            for P in _ideals_above(p):
+                e = 0
+                while (q := _exact_div(z, P.gen)) is not None:
+                    z, e = q, e + 1
+                if e:
+                    factors.append((P.gen, e))
+        p += 1 if p == 2 else 2
     if z.norm != 1:
         raise SysarithError(
             f"factorization left the remainder {z} of norm {z.norm}, not a unit")
     factors.sort(key=lambda t: (t[0].norm, t[0].b, t[0].a))
     return z, factors
-
-
-def _strip_odd_prime(z, p):
-    out = []
-    if p % 4 == 3:
-        e = 0
-        w = GaussianInt(p, 0)
-        while True:
-            q = _exact_div(z, w)
-            if q is None:
-                break
-            z, e = q, e + 1
-        if e:
-            out.append((w, e))
-        return z, out
-    for gen in (ideal_above(p).gen, ideal_above(p, conjugate=True).gen):
-        e = 0
-        while True:
-            q = _exact_div(z, gen)
-            if q is None:
-                break
-            z, e = q, e + 1
-        if e:
-            out.append((gen, e))
-    return z, out
 
 
 def canonicalize_delta(z: GaussianInt) -> tuple[int, tuple[GaussianInt, ...]]:
@@ -406,9 +371,11 @@ def splitting_in_ext(P: GaussianPrimeIdeal, ext: GaussianQuadExt) -> str:
 # the list holds about 0.26 extensions per unit of norm, at about 0.8 KB each
 _DISC_CAP = 10_000_000
 
-# (limit, every extension with rel_disc_norm <= limit, sorted); rebound as
-# one tuple, so a reader never pairs a limit with another limit's list
-_exts_memo: tuple[int, list[GaussianQuadExt]] = (0, [])
+# (limit, every extension with rel_disc_norm <= limit, sorted, and the
+# descents' (gen, a, b, norm, key) of every odd prime of norm <= limit, sorted);
+# rebound as one tuple, so a reader never pairs a limit with another limit's
+# lists, and each generator is built once
+_exts_memo: tuple[int, list[GaussianQuadExt], list[tuple]] = (0, [], [])
 
 
 def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
@@ -429,40 +396,31 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
         raise InputError(f"discriminant norm bound {bound:.3g} exceeds "
                          f"the supported cap {_DISC_CAP}")
     limit = math.floor(bound)
-    held, exts = _exts_memo
+    held, exts, odd = _exts_memo
     if held < limit:
         grown = min(max(limit, 2 * held), _DISC_CAP)
-        exts = exts + _quad_exts_up_to(grown, held)
-        _exts_memo = grown, exts
+        odd = odd + _odd_generators(held, grown)
+        exts = exts + _quad_exts_up_to(grown, odd, held)
+        _exts_memo = grown, exts, odd
     return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]
 
 
-# (limit, (gen, a, b, norm, key) of every odd prime of norm <= limit, sorted):
-# the descents' generators, extended like _exts_memo, so each is built once
-_odd_memo: tuple[int, list[tuple]] = (0, [])
+def _odd_generators(above: int, limit: int) -> list[tuple]:
+    """(gen, a, b, norm, key) of each odd prime with above < norm <= limit."""
+    return [(P.gen, P.gen.a, P.gen.b, P.norm, _ideal_key(P))
+            for P in _gaussian_primes(above, limit) if P.norm % 2 == 1]
 
 
-def _odd_generators(limit: int) -> list[tuple]:
-    global _odd_memo
-    held, odd = _odd_memo
-    if held < limit:
-        odd = odd + [(P.gen, P.gen.a, P.gen.b, P.norm, _ideal_key(P))
-                     for P in _gaussian_primes(held, limit) if P.norm % 2 == 1]
-        _odd_memo = limit, odd
-    return odd[:bisect.bisect_right(odd, limit, key=lambda g: g[3])]
-
-
-def _quad_exts_up_to(limit: int, above: int = 0) -> list[GaussianQuadExt]:
+def _quad_exts_up_to(limit: int, odd: list[tuple], above: int = 0) -> list[GaussianQuadExt]:
     """The sorted extensions with above < rel_disc_norm <= limit, by descent.
 
-    The odd generators are chosen in norm order, each step carrying their
-    product as plain ints (a, b), its norm and the generators' sort keys; a
-    product and its unit give the odd delta, whose (1+i)-exponent is read off
-    its residue mod 16, and the same delta times (1+i), whose exponent is 5.
-    Only an extension whose norm lies in the interval becomes GaussianInts
-    and a GaussianQuadExt.
+    The odd generators, _odd_generators(0, n) for some n >= limit, are chosen
+    in norm order, each step carrying their product as plain ints (a, b), its
+    norm and the generators' sort keys; a product and its unit give the odd
+    delta, whose (1+i)-exponent is read off its residue mod 16, and the same
+    delta times (1+i), whose exponent is 5.  Only an extension whose norm lies
+    in the interval becomes GaussianInts and a GaussianQuadExt.
     """
-    odd = _odd_generators(limit)
     pi = GaussianInt(1, 1)
     pi_key = (2, 1, 1)
     out: list[tuple[tuple, GaussianQuadExt]] = []  # (sort key, extension)

@@ -55,8 +55,8 @@ from .gaussian import (
     GaussianPrimeIdeal,
     GaussianQuadExt,
     _ideal_key,
+    _ideals_above,
     gaussian_primes_up_to_norm,
-    ideal_above,
     quad_exts_with_disc_below,
     splitting_in_ext,
 )
@@ -776,24 +776,18 @@ class ExclusionReport:
 
 
 def _norm_choices(norm: int, multiplicity: int):
-    """Concrete prime-ideal options realizing `multiplicity` ideals of `norm`."""
-    if norm == 2:
-        if multiplicity > 1:
-            raise InputError("norm 2 has a unique (ramified) prime ideal")
-        return [(ideal_above(2),)]
-    if is_prime(norm) and norm % 4 == 1:
-        P, Pbar = ideal_above(norm), ideal_above(norm, conjugate=True)
-        if multiplicity == 1:
-            return [(P,), (Pbar,)]
-        if multiplicity == 2:
-            return [(P, Pbar)]
-        raise InputError(f"norm {norm} admits at most 2 prime ideals")
-    root = math.isqrt(norm)
-    if root * root == norm and is_prime(root) and root % 4 == 3:
-        if multiplicity > 1:
-            raise InputError(f"norm {norm} has a unique (inert) prime ideal")
-        return [(ideal_above(root),)]
-    raise InputError(f"no Gaussian prime ideal has norm {norm}")
+    """Concrete prime-ideal options realizing `multiplicity` ideals of `norm`:
+    every choice of that many distinct ideals of that norm."""
+    p = math.isqrt(norm)
+    if p * p != norm or p % 4 != 3:  # not the norm of an inert prime
+        p = norm
+    ideals = [P for P in _ideals_above(p) if P.norm == norm] if is_prime(p) else []
+    if not ideals:
+        raise InputError(f"no Gaussian prime ideal has norm {norm}")
+    if multiplicity > len(ideals):
+        raise InputError(f"norm {norm} admits at most {len(ideals)} prime "
+                         f"ideal{'s' if len(ideals) > 1 else ''}")
+    return list(itertools.combinations(ideals, multiplicity))
 
 
 def _norm_options(ram_norm_multiset) -> tuple[list[int], list]:

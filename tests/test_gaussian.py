@@ -305,7 +305,7 @@ MEMO_BOUNDS = [0, 8, 9, 9.5, 50, *(math.exp(6 + k / 5) for k in range(21)), 2202
 @pytest.fixture(scope="module")
 def fresh_exts():
     # the descent itself, once per limit, bypassing the process memo
-    return {limit: gaussian._quad_exts_up_to(limit)
+    return {limit: gaussian._quad_exts_up_to(limit, gaussian._odd_generators(0, limit))
             for limit in {math.floor(b) for b in MEMO_BOUNDS}}
 
 
@@ -314,7 +314,7 @@ def test_extension_memo_matches_a_fresh_enumeration(order, fresh_exts, monkeypat
     bounds = sorted(MEMO_BOUNDS, reverse=order == "descending")
     if order == "shuffled":
         random.Random(0).shuffle(bounds)
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
     for bound in bounds:
         request = math.floor(bound)
         before = gaussian._exts_memo[0]
@@ -324,7 +324,7 @@ def test_extension_memo_matches_a_fresh_enumeration(order, fresh_exts, monkeypat
 
 
 def test_extension_memo_hands_out_new_lists(monkeypatch):
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
     whole = quad_exts_with_disc_below(500)  # exactly the held list's length
     want = list(whole)
     whole.clear()
@@ -337,12 +337,12 @@ def test_extension_memo_hands_out_new_lists(monkeypatch):
 
 
 def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
     descent = gaussian._quad_exts_up_to
     calls = []
 
-    def spy(limit, above=0):
-        exts = descent(limit, above)
+    def spy(limit, odd, above=0):
+        exts = descent(limit, odd, above)
         calls.append((above, limit, exts))
         return exts
 
@@ -353,7 +353,7 @@ def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
     # twice and the appended pieces are exactly the held list
     assert [above for above, _, _ in calls] == [0] + [limit for _, limit, _ in calls[:-1]]
     assert all(above < limit for above, limit, _ in calls)
-    held, exts = gaussian._exts_memo
+    held, exts, _ = gaussian._exts_memo
     assert held == calls[-1][1]
     assert [e for _, _, piece in calls for e in piece] == exts
 
@@ -361,8 +361,7 @@ def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
 def test_descents_build_each_generator_once(monkeypatch):
     # the descents read their odd generators from a kept list that grows by
     # the ideals past its limit, so an ascending ladder builds each ideal once
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, []))
-    monkeypatch.setattr(gaussian, "_odd_memo", (0, []))
+    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
     build = gaussian._gaussian_primes
     calls = []
 
@@ -377,7 +376,7 @@ def test_descents_build_each_generator_once(monkeypatch):
     assert [above for above, _, _ in calls] == [0] + [bound for _, bound, _ in calls[:-1]]
     built = [P for _, _, piece in calls for P in piece]
     assert built == gaussian_primes_up_to_norm(calls[-1][1])
-    assert [g[0] for g in gaussian._odd_memo[1]] == [P.gen for P in built if P.norm % 2]
+    assert [g[0] for g in gaussian._exts_memo[2]] == [P.gen for P in built if P.norm % 2]
 
 
 @pytest.mark.parametrize("above,bound", [(0, 1), (1, 2), (2, 9), (8, 9), (9, 50), (24, 25),
@@ -390,8 +389,9 @@ def test_gaussian_primes_above_a_norm(above, bound):
 @pytest.mark.parametrize("above,limit", [(0, 50), (9, 50), (31, 500), (403, 3000),
                                          (2980, 5960)])
 def test_descent_builds_only_the_norms_above(above, limit):
-    whole = gaussian._quad_exts_up_to(limit)
-    assert gaussian._quad_exts_up_to(limit, above) == [
+    odd = gaussian._odd_generators(0, limit)
+    whole = gaussian._quad_exts_up_to(limit, odd)
+    assert gaussian._quad_exts_up_to(limit, odd, above) == [
         e for e in whole if e.rel_disc_norm > above]
 
 

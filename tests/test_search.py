@@ -586,6 +586,32 @@ def test_verify_exclusion_input_errors():
         verify_exclusion_3d([2, 5, 9], 1.0)
 
 
+def test_norm_choices_match_an_ideal_count_oracle():
+    # the number of primes of Z[i] of norm n, from the rational primes alone:
+    # one (1+i) for 2, two conjugates for p = 1 mod 4, one (q) for q^2 with
+    # q = 3 mod 4, and none for any other n
+    bound = 2000
+    count = dict.fromkeys(range(1, bound + 1), 0)
+    for p in sieve_primes(bound):
+        if p == 2:
+            count[2] = 1
+        elif p % 4 == 1:
+            count[p] = 2
+        elif p * p <= bound:
+            count[p * p] = 1
+    for n, c in count.items():
+        for m in (1, 2, 3):
+            if m > c:
+                with pytest.raises(InputError):
+                    search._norm_choices(n, m)
+                continue
+            options = search._norm_choices(n, m)
+            assert len(options) == len(set(options)) == math.comb(c, m), (n, m)
+            for ideals in options:
+                assert len(set(ideals)) == m
+                assert all(P.gen.norm == P.norm == n for P in ideals), (n, m)
+
+
 @pytest.mark.parametrize("norms", [[2, 5.7], [2, math.nan], [2, 5.0], [2, "5"]])
 def test_verify_exclusion_takes_integer_norms_only(norms):
     # a float norm was truncated (5.7 checked as 5) and a NaN leaked ValueError
