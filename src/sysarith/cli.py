@@ -8,6 +8,7 @@ volume computations, emitting aligned tables, CSV, or JSON.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -89,7 +90,7 @@ def _emit(fmt: str, out: _Output) -> None:
     if fmt == "json":
         print(json.dumps({"version": __version__, **out.payload}, indent=2))
     elif fmt == "csv":
-        print("\n".join(",".join(row) for row in [out.headers, *out.rows]))
+        csv.writer(sys.stdout, lineterminator="\n").writerows([out.headers, *out.rows])
     else:
         print(_table(out.headers, out.rows) if out.table is None else out.table)
 

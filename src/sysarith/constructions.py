@@ -28,6 +28,7 @@ from .quaternion import (
     algebra_q,
     algebra_qi,
     embeds_q,
+    require_admissible,
     torsion_free_q,
 )
 from .real_quadratic import (
@@ -104,8 +105,10 @@ def same_systole_family_q(B: QuaternionAlgebraQ, L: QuadFieldQ,
 
     Adjoins p0 (the smallest prime outside ram(B) that is non-split in L) and
     then the next such primes p1 < p2 < ...; each entry satisfies the exact
-    identity factor(ram_i) = factor(B) * (p0 - 1) * (pi - 1).
+    identity factor(ram_i) = factor(B) * (p0 - 1) * (pi - 1).  B must be
+    admissible, as for exact_systole_q.
     """
+    require_admissible(B)
     count = check_int(count, "count", 0)
     if not embeds_q(L, B):
         raise InputError(

@@ -1,6 +1,8 @@
 """Command-line interface: output formats and exit codes."""
 
 import argparse
+import csv
+import io
 import json
 import math
 import re
@@ -37,7 +39,7 @@ def test_search2d_csv(capsys):
     assert code == 0
     assert out.splitlines() == [
         f"{HEADER_L},{HEADER_SET},{HEADER_FACTOR}",
-        "1,{2,31},30",
+        '1,"{2,31}",30',
     ]
 
 
@@ -68,7 +70,7 @@ def test_search2d_torsion_free(capsys):
     code, out, _ = run(capsys, "search2d", "--systole", "0.5",
                        "--torsion-free", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[1] == "0.5,{2,61},60"
+    assert out.splitlines()[1] == '0.5,"{2,61}",60'
 
 
 def test_search3d_csv(capsys):
@@ -77,7 +79,7 @@ def test_search3d_csv(capsys):
     assert code == 0
     assert out.splitlines() == [
         f"{HEADER_L},{HEADER_SET},{HEADER_VOLUME}",
-        "1,{2,5,5,9,13,13},5627.69",
+        '1,"{2,5,5,9,13,13}",5627.69',
     ]
 
 
@@ -105,11 +107,11 @@ def test_family_explicit_field(capsys):
 def test_cover2d_csv(capsys):
     code, out, _ = run(capsys, "cover2d", "--systole", "0", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[1] == "0,{2,11},10"
+    assert out.splitlines()[1] == '0,"{2,11}",10'
     code, out, _ = run(capsys, "cover2d", "--systole", "1", "--exact",
                        "--format", "csv")
     assert code == 0
-    assert out.splitlines()[1] == "1,{2,3,5,241},1920"
+    assert out.splitlines()[1] == '1,"{2,3,5,241}",1920'
 
 
 def test_cover3d_csv_and_json(capsys):
@@ -117,7 +119,7 @@ def test_cover3d_csv_and_json(capsys):
     assert code == 0
     assert out.splitlines() == [
         f"{HEADER_L},{HEADER_SET},{HEADER_VOLUME}",
-        "0,{2,5},1.22",
+        '0,"{2,5}",1.22',
     ]
     code, out, _ = run(capsys, "cover3d", "--systole", "0", "--format", "json")
     payload = json.loads(out)
@@ -171,7 +173,7 @@ def test_volume(capsys):
     code, out, _ = run(capsys, "volume", "--base", "qi",
                        "--ram-norms", "2,5,9,13", "--format", "csv")
     assert out.splitlines() == [f"{HEADER_SET},{HEADER_VOLUME}",
-                                "{2,5,9,13},117.24"]
+                                '"{2,5,9,13}",117.24']
 
 
 @pytest.mark.parametrize("args", [
@@ -193,6 +195,16 @@ def test_input_errors_exit_1(capsys, args):
     code, _, err = run(capsys, *args)
     assert code == 1
     assert err != ""
+
+
+def test_family_with_a_field_refuses_an_inadmissible_base(capsys):
+    # given the field, the base {3} once printed the three-prime sets
+    # {2,3,5} and {2,3,11}; it fails as it does when the field is derived
+    code, out, err = run(capsys, "family", "--ram", "3", "--count", "2", "--field", "2")
+    want = run(capsys, "family", "--ram", "3", "--count", "2")
+    assert (code, out, err) == want
+    assert code == 1 and out == ""
+    assert err == "error: ramification set must have even cardinality >= 2, got 1\n"
 
 
 @pytest.mark.parametrize("norms", ["2,5,9", "3", "2,3", "2,2", "5,5,5,2", "0,5"])
@@ -225,11 +237,13 @@ def test_subcommands_lists_every_subcommand():
 def test_csv_columns_match_table_headers(capsys, name):
     _, csv_out, _ = run(capsys, *SUBCOMMANDS[name], "--format", "csv")
     _, table_out, _ = run(capsys, *SUBCOMMANDS[name])
-    csv_cols = csv_out.splitlines()[0].split(",")
+    csv_cols, *rows = csv.reader(io.StringIO(csv_out))
+    # the set cells are quoted, so a CSV reader sees as many cells as headers
+    assert rows and all(len(row) == len(csv_cols) for row in rows)
     if name in ONE_LINE_TABLES:
         # the table shows the value of the CSV's last column
         assert len(table_out.splitlines()) == 1
-        assert csv_out.splitlines()[1].rsplit(",", 1)[1] in table_out
+        assert rows[0][-1] in table_out
     else:
         assert re.split(r"  +", table_out.splitlines()[0]) == csv_cols
 

@@ -20,7 +20,7 @@ from sysarith.constructions import (
     systole_field_q,
     theorem_area_log_bound_2d,
 )
-from sysarith.errors import InputError, NoCandidateError, SysarithError
+from sysarith.errors import InadmissibleAlgebraError, InputError, NoCandidateError, SysarithError
 from sysarith.quaternion import algebra_q, embeds_q, is_admissible, torsion_free_q, torsion_free_qi
 from sysarith.real_quadratic import quad_field, splitting_type_q
 
@@ -69,6 +69,14 @@ def test_family_errors():
         # 11 splits in Q(sqrt(5)), so the field does not embed in the base
         same_systole_family_q(algebra_q([2, 11]), quad_field(5), 3)
     assert same_systole_family_q(algebra_q([3, 5, 7, 11]), quad_field(77), 0) == []
+
+
+@pytest.mark.parametrize("ram", [[3], [2, 3, 5]])
+def test_family_refuses_an_inadmissible_base(ram):
+    # exact_systole_q refuses these bases; given the field, the family
+    # generator built three-prime sets such as {2,3,5} from the base {3}
+    with pytest.raises(InadmissibleAlgebraError):
+        same_systole_family_q(algebra_q(ram), quad_field(2), 2)
 
 
 def test_growth_check():
