@@ -268,11 +268,12 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
 
     Greedy by default; `exact` (x <= 1.5) finds the minimal-factor such set.
     """
-    fields = real_fields_with_disc_below(_cover_bound(x))
+    bound = _cover_bound(x)
+    if exact and x > 1.5:
+        raise InputError(f"exact cover is supported only for x <= 1.5, got {x}")
+    fields = real_fields_with_disc_below(bound)
     discs = [f.disc for f in fields]
     if exact:
-        if x > 1.5:
-            raise InputError(f"exact cover is supported only for x <= 1.5, got {x}")
         _, sets, _ = _minimal_sets(discs, require_torsion_free)
         roles = [(p, ROLE_COVER) for p in sets[0]]
     else:

@@ -11,9 +11,9 @@ sieve and hold the primes up to hi/8 after those sets have run and lowered
 hi to their best.  The masks are built only as far as the sweep reads them:
 full rows for the small primes that open a set, and for every held prime a
 single word 0 holding the 64 fields that the fewest small primes split.
-The sets that share all but their last two members form one batch: the last
-prime of each is filtered on word 0 by a few vectorized steps for the whole
-batch, and the few rows that pass are re-checked on the character tables of
+The sets of one size are walked a member at a time, all prefixes at once;
+the last primes of a chunk of them are filtered on word 0 in one vectorized
+step, and the few rows that pass are re-checked on the character tables of
 the fields and torsion bits that the rest of the set leaves open.  The
 pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are not sieved: a wheel
 over the tables that p leaves open walks the q that could split them, the
@@ -32,7 +32,6 @@ pool, or the int64 limit of the sweep.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
@@ -80,7 +79,7 @@ from .volume import volume_qi
 
 _WORD = (1 << 64) - 1
 _WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
-_BATCH_ROWS = 1 << 16  # word-0 rows tested per vectorized step
+_BATCH_ROWS = 1 << 16  # word-0 rows per chunk of the sweep and per vectorized step
 # the 0/1 tables of the torsion bits: quaternion.TORSION_Q over its period 12
 _TORSION_TABLES = [np.array([c(r) for r in range(12)], dtype=np.int8)
                    for c in TORSION_Q]
@@ -111,7 +110,7 @@ class _MaskMatrix:
     searches; the buffers grow geometrically.  Full rows, as Python ints,
     are built only for the prime indices [0, n) that `prefix_rows(n)` asks
     for: the sweep's prefixes.  `first_passes` filters the last primes of
-    a batch of sets on word 0 alone, and the few survivors are re-checked
+    a chunk of sets on word 0 alone, and the few survivors are re-checked
     by `passing` on the bits above word 0 that their prefix leaves open.
     """
 
@@ -211,33 +210,20 @@ class _MaskMatrix:
         """For each slice k, the least j in [j0s[k], j1s[k]) whose row OR
         accs[k], its prefix's row OR, covers every bit, or None.
 
-        Word 0 filters: one gather tests the rows of consecutive slices, at
-        most _BATCH_ROWS of them, each against its own prefix, and a longer
-        slice is read in place.  The survivors are re-checked on the bits
-        above word 0 that their prefix leaves open.
+        The sweep hands over at most _BATCH_ROWS rows, or one longer slice
+        that is read in place.  Word 0 filters: one gather tests the rows of
+        all the slices, each against its own prefix, and the survivors are
+        re-checked on the bits above word 0 that their prefix leaves open.
         """
-        lens = j1s - j0s
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        need0 = np.array([self.target & ~acc & _WORD for acc in accs], dtype=np.uint64)
+        if len(accs) == 1 and j1s[0] - j0s[0] > _BATCH_ROWS:
+            return [self._first_pass(accs[0], int(j0s[0]), int(j1s[0]))]
+        owner, idx = _runs(j0s, j1s)
+        need = np.array([self.target & ~acc & _WORD for acc in accs], dtype=np.uint64)[owner]
+        hits = ((self.w0[idx] & need) == need).nonzero()[0]
+        who = owner[hits]
         out: list[int | None] = [None] * len(accs)
-        k = 0
-        while k < len(accs):
-            if lens[k] > _BATCH_ROWS:
-                out[k] = self._first_pass(accs[k], int(j0s[k]), int(j1s[k]))
-                k += 1
-                continue
-            k1 = int(ends.searchsorted(starts[k] + _BATCH_ROWS, side="right"))
-            n = lens[k:k1]
-            owner = np.repeat(np.arange(k, k1), n)
-            idx = (np.arange(ends[k1 - 1] - starts[k])
-                   + np.repeat(j0s[k:k1] - starts[k:k1] + starts[k], n))
-            need = need0[owner]
-            hits = ((self.w0[idx] & need) == need).nonzero()[0]
-            who = owner[hits]
-            for s in sorted(set(who.tolist())):
-                out[s] = self._recheck(accs[s], idx[hits[who == s]])
-            k = k1
+        for s in sorted(set(who.tolist())):
+            out[s] = self._recheck(accs[s], idx[hits[who == s]])
         return out
 
 
@@ -310,14 +296,16 @@ def _split_rows_qi(pool, exts) -> list[int]:
 # ---------------------------------------------------------------------------
 # the range sweep
 #
-# Factor ranges [2^k, 2^(k+1)) are processed in order; within a range, sets
-# are enumerated by prefix descent and the final coordinate is tested as one
-# slice of the sorted factors, the slices of a prefix's run as one batch.
-# The first range containing a passing set holds the optimum and all its
-# ties; earlier ranges were exhausted without a pass.  The surface search,
-# the exact cover over Q and the Q(i) search all run this sweep, _sweep_sets
-# over a _MaskMatrix or an _IdealPool, and over Q wheels find the pairs past
-# hi/8; _sets_below counts the sets below the optimum once it is known.
+# Factor ranges [2^k, 2^(k+1)) are processed in order; within a range, the
+# sets of each cardinality are enumerated one member at a time, all prefixes
+# of one length at once as arrays, and the last member is tested as one
+# slice of the sorted factors, the slices in chunks of at most _BATCH_ROWS
+# rows.  The first range containing a passing set holds the optimum and all
+# its ties; earlier ranges were exhausted without a pass.  The surface
+# search, the exact cover over Q and the Q(i) search all run this sweep,
+# _sweep_sets over a _MaskMatrix or an _IdealPool, and over Q wheels find the
+# pairs past hi/8; _sets_below counts the sets below the optimum once it is
+# known, by the same walk.
 
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
 _PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones before a q - 1 >= hi/8
@@ -340,90 +328,94 @@ def _sweep_sets(masks, lo, hi):
     pairs read, past those the sets of six or more read; the Q(i) pool
     holds every ideal from the start.
 
-    The cardinalities run up to the largest even k whose k smallest
-    factors multiply to less than hi, the most members a set below hi can
-    have.  A set is a prefix found by descent over the Python ints `facs`,
-    one more member i and one last index j from a slice of `facs_np`.  No
-    factor is below 1, so a prefix's factors are at most sqrt(hi), and
-    `facs` need only reach the last of those plus k more entries.  `rows`
-    holds their full rows as Python ints, and each stack entry carries its
-    prefix's row OR.  A prefix is dead when even the largest factors that
-    can complete it leave it below lo, and the descent starts each member's
-    loop past the dead ones.  No member of a k-set has a factor above
-    (hi - 1) over the product of the k - 1 smallest factors, so `dear`
-    takes the largest factors up to that bound.
-
-    The members i that can follow a prefix form a run, and the run is one
-    batch: one searchsorted pair bounds all its slices, and
-    `masks.first_passes` tests them together.  Cardinalities are swept
-    from the largest down, and each hit lowers the limit to best + 1, so
-    later batches stop at the running optimum; within a batch a hit above
-    the new optimum is dropped.  A slice's first pass is its least factor;
-    after it, the passes of equal factor in the slice are ties too.
+    The cardinalities run down from the largest even k whose k smallest
+    factors multiply below hi, and each pass lowers hi to best + 1 for the
+    next (_sweep_card); a tie across cardinalities is kept.
     """
-    facs_np = masks.facs
+    facs = masks.facs
     top, prod = 0, 1
-    while top + 2 <= len(facs_np):
-        prod *= int(facs_np[top]) * int(facs_np[top + 1])
+    while top + 2 <= len(facs):
+        prod *= int(facs[top]) * int(facs[top + 1])
         if prod >= hi:
             break
         top += 2
-    best = None
-    winners: list[tuple] = []
+    del facs  # a view would keep the buffers that hold replaces
+    best, winners = None, []
     for card in range(top, 1, -2):
         if card == min(top, 4):
-            del facs_np  # a view would keep the buffers that hold replaces
             masks.hold(_last_q(hi, 8))
-        facs_np = masks.facs
-        short = int(np.searchsorted(facs_np, math.isqrt(hi - 1), side="right")) + card
-        facs = facs_np[:short].tolist()
-        rows = masks.prefix_rows(short)
-        bound = (hi - 1) // math.prod(facs[:card - 1])
-        dear = [1]  # dear[r]: the product of the r largest factors a member can have
-        for f in reversed(facs_np[:np.searchsorted(facs_np, bound, side="right")]
-                          [1 - card:].tolist()):
-            dear.append(dear[-1] * f)
-        stack = [((), 1, 0, 0)]
-        while stack:
-            prefix, prod, start, acc = stack.pop()
-            depth = len(prefix)
-            start = max(start, bisect.bisect_left(facs, -(-lo // (prod * dear[card - depth - 1]))))
-            if depth == card - 2:
-                i1 = start
-                while i1 + 1 < len(facs) and prod * facs[i1] * facs[i1 + 1] < hi:
-                    i1 += 1
-                if i1 == start:
-                    continue
-                prods = prod * facs_np[start:i1]
-                j0s = np.maximum(facs_np.searchsorted((lo - 1) // prods + 1),
-                                 np.arange(start + 1, i1 + 1))
-                j1s = np.maximum(facs_np.searchsorted((hi - 1) // prods + 1), j0s)
-                accs = [acc | rows[i] for i in range(start, i1)]
-                for k, j in enumerate(masks.first_passes(accs, j0s, j1s)):
-                    while j is not None:
-                        factor = int(prods[k]) * int(facs_np[j])
-                        if best is not None and factor > best:
-                            break
-                        if best is None or factor < best:
-                            best, winners, hi = factor, [], factor + 1
-                        winners.append(prefix + (start + k, j))
-                        tie = min(int(facs_np.searchsorted(facs_np[j], side="right")), int(j1s[k]))
-                        j, = (masks.first_passes([accs[k]], np.array([j + 1]), np.array([tie]))
-                              if j + 1 < tie else (None,))
-                continue
-            for i in range(start, len(facs)):
-                rest = prod * facs[i]
-                for j in range(i + 1, i + card - depth):
-                    if j >= len(facs):
-                        rest = None
-                        break
-                    rest *= facs[j]
-                if rest is None or rest >= hi:
-                    break
-                stack.append((prefix + (i,), prod * facs[i], i + 1, acc | rows[i]))
+        found, sets = _sweep_card(masks, card, lo, hi)
+        if found is not None:
+            best, winners, hi = found, (winners if found == best else []) + sets, found + 1
     if not top:
         masks.hold(_last_q(hi, 8))
     return best, winners
+
+
+def _sweep_card(masks, card, lo, hi):
+    """(best, winners) of _sweep_sets over the sets of `card` members.
+
+    The walk adds one member to all prefixes at once (_extend); a prefix is
+    its product, next start index and member indices.  Its members have
+    factors at most sqrt(hi), so the walk reads the `short` factors up to
+    there and card more.  A member i with m members left, itself included,
+    needs the m factors from i on to multiply below hi, and the m - 1
+    dearest factors a member can have, dear[m - 1], to reach lo: one
+    searchsorted each.  The last member of a prefix of card - 1 runs over
+    a slice [j0, j1) of factors in [lo, hi).  The slices go in order to
+    `masks.first_passes` in chunks of at most _BATCH_ROWS rows, or one
+    longer slice alone, with their prefix row ORs built for that chunk.  A
+    hit lowers hi to best + 1, which cuts the later slices; within a chunk
+    a hit above the new optimum is dropped.  A slice's first pass is its
+    least factor, and its later passes of that factor are ties.
+    """
+    facs = masks.facs
+    short = int(facs.searchsorted(math.isqrt(hi - 1), side="right")) + card
+    small = facs[:short].tolist()
+    bound = (hi - 1) // math.prod(small[:card - 1])
+    dear = [1]  # dear[r]: the product of the r largest factors a member can have
+    for f in reversed(facs[:facs.searchsorted(bound, side="right")][1 - card:].tolist()):
+        dear.append(dear[-1] * f)
+    spans = [small]  # spans[m - 1][i]: the product of the m factors from i on, capped at hi
+    for m in range(1, card):
+        spans.append([min(a * f, hi) for a, f in zip(spans[-1], small[m:])])
+    prods, starts = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    members = []  # the member index arrays, one per position
+    for m in range(card, 1, -1):
+        least = -(-lo // dear[m - 1])  # ceil(lo / dear), then ceil(that / prods) in int64
+        k, i, prods = _extend(prods, np.maximum(starts, facs.searchsorted(-(-least // prods))),
+                              np.searchsorted(spans[m - 1], (hi - 1) // prods, "right"), facs)
+        members, starts = [c[k] for c in members] + [i], i + 1
+    del spans, small
+    j0s = np.maximum(facs.searchsorted((lo - 1) // prods + 1), starts)
+    rows = masks.prefix_rows(short)
+    best, winners, cut = None, [], None
+    while True:
+        if cut != hi:  # first, and after a hit: cut the slices at hi, drop the empty
+            j1s = facs.searchsorted((hi - 1) // prods + 1)
+            live = j1s > j0s
+            prods, j0s, j1s = prods[live], j0s[live], j1s[live]
+            members = [c[live] for c in members]
+            ends, cut = np.cumsum(j1s - j0s), hi
+        if not len(prods):
+            return best, winners
+        e = max(int(ends.searchsorted(ends[0] - j1s[0] + j0s[0] + _BATCH_ROWS, "right")), 1)
+        accs = [0] * e
+        for c in members:
+            accs = [acc | rows[m] for acc, m in zip(accs, c[:e].tolist())]
+        for k, j in enumerate(masks.first_passes(accs, j0s[:e], j1s[:e])):
+            while j is not None:
+                factor = int(prods[k]) * int(facs[j])
+                if best is not None and factor > best:
+                    break
+                if best is None or factor < best:
+                    best, winners, hi = factor, [], factor + 1
+                winners.append((*(int(c[k]) for c in members), j))
+                tie = min(int(facs.searchsorted(facs[j], side="right")), int(j1s[k]))
+                j, = (masks.first_passes([accs[k]], np.array([j + 1]), np.array([tie]))
+                      if j + 1 < tie else (None,))
+        prods, j0s, j1s, ends = prods[e:], j0s[e:], j1s[e:], ends[e:]
+        members = [c[e:] for c in members]
 
 
 def _runs(starts: np.ndarray, ends: np.ndarray):
@@ -431,6 +423,14 @@ def _runs(starts: np.ndarray, ends: np.ndarray):
     lens = np.maximum(ends - starts, 0)
     k = np.repeat(np.arange(len(lens)), lens)
     return k, np.arange(len(k)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
+def _extend(prods, starts, ends, facs):
+    """One step of a prefix walk: every prefix k, of product prods[k], takes
+    each member i in [starts[k], ends[k]) in turn.  (k, i, the products of
+    the longer prefixes), by k and then i ascending."""
+    k, i = _runs(starts, ends)
+    return k, i, prods[k] * facs[i]
 
 
 def _sets_below(facs, best, count_le) -> int:
@@ -446,11 +446,10 @@ def _sets_below(facs, best, count_le) -> int:
     least = np.array([min(f * g * g, best) for f, g in itertools.pairwise(small.tolist())])
     n, prods, starts = 0, np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     while len(prods):
-        k, i = _runs(starts, (small * small).searchsorted((best - 1) // prods, "right"))
-        prods = prods[k] * small[i]
+        _, i, prods = _extend(prods, starts, (small * small).searchsorted((best - 1) // prods, "right"), small)
         n += int((count_le((best - 1) // prods) - i - 1).sum())
-        k, b = _runs(i + 1, least.searchsorted((best - 1) // prods, "right"))
-        prods, starts = prods[k] * small[b], b + 1
+        _, b, prods = _extend(prods, i + 1, least.searchsorted((best - 1) // prods, "right"), small)
+        starts = b + 1
     return n
 
 

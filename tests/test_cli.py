@@ -190,6 +190,7 @@ def test_volume(capsys):
     ["family", "--ram", "2,x", "--count", "1"],      # malformed list
     ["search3d", "--systole", "1", "--budget", "5"],  # no such option
     ["search3d", "--systole", "10"],                 # extension list past the cap
+    ["cover2d", "--exact", "--systole", "6"],        # exact cover past its cap
 ])
 def test_input_errors_exit_1(capsys, args):
     code, _, err = run(capsys, *args)

@@ -178,6 +178,18 @@ def test_cover_2d_errors():
         cover_algebra_2d(2.0, exact=True)
 
 
+def test_cover_2d_exact_refuses_a_large_x_before_the_field_scan(monkeypatch):
+    # at x = 6 the scan of every disc up to e^14 took seconds before the
+    # refusal; the cap is checked first, so the scanner is never called
+    def scan(bound):
+        raise AssertionError(f"scanned up to {bound} before refusing")
+
+    monkeypatch.setattr(constructions, "real_fields_with_disc_below", scan)
+    for x in (1.6, 5.0, 6.0):
+        with pytest.raises(InputError, match="exact cover"):
+            cover_algebra_2d(x, exact=True)
+
+
 def verify_cover_3d(cover):
     from sysarith.gaussian import splitting_in_ext
 

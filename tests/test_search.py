@@ -114,10 +114,11 @@ def test_minimal_algebra_2d_rows(l, factor, sets, tested_below):
             assert brute_splitting_q(field.d, witness) == "split"
 
 
-# the sweep's default rows per vectorized step, then a few, so that a batch
-# of slices takes several steps, single slices exceed one step, and the
-# pair wheels stay small and scan in many steps
-STEP_ROWS = (search._BATCH_ROWS, 3)
+# rows per chunk and per vectorized step: the sweep's default; a few, so
+# that the slices of a cardinality take many chunks, single slices exceed
+# one step, and the pair wheels stay small and scan in many steps; and 500,
+# so that one chunk holds many slices
+STEP_ROWS = (search._BATCH_ROWS, 3, 500)
 
 
 def test_minimal_tested_below_matches_naive_count(monkeypatch):
@@ -242,7 +243,7 @@ def test_first_passes_find_the_least_passing_row(n_fields, monkeypatch):
     want = [next((j for j in range(j0, j1) if acc | rows[j] == masks.target), None)
             for acc, j0, j1 in zip(accs, j0s.tolist(), j1s.tolist())]
     assert sum(j is not None for j in want) > 30
-    for batch_rows in (*STEP_ROWS, 500):
+    for batch_rows in STEP_ROWS:
         monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
         assert masks.first_passes(accs, j0s, j1s) == want, batch_rows
 
@@ -287,12 +288,12 @@ def test_minimal_sets_match_naive_oracle_past_word_0(n_fields, torsion, monkeypa
 
 # every set passes; or a set passes iff it holds one of 0, 3 and one of 1, 2, 5
 @pytest.mark.parametrize("rows,target", [([1] * 6, 1), ([1, 2, 2, 1, 0, 2], 3)])
-def test_sweep_keeps_ties_inside_a_batch(rows, target):
-    # repeated factors give tied sets in one batch, and in one slice; when
-    # every set passes, the first hit of a batch lowers the limit while its
-    # later slices still hold ties and dearer passes.  The count of every
-    # subset below the range's best, or below its hi if none passes, reads
-    # the tied factors too
+def test_sweep_keeps_ties_inside_a_batch(rows, target, monkeypatch):
+    # repeated factors give tied sets in one chunk, and in one slice; when
+    # every set passes, the first hit of a chunk lowers the limit while its
+    # later slices, and the later chunks, still hold ties and dearer passes.
+    # The count of every subset below the range's best, or below its hi if
+    # none passes, reads the tied factors too
     facs = [1, 4, 4, 8, 12, 12]
     masks = _IdealPool.__new__(_IdealPool)
     masks.facs, masks.rows, masks.target = np.array(facs, dtype=np.int64), rows, target
@@ -303,8 +304,10 @@ def test_sweep_keeps_ties_inside_a_batch(rows, target):
                    if functools.reduce(int.__or__, (rows[i] for i in c)) == target]
         best = min((math.prod(facs[i] for i in c) for c in passing), default=None)
         winners = sorted(c for c in passing if math.prod(facs[i] for i in c) == best)
-        got, got_winners = _sweep_sets(masks, lo, 2 * lo)
-        assert (got, sorted(got_winners)) == (best, winners), lo
+        for batch_rows in STEP_ROWS:
+            monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+            got, got_winners = _sweep_sets(masks, lo, 2 * lo)
+            assert (got, sorted(got_winners)) == (best, winners), (lo, batch_rows)
         below = 2 * lo if best is None else best
         n_below = sum(math.prod(facs[i] for i in c) < below for c in subsets)
         assert _sets_below(masks.facs, below, masks.count_le) == n_below, lo
@@ -814,16 +817,45 @@ def test_pair_wheel_finds_the_least_splitting_prime(torsion, monkeypatch):
 
 
 def test_sweep_hands_no_dead_batch_to_first_passes(monkeypatch):
-    # a batch whose slices all stay below lo, because even its dearest
-    # completion does, is skipped before it reaches first_passes
-    live = []
+    # a prefix whose slices all stay below lo, because even its dearest
+    # completion does, is skipped before it reaches first_passes; the
+    # slices come in few calls, so the test counts the slices handed over
+    live, slices = [], []
     first_passes = _IdealPool.first_passes
 
     def spy(self, accs, j0s, j1s):
         live.append(bool((j1s > j0s).any()))
+        slices.append(len(accs))
         return first_passes(self, accs, j0s, j1s)
 
     monkeypatch.setattr(_IdealPool, "first_passes", spy)
     res = valid_algebra_3d(2.0, pool_norm_bound=100)
     assert (res.factor, res.tested_below_optimum) == (536_739_840, 110_850)
-    assert len(live) > 1000 and all(live)
+    assert sum(slices) > 1000 and all(live)
+
+
+def test_sweep_hands_first_passes_one_chunk_at_a_time(monkeypatch):
+    # every call carries at most _BATCH_ROWS rows, or one longer slice,
+    # over Q and over Q(i), while the answers stay those of the default
+    discs = [f.disc for f in fields_with_regulator_below(2.5)]
+    want_q, want_qi = _minimal_sets(discs, False), valid_algebra_3d(1.0, 30)
+    calls = []
+
+    def spy(first_passes):
+        def call(self, accs, j0s, j1s):
+            calls.append((len(accs), int((j1s - j0s).sum())))
+            return first_passes(self, accs, j0s, j1s)
+        return call
+
+    for cls in (_MaskMatrix, _IdealPool):
+        monkeypatch.setattr(cls, "first_passes", spy(cls.first_passes))
+    for batch_rows in (3, 500):
+        monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+        calls.clear()
+        assert _minimal_sets(discs, False) == want_q, batch_rows
+        res = valid_algebra_3d(1.0, 30)
+        assert (res.factor, res.sets, res.tested_below_optimum) == \
+            (want_qi.factor, want_qi.sets, want_qi.tested_below_optimum), batch_rows
+        assert len(calls) > 10, batch_rows
+        assert all(n == 1 or rows <= batch_rows for n, rows in calls), batch_rows
+        assert any(n > 1 for n, _ in calls), batch_rows
