@@ -373,15 +373,7 @@ def multiquadratic_discriminant(a_list) -> tuple[int, int]:
             raise InputError(
                 f"generators are multiplicatively dependent mod squares: {a}")
         prod_discs *= abs(fundamental_discriminant(d))
-    rad = 1
-    total = abs(math.prod(a))
-    p = 1
-    while total > 1:
-        p += 1
-        if total % p == 0:
-            rad *= p
-            while total % p == 0:
-                total //= p
+    rad = math.lcm(*(abs(ai) for ai in a))  # every a_i is squarefree
     base = _exact_kth_root_pow2(prod_discs, m - 1)
     two_part, shape_err = divmod(base, rad)
     r = max(two_part.bit_length() - 1, 0)

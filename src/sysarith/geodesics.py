@@ -3,8 +3,9 @@
 A hyperbolic element of trace t (|t| > 2) has translation length
 2*arccosh(|t|/2) = 2*log((|t| + sqrt(t^2 - 4))/2) on the upper half plane;
 surface convention here halves that to log(...), and the 3-manifold value
-doubles the surface one.  Integer traces t pin down the invariant field
-Q(sqrt(t^2 - 4)) and the unit (t + sqrt(t^2-4))/2 realizing the geodesic.
+doubles the surface one.  An integer trace t is the norm +1 unit
+(t + sqrt(t^2 - 4))/2 of Q(sqrt(t^2 - 4)), so the traces in ascending order
+are the norm +1 units of real_quadratic's unit walk.
 
 That unit is a power of the fundamental unit, so an embeddable trace field's
 regulator is at most the trace's length and bounds the regulator minimum;
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, NonHyperbolicError, check_int, check_real
 from .quaternion import QuaternionAlgebraQ, embeds_q, require_admissible
-from .real_quadratic import (
-    QuadFieldQ,
-    fields_with_regulator_below,
-    quad_field,
-    regulator,
-    squarefree_part,
-)
+from .real_quadratic import QuadFieldQ, _units, fields_with_regulator_below, regulator
 
 MODE_PAPER = "paper"
 MODE_TRACE = "trace"
@@ -69,14 +64,16 @@ class SystoleResult:
 
 
 def _first_embeddable_trace(B: QuaternionAlgebraQ, cap: float) -> tuple[int, QuadFieldQ] | None:
-    """The least trace t >= 3 of length <= cap whose field embeds in B."""
-    t = 3
-    while geodesic_length_from_trace(t) <= cap:
-        field = quad_field(squarefree_part(t * t - 4))
+    """The least trace t >= 3 of length <= cap whose field embeds in B.
+
+    Every norm +1 unit counts, also in a field first met at a norm -1 unit:
+    [47, 71] has trace 11, in Q(sqrt 13) of fundamental unit (3 + sqrt 13)/2.
+    """
+    for field, u in _units(norms=(1,)):
+        if geodesic_length_from_trace(u.x) > cap:
+            return None
         if embeds_q(field, B):
-            return t, field
-        t += 1
-    return None
+            return u.x, field
 
 
 def exact_systole_q(B: QuaternionAlgebraQ, mode: str = MODE_PAPER, cap: float = 5.0) -> SystoleResult:
@@ -88,10 +85,10 @@ def exact_systole_q(B: QuaternionAlgebraQ, mode: str = MODE_PAPER, cap: float = 
     agree whenever the minimizing unit has norm +1 or its square stays
     under the cap; they are cross-checked in the tests.
 
-    The paper-mode field scan stops at the regulator of the first
-    embeddable trace's field, which is at most twice the systole, so its
-    cost grows with the systole; the cap bounds the scan only when no
-    embeddable trace is as short as the cap.
+    Both modes read real_quadratic's unit walk.  Paper mode lists the fields
+    below the regulator of the first embeddable trace's field, at most twice
+    the systole, so its cost grows with the systole; the cap bounds the list
+    only when no embeddable trace is as short as the cap.
     """
     require_admissible(B)
     check_real(cap, "cap", 0, strict=True, finite=False)

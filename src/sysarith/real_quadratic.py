@@ -1,15 +1,18 @@
 """Real quadratic fields Q(sqrt(d)): splitting of primes, fundamental units,
-regulators, and the bounded-regulator field scan.
+regulators, and the ascending walk over the units of all fields.
 
 All unit arithmetic is exact integers; floating point only enters at the
-final logarithm, taken with enough working precision for the convergent
-size.  Units satisfy x^2 - disc*y^2 = +-4 with the unit equal to
-(x + y*sqrt(disc))/2.
+final logarithm, taken with enough working precision for the unit's size.
+Units satisfy x^2 - disc*y^2 = +-4 with the unit equal to
+(x + y*sqrt(disc))/2.  fundamental_unit(d) runs one field's continued
+fraction; the regulator field list and the trace systole walk the units
+of all fields in ascending order (_units).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -179,13 +182,11 @@ class FundamentalUnit:
         return {"x": self.x, "y": self.y, "norm": self.norm}
 
 
-def _pqa_unit(D: int, cutoff: float = math.inf) -> FundamentalUnit | None:
+def _pqa_unit(D: int) -> FundamentalUnit:
     """Continued fraction of (P0 + sqrt(D))/2 for the discriminant D.
 
     Convergents G_i/B_i satisfy G^2 - D*B^2 = +-4 exactly at the period end;
-    the period parity gives the unit norm.  None once a convergent alone
-    forces log(unit) > cutoff, which keeps the bounded field scan cheap for
-    fields with huge regulators.
+    the period parity gives the unit norm.
     """
     sq = math.isqrt(D)
     P0 = sq if (sq - D) % 2 == 0 else sq - 1
@@ -193,16 +194,12 @@ def _pqa_unit(D: int, cutoff: float = math.inf) -> FundamentalUnit | None:
     P, Q = P0, Q0
     g_prev, g_prev2 = 2, -P0
     b_prev, b_prev2 = 0, 1
-    limit = math.exp(cutoff)
     length = 0
     while True:
         a = (P + sq) // Q
         g = a * g_prev + g_prev2
         b = a * b_prev + b_prev2
         length += 1
-        # the unit lies in (G-1, G+1) of the final G, and G only grows
-        if g - 1 > limit:
-            return None
         P = a * Q - P
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
@@ -241,34 +238,44 @@ def regulator_lower_bound(d: int) -> float:
     """log((sqrt(d-4) + sqrt(d))/2), increasing in d.
 
     At most the regulator of every Q(sqrt(d)) with d >= 5, and equal to it
-    at d = n^2 + 4, where (n + sqrt(d))/2 is the fundamental unit.
+    at d = n^2 + 4, whose fundamental unit is the walk's norm -1 unit of x = n.
     """
     d = check_int(d, "d", 4)
     return math.log((math.sqrt(d - 4) + math.sqrt(d)) / 2)
 
 
+def _units(norms=(1, -1)):
+    """(field, unit) for every unit > 1 of every real quadratic field, ascending.
+
+    The unit of trace x and norm n is (x + sqrt(x^2 - 4n))/2, and
+    eps(x, +1) < eps(x, -1) < eps(x + 1, +1), so walking x = 1, 2, ... with
+    norm +1 before -1 meets the units in ascending order; the first unit
+    met in a field is its fundamental unit.  Endless: callers stop it.
+    """
+    for x in itertools.count(1):
+        for norm in norms:
+            m = x * x - 4 * norm
+            if m > 0:
+                d = squarefree_part(m)
+                disc = fundamental_discriminant(d)
+                yield QuadFieldQ(d, disc), FundamentalUnit(x, math.isqrt(m // disc), norm)
+
+
 def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     """All real quadratic fields with regulator < bound, ascending d.
 
-    From d = 5 on regulator_lower_bound is monotone and truncates the scan:
-    it is below bound exactly when d < 4 cosh(bound)^2.  The scan runs from
-    d = 2 to floor(4 cosh(bound)^2) + 1 rather than comparing the float
-    lower bound, which equals the regulator at d = n^2 + 4 and can round
-    above it; the exact regulator test filters the extra d.  d = 2 and 3,
-    where the lower bound does not hold, lie in every scan.  Each d runs
-    one continued fraction, stopped once it passes e^bound, and the log of
-    its unit is the value regulator(d) returns.
+    Reads the unit walk: each field's first unit is its fundamental unit,
+    and its log is the value regulator(d) returns.  A unit below e^bound
+    has trace x < e^bound + 1, so the walk stops one x past that.
     """
     check_real(bound, "bound", 0, strict=True)
     if bound > 10:
         raise InputError(
-            f"regulator bound {bound} would scan ~e^(2*bound) discriminants; "
+            f"regulator bound {bound} would walk ~e^bound unit traces; "
             "bounds above 10 are not supported")
-    out = []
-    for d in range(2, math.floor(4 * math.cosh(bound) ** 2) + 2):
-        if is_squarefree(d):
-            disc = fundamental_discriminant(d)
-            u = _pqa_unit(disc, bound)
-            if u is not None and _unit_log(u, disc) < bound:
-                out.append(QuadFieldQ(d, disc))
-    return out
+    last = math.floor(math.exp(bound)) + 2
+    first = {}
+    for field, u in itertools.takewhile(lambda fu: fu[1].x <= last, _units()):
+        first.setdefault(field, u)
+    return sorted((f for f, u in first.items() if _unit_log(u, f.disc) < bound),
+                  key=lambda f: f.d)

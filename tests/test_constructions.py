@@ -350,6 +350,12 @@ def test_multiquadratic_discriminant_anchors():
     assert multiquadratic_discriminant([3, 2]) == (2304, 3)
 
 
+def test_multiquadratic_discriminant_of_a_large_prime_generator():
+    # rad(prod a_i) is the lcm of the squarefree a_i: no trial division up
+    # to the largest prime factor, about a minute for this generator
+    assert multiquadratic_discriminant([1_000_000_007]) == (4_000_000_028, 2)
+
+
 def test_multiquadratic_shape():
     # |disc| = (2^r * rad(prod a))^(2^(m-1)) for every valid generator list
     for a_list in ([2, 3], [5, 13], [2, -1], [-1, 3], [2, 3, 5], [7, 11], [-2, -3]):

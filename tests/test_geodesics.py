@@ -15,7 +15,6 @@ from sysarith.quaternion import algebra_q
 from sysarith.real_quadratic import regulator
 
 from oracles import (
-    brute_fields_with_regulator_below,
     brute_geodesic_min_trace_length,
     brute_short_traces_qi,
     brute_splitting_q,
@@ -79,27 +78,34 @@ def test_exact_systole_known_algebras():
     assert res.length == pytest.approx(1.1947632172871094, abs=1e-12)
 
 
-@pytest.fixture(scope="module")
-def pell_fields_below_5():
-    return brute_fields_with_regulator_below(5.0)
-
-
-@pytest.mark.parametrize("ram, d", [
-    ([2, 31], 13), ([2, 11], 2), ([3, 5], 5),
+PELL_MINIMUM_ROWS = [
+    ([2, 31], 13, 5.0, None), ([2, 11], 2, 5.0, None), ([3, 5], 5, 5.0, None),
     # the first embeddable trace, 11, lies in Q(sqrt 13) = Q(sqrt(3^2 + 4)),
-    # so the paper-mode scan stops just above a regulator that equals
+    # so the paper-mode list stops just above a regulator that equals
     # regulator_lower_bound(13)
-    ([47, 71], 13), ([67, 71], 13),
-    ([2, 7, 19, 31, 47, 79], 8277),
-])
-def test_paper_mode_matches_pell_scan_minimum(ram, d, pell_fields_below_5):
-    # the regulator minimum over every field of regulator < 5 that no
+    ([47, 71], 13, 5.0, None), ([67, 71], 13, 5.0, None),
+    ([2, 7, 19, 31, 47, 79], 8277, 5.0, None),
+    # the l = 5.5 and 5.75 surface minimizers: systoles 5.568330 and 5.960999,
+    # each realized by a norm +1 fundamental unit, so trace mode agrees
+    ([2, 5, 7, 11, 29, 37, 67, 137], 4290, 8.0, 262),
+    ([2, 5, 7, 17, 23, 107, 137, 149], 37635, 8.0, 388),
+]
+
+
+@pytest.mark.parametrize("ram, d, cap, trace", PELL_MINIMUM_ROWS, ids=[
+    f"ram{i}-{row[1]}" for i, row in enumerate(PELL_MINIMUM_ROWS)])
+def test_paper_mode_matches_pell_scan_minimum(ram, d, cap, trace, pell_fields_below_6):
+    # the regulator minimum over every field of regulator < 6 that no
     # ramified prime splits, from the oracle Pell scan and residue symbols
-    want = min((reg, e) for e, reg in pell_fields_below_5
+    want = min((reg, e) for e, reg in pell_fields_below_6
                if all(brute_splitting_q(e, p) != "split" for p in ram))
-    res = exact_systole_q(algebra_q(ram), mode=MODE_PAPER, cap=5.0)
+    res = exact_systole_q(algebra_q(ram), mode=MODE_PAPER, cap=cap)
     assert res.found and res.field.d == want[1] == d
     assert res.length == pytest.approx(want[0], rel=1e-12)
+    if trace is not None:
+        by_trace = exact_systole_q(algebra_q(ram), mode=MODE_TRACE, cap=cap)
+        assert (by_trace.trace, by_trace.field.d) == (trace, d)
+        assert by_trace.length == pytest.approx(want[0], rel=1e-12)
 
 
 def test_paper_mode_without_a_trace_below_the_cap():
@@ -131,6 +137,15 @@ def test_trace_mode_relation_to_regulators():
         ratio = trace.length / regulator(trace.field.d)
         assert min(abs(ratio - 1), abs(ratio - 2)) < 1e-9
         assert trace.length >= paper.length - 1e-12
+
+
+def test_trace_mode_reads_norm_one_units_of_a_field_met_at_norm_minus_one():
+    # the walk first meets Q(sqrt 13) at x = 3, by its norm -1 fundamental
+    # unit (3 + sqrt 13)/2; the square (11 + 3 sqrt 13)/2 has norm +1 and
+    # is the first embeddable trace, so a known field must not be skipped
+    res = exact_systole_q(algebra_q([47, 71]), mode=MODE_TRACE, cap=3.0)
+    assert res.found and res.trace == 11 and res.field.d == 13
+    assert res.length == pytest.approx(2 * regulator(13), rel=1e-12)
 
 
 def test_trace_mode_skips_obstructed_fields():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sysarith import real_quadratic
 from sysarith.errors import InputError
 from sysarith.real_quadratic import (
-    _pqa_unit,
+    FundamentalUnit,
     fields_with_regulator_below,
     fundamental_discriminant,
     fundamental_unit,
@@ -26,7 +26,6 @@ from sysarith.real_quadratic import (
 )
 
 from oracles import (
-    brute_fields_with_regulator_below,
     brute_fundamental_unit,
     brute_is_squarefree,
     brute_splitting_q,
@@ -118,6 +117,9 @@ def test_fundamental_unit_minimality_against_brute_force():
         assert (u.x, u.y, u.norm) == brute_fundamental_unit(d), d
         disc = fundamental_discriminant(d)
         assert u.x * u.x - disc * u.y * u.y == 4 * u.norm
+    # Q(sqrt 94) has disc 4*94 and unit 2143295 + 221064 sqrt(94), log ~ 15.3
+    assert fundamental_unit(94) == FundamentalUnit(4286590, 221064, 1)
+    assert fundamental_unit(94).y == 221064
 
 
 def test_frozen_regulators():
@@ -133,13 +135,6 @@ def test_regulator_lower_bound_is_a_lower_bound():
         regulator_lower_bound(3)
 
 
-def test_unit_cutoff_returns_none():
-    # Q(sqrt 94) has disc 4*94 and unit 2143295 + 221064 sqrt(94), log ~ 15.3
-    assert _pqa_unit(4 * 94, 1.0) is None
-    assert _pqa_unit(4 * 94, 20.0) == fundamental_unit(94)
-    assert fundamental_unit(94).y == 221064
-
-
 def test_fields_with_regulator_below():
     assert [f.d for f in fields_with_regulator_below(0.5)] == [5]
     assert [f.d for f in fields_with_regulator_below(1.0)] == [2, 5]
@@ -149,13 +144,14 @@ def test_fields_with_regulator_below():
         2, 3, 5, 6, 10, 13, 15, 17, 21, 26, 29, 35, 37, 53, 77, 85, 165, 173]
 
 
-def test_fields_with_regulator_below_matches_pell_scan():
+def test_fields_with_regulator_below_matches_pell_scan(pell_fields_below_6):
     # the Pell scan stops at the regulator bound, so it also settles fields
-    # such as d = 139, whose unit lies beyond brute_fundamental_unit's y limit
-    brute = brute_fields_with_regulator_below(5.0)
-    assert [f.d for f in fields_with_regulator_below(5.0)] == [
-        d for d, _ in brute]
-    for d, reg in brute:
+    # such as d = 139, whose unit lies beyond brute_fundamental_unit's y limit;
+    # its list at 5 is its list at 6 cut at 5
+    for bound in (5.0, 6.0):
+        assert [f.d for f in fields_with_regulator_below(bound)] == [
+            d for d, reg in pell_fields_below_6 if reg < bound]
+    for d, reg in pell_fields_below_6:
         assert regulator(d) == pytest.approx(reg, rel=1e-12)
 
 
@@ -173,22 +169,27 @@ def test_fields_with_regulator_below_keeps_n2_plus_4_at_its_regulator():
         assert d not in [f.d for f in fields_with_regulator_below(reg)], d
 
 
-def test_field_scan_runs_one_fraction_per_field(monkeypatch):
-    # each squarefree d of the scan runs one continued fraction, and a kept
-    # field's regulator comes from it, not from a second one
-    calls = []
-    pqa = real_quadratic._pqa_unit
+def test_field_list_walks_units_without_continued_fractions(monkeypatch):
+    # the list reads each field's unit off the walk over traces x up to
+    # e^3 + 2, two norms each, and runs no continued fraction; a scan over
+    # d < 4 cosh(3)^2 ran one for each of its 246 squarefree d
+    fractions, parts = [], []
+    pqa, part = real_quadratic._pqa_unit, real_quadratic.squarefree_part
 
-    def spy(D, cutoff=math.inf):
-        calls.append(D)
-        return pqa(D, cutoff)
+    def spy_pqa(D, *cutoff):
+        fractions.append(D)
+        return pqa(D, *cutoff)
 
-    monkeypatch.setattr(real_quadratic, "_pqa_unit", spy)
+    def spy_part(n):
+        parts.append(n)
+        return part(n)
+
+    monkeypatch.setattr(real_quadratic, "_pqa_unit", spy_pqa)
+    monkeypatch.setattr(real_quadratic, "squarefree_part", spy_part)
     regulator.cache_clear()
     fields = fields_with_regulator_below(3.0)
-    scanned = [d for d in range(2, math.floor(4 * math.cosh(3.0) ** 2) + 2)
-               if brute_is_squarefree(d)]
-    assert len(calls) == len(set(calls)) == len(scanned) == 246
+    assert fractions == []
+    assert 0 < len(parts) <= 2 * (math.floor(math.exp(3.0)) + 2)
     monkeypatch.undo()
     assert all(f.regulator < 3.0 for f in fields)
 
