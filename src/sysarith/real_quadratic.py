@@ -250,7 +250,8 @@ def _units(norms=(1, -1)):
     The unit of trace x and norm n is (x + sqrt(x^2 - 4n))/2, and
     eps(x, +1) < eps(x, -1) < eps(x + 1, +1), so walking x = 1, 2, ... with
     norm +1 before -1 meets the units in ascending order; the first unit
-    met in a field is its fundamental unit.  Endless: callers stop it.
+    met in a field is its fundamental unit.  norms=(1,) yields only the
+    norm +1 units, the integer traces.  Endless: callers stop it.
     """
     for x in itertools.count(1):
         for norm in norms:
