@@ -37,7 +37,6 @@ from .real_quadratic import (
     is_prime,
     is_squarefree,
     splitting_type_q,
-    squarefree_part,
 )
 from .search import _certify_q, _certify_qi, _minimal_sets, _split_rows_qi
 from .volume import area_factor
@@ -184,7 +183,7 @@ def real_fields_with_disc_below(bound: float) -> list[QuadFieldQ]:
     """All real quadratic fields with fundamental discriminant <= bound."""
     check_real(bound, "bound")
     return [QuadFieldQ(d, disc) for d in range(2, math.floor(bound) + 1)
-            if is_squarefree(d) and (disc := fundamental_discriminant(d)) <= bound]
+            if (disc := fundamental_discriminant(d)) <= bound and is_squarefree(d)]
 
 
 def _greedy_cover(rows, full_mask):
@@ -266,11 +265,13 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
     """An admissible prime set in which every real quadratic field with
     fundamental discriminant <= e^(2+2x) has a split prime, with certificate.
 
-    Greedy by default; `exact` (x <= 1.5) finds the minimal-factor such set.
+    Greedy (x <= 4.5) by default; `exact` (x <= 1.5) finds the minimal-factor set.
     """
     bound = _cover_bound(x)
-    if exact and x > 1.5:
-        raise InputError(f"exact cover is supported only for x <= 1.5, got {x}")
+    # greedy holds an int8 table of |disc| bytes per field, 544 MB at x = 4.5
+    kind, cap = ("exact", 1.5) if exact else ("greedy", 4.5)
+    if x > cap:
+        raise InputError(f"{kind} cover is supported only for x <= {cap}, got {x}")
     fields = real_fields_with_disc_below(bound)
     discs = [f.disc for f in fields]
     if exact:
@@ -362,17 +363,16 @@ def multiquadratic_discriminant(a_list) -> tuple[int, int]:
     for ai in a:
         if ai == 0 or not is_squarefree(abs(ai)):
             raise InputError(f"generators must be nonzero squarefree, got {ai}")
+    part = [1]  # part[bits]: the squarefree part of the product of the a_i in bits
     prod_discs = 1
     for bits in range(1, 1 << m):
-        sub = 1
-        for i in range(m):
-            if bits >> i & 1:
-                sub *= a[i]
-        d = squarefree_part(sub)
-        if d == 1:
+        low = bits & -bits
+        rest, ai = part[bits ^ low], a[low.bit_length() - 1]
+        part.append(rest * ai // math.gcd(rest, ai) ** 2)  # both are squarefree
+        if part[bits] == 1:
             raise InputError(
                 f"generators are multiplicatively dependent mod squares: {a}")
-        prod_discs *= abs(fundamental_discriminant(d))
+        prod_discs *= abs(fundamental_discriminant(part[bits]))
     rad = math.lcm(*(abs(ai) for ai in a))  # every a_i is squarefree
     base = _exact_kth_root_pow2(prod_discs, m - 1)
     two_part, shape_err = divmod(base, rad)

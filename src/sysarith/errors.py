@@ -54,7 +54,8 @@ def check_int(value, name: str, lo=-math.inf) -> int:
     """int(value), if value is an integer >= lo; else InputError.
 
     A plain int returns at once, without the ABC test (0.3 us) or the int()
-    call: the regulator scan and the Q covers check every d they visit."""
+    call: the Q covers' field scan checks each d in range, and the unit
+    walk's embeds_q calls kronecker_symbol per unit and ramified prime."""
     if type(value) is int and value >= lo:
         return value
     if not (isinstance(value, numbers.Integral) and value >= lo):

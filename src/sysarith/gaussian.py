@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateExtensionError, InputError, SysarithError, check_int, check_real
-from .real_quadratic import INERT, RAMIFIED, SPLIT, is_prime
+from .real_quadratic import INERT, RAMIFIED, SPLIT, _prime_factors, is_prime
 
 from . import _accel
 
@@ -210,20 +210,13 @@ def factor_gaussian(z: GaussianInt) -> tuple[GaussianInt, list[tuple[GaussianInt
     if z.norm == 0:
         raise InputError("cannot factor 0")
     factors: list[tuple[GaussianInt, int]] = []
-    n, p = z.norm, 2
-    while n > 1:
-        if p * p > n:
-            p = n  # what is left of the norm is prime
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            for P in _ideals_above(p):
-                e = 0
-                while (q := _exact_div(z, P.gen)) is not None:
-                    z, e = q, e + 1
-                if e:
-                    factors.append((P.gen, e))
-        p += 1 if p == 2 else 2
+    for p, _ in _prime_factors(z.norm):
+        for P in _ideals_above(p):
+            e = 0
+            while (q := _exact_div(z, P.gen)) is not None:
+                z, e = q, e + 1
+            if e:
+                factors.append((P.gen, e))
     if z.norm != 1:
         raise SysarithError(
             f"factorization left the remainder {z} of norm {z.norm}, not a unit")

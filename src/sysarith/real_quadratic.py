@@ -1,5 +1,6 @@
 """Real quadratic fields Q(sqrt(d)): splitting of primes, fundamental units,
-regulators, and the ascending walk over the units of all fields.
+regulators, the ascending walk over the units of all fields, and
+_prime_factors, the one integer factorizer of the package (trial division).
 
 All unit arithmetic is exact integers; floating point only enters at the
 final logarithm, taken with enough working precision for the unit's size.
@@ -50,47 +51,46 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_squarefree(n: int) -> bool:
-    n = check_int(n, "n", 1)
-    if n % 4 == 0:
-        return False
-    while n % 2 == 0:
-        n //= 2
+def _prime_factors(n: int):
+    """(p, e) for each p^e exactly dividing n >= 1, p ascending, by trial
+    division: 2, then odd p up to the square root of what is left."""
+    e = (n & -n).bit_length() - 1
+    if e:
+        yield 2, e
+        n >>= e
     p = 3
     while p * p <= n:
-        if n % p == 0:
-            n //= p
+        for p in range(p, math.isqrt(n) + 1, 2):  # the next odd p dividing n
             if n % p == 0:
-                return False
+                break
         else:
-            p += 2
+            break  # none up to sqrt(n)
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        yield p, e
+    if n > 1:
+        yield n, 1
+
+
+def is_squarefree(n: int) -> bool:
+    for _, e in _prime_factors(check_int(n, "n", 1)):
+        if e > 1:
+            return False
     return True
 
 
 def squarefree_part(n: int) -> int:
     """The squarefree m with n = m * square, keeping the sign of n."""
+    n = check_int(n, "n")
     if n == 0:
         raise InputError("0 has no squarefree part")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
     m = 1
-    while n % 2 == 0:
-        n //= 2
-        if n % 2 == 0:
-            n //= 2
-        else:
-            m *= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                n //= p
-            else:
-                m *= p
-        else:
-            p += 2
-    return sign * m * n
+    for p, e in _prime_factors(abs(n)):
+        if e & 1:
+            m *= p
+    return m if n > 0 else -m
 
 
 def fundamental_discriminant(d: int) -> int:
@@ -123,14 +123,19 @@ def kronecker(a: int, n: int) -> int:
 
 
 def kronecker_symbol(d: int, p: int) -> int:
-    """(disc/p) for disc the discriminant of Q(sqrt(d)); 0 iff p | disc."""
+    """(disc/p) for disc the discriminant of Q(sqrt(d)); 0 iff p | disc.
+
+    d is not factored: divided by p^2 while it can be, d is disc or disc/4
+    times a square prime to p.  So p | disc if p | d, or if p = 2 and
+    d = 3 mod 4; else (d/p) = (disc/p)."""
     d, p = check_int(d, "d"), check_int(p, "p")
     if d == 0:
         raise InputError("d must be nonzero")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    disc = fundamental_discriminant(squarefree_part(d))
-    return kronecker(disc, p)
+    while d % (p * p) == 0:
+        d //= p * p
+    return 0 if d % p == 0 or (p == 2 and d % 4 == 3) else kronecker(d, p)
 
 
 def splitting_type_q(field, p: int) -> str:

@@ -21,10 +21,17 @@ from sysarith.constructions import (
     theorem_area_log_bound_2d,
 )
 from sysarith.errors import InadmissibleAlgebraError, InputError, NoCandidateError, SysarithError
+from sysarith.geodesics import MODE_PAPER, exact_systole_q
 from sysarith.quaternion import algebra_q, embeds_q, is_admissible, torsion_free_q, torsion_free_qi
 from sysarith.real_quadratic import quad_field, splitting_type_q
 
-from oracles import brute_even_split_qi, brute_splitting_q, brute_symbol_qi, sieve_primes
+from oracles import (
+    brute_even_split_qi,
+    brute_splitting_q,
+    brute_symbol_qi,
+    naive_minimal_sets,
+    sieve_primes,
+)
 
 
 def member_names(cover):
@@ -190,6 +197,35 @@ def test_cover_2d_exact_refuses_a_large_x_before_the_field_scan(monkeypatch):
             cover_algebra_2d(x, exact=True)
 
 
+def test_cover_2d_greedy_refuses_a_large_x_before_the_field_scan(monkeypatch):
+    # the greedy cover holds |disc| bytes of character table per field, which
+    # peak at 637 MB for x = 4.5; the cap is checked before the scan
+    def scan(bound):
+        raise AssertionError(f"scanned up to {bound} before refusing")
+
+    monkeypatch.setattr(constructions, "real_fields_with_disc_below", scan)
+    for x in (4.51, 5.0, 7.0):
+        with pytest.raises(InputError, match="greedy cover"):
+            cover_algebra_2d(x)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 1.5])
+def test_cover_2d_chain_from_least_area_to_greedy(x, pell_fields_below_6):
+    # the least factor with systole >= x, from the oracles, is at most the
+    # exact cover's, which is at most the greedy cover's; the exact cover
+    # leaves no field of regulator < x unobstructed, so its systole is >= x
+    least = search.minimal_algebra_2d(x)
+    exact = cover_algebra_2d(x, exact=True)
+    greedy = cover_algebra_2d(x)
+    short = [d for d, reg in pell_fields_below_6 if reg < x]
+    assert least.factor == naive_minimal_sets(short, False)[0]
+    assert least.factor <= exact.factor <= greedy.factor
+    ram = exact.algebra.ram_sorted
+    assert all(any(brute_splitting_q(d, p) == "split" for p in ram) for d in short)
+    systole = exact_systole_q(exact.algebra, MODE_PAPER, 8.0)
+    assert systole.found and systole.length >= x
+
+
 def verify_cover_3d(cover):
     from sysarith.gaussian import splitting_in_ext
 
@@ -348,17 +384,27 @@ def test_multiquadratic_discriminant_anchors():
     assert multiquadratic_discriminant([2, 3, 5]) == (3317760000, 3)  # 240^4
     # generator order cannot matter
     assert multiquadratic_discriminant([3, 2]) == (2304, 3)
+    # generators sharing a prime: sqrt(15) = sqrt(6) * sqrt(10) / 2 and
+    # sqrt(-2) = sqrt(-3) * sqrt(6) / 3, so the subfield discriminants are
+    # 24 * 40 * 60 = 240^2 and 3 * 24 * 8 = 24^2
+    assert multiquadratic_discriminant([6, 10]) == (57600, 3)
+    assert multiquadratic_discriminant([-3, 6]) == (576, 2)
 
 
 def test_multiquadratic_discriminant_of_a_large_prime_generator():
-    # rad(prod a_i) is the lcm of the squarefree a_i: no trial division up
-    # to the largest prime factor, about a minute for this generator
+    # rad(prod a_i) is the lcm of the squarefree a_i, and the squarefree part
+    # of a subset product is composed from the a_i, so only each a_i is
+    # trial-divided, up to its own square root
     assert multiquadratic_discriminant([1_000_000_007]) == (4_000_000_028, 2)
+    # a = 3 and b = 1 mod 4: the subfield discriminants are 4a, b and 4ab
+    a, b = 1_000_000_007, 1_000_000_009
+    assert multiquadratic_discriminant([a, b]) == ((4 * a * b) ** 2, 2)
 
 
 def test_multiquadratic_shape():
     # |disc| = (2^r * rad(prod a))^(2^(m-1)) for every valid generator list
-    for a_list in ([2, 3], [5, 13], [2, -1], [-1, 3], [2, 3, 5], [7, 11], [-2, -3]):
+    for a_list in ([2, 3], [5, 13], [2, -1], [-1, 3], [2, 3, 5], [7, 11], [-2, -3],
+                   [6, 10], [-3, 6], [-1, 2, 6, 5]):
         disc, r = multiquadratic_discriminant(a_list)
         m = len(a_list)
         rad = 1

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sysarith import gaussian
@@ -40,6 +40,13 @@ nonzero_gauss = st.builds(
     GaussianInt,
     st.integers(min_value=-60, max_value=60),
     st.integers(min_value=-60, max_value=60),
+).filter(lambda z: z.norm != 0)
+
+# norms up to 2 * 10^10, whose trial division runs to about 1.4 * 10^5
+wide_gauss = st.builds(
+    GaussianInt,
+    st.integers(min_value=-10 ** 5, max_value=10 ** 5),
+    st.integers(min_value=-10 ** 5, max_value=10 ** 5),
 ).filter(lambda z: z.norm != 0)
 
 
@@ -136,8 +143,16 @@ def test_residue_symbol_multiplicative(z, w):
             == quad_residue_symbol(z, P) * quad_residue_symbol(w, P))
 
 
-@given(nonzero_gauss)
-@settings(max_examples=200)
+@given(st.one_of(nonzero_gauss, wide_gauss))
+@settings(max_examples=300)
+@example(GaussianInt(0, -1))                      # a unit
+@example(GaussianInt(2, 1))                       # norm 5, prime, left after the scan
+@example(GaussianInt(-64, 0))                     # (1+i)^12 times a unit
+@example(GaussianInt(3 ** 3 * 7 ** 2 * 11, 0))    # inert primes only
+@example(GaussianInt(999_983, 0))                 # inert, norm near 10^12
+@example(GaussianInt(1_000_033, 0))               # 1 mod 4: both primes above it
+@example(GaussianInt(3, 2) * GaussianInt(3, 2) * GaussianInt(2, 3) * GaussianInt(5, 4))
+@example(GaussianInt(999_999, 1_000))             # norm 999,999,000,001
 def test_factor_gaussian_roundtrip(z):
     unit, factors = factor_gaussian(z)
     assert unit.norm == 1

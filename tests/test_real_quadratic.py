@@ -1,6 +1,7 @@
 """Real quadratic fields: units, regulators, splitting, and the field scan."""
 
 import math
+import random
 
 import pytest
 import sympy
@@ -52,6 +53,22 @@ def test_basic_predicates_against_sympy():
         assert is_squarefree(n) == brute_is_squarefree(n), n
         assert squarefree_part(n) == brute_squarefree_part(n), n
         assert squarefree_part(-n) == brute_squarefree_part(-n), -n
+
+
+def test_prime_factors_against_sympy():
+    # every n <= 10^4, then random n <= 10^12 among which prime squares
+    # times a cofactor, powers of two and products of two 6-digit primes
+    rng = random.Random(23)
+    primes6 = [sympy.prevprime(rng.randrange(2 * 10 ** 5, 10 ** 6)) for _ in range(12)]
+    big = [rng.randrange(1, 10 ** 12) for _ in range(150)]
+    big += [p * p * rng.randrange(1, 10 ** 6) for p in primes6]
+    big += [2 ** k for k in range(40)] + [2 ** k * 3 ** j for k in (1, 5) for j in (2, 7)]
+    big += [p * q for p, q in zip(primes6, primes6[1:])] + [primes6[0] ** 2]
+    for n in [*range(1, 10 ** 4 + 1), *big]:
+        want = sorted(sympy.factorint(n).items())
+        assert list(real_quadratic._prime_factors(n)) == want, n
+        assert is_squarefree(n) == all(e == 1 for _, e in want), n
+        assert squarefree_part(-n) == -math.prod(p for p, e in want if e % 2), n
 
 
 @given(st.integers(min_value=2, max_value=10 ** 6))
@@ -106,6 +123,16 @@ def test_kronecker_symbol_matches_legendre():
                 assert kronecker_symbol(d, p) == expect, (d, p)
     with pytest.raises(InputError):
         kronecker_symbol(5, 6)
+
+
+def test_kronecker_symbol_of_any_d_against_its_squarefree_part():
+    # the symbol is read off d itself, signs, squares and powers of p
+    # included; the oracle splits p in the field of d's squarefree part
+    code = {"split": 1, "inert": -1, "ramified": 0}
+    for d in [*range(-400, 0), *range(1, 401), 2 ** 9 * 3, -(3 ** 7) * 5, 5 ** 6 * 7 * 11 ** 2]:
+        s = brute_squarefree_part(d)
+        for p in (2, 3, 5, 7, 11, 13, 101):
+            assert kronecker_symbol(d, p) == code[brute_splitting_q(s, p)], (d, p)
 
 
 UNIT_SAMPLE = [2, 3, 5, 6, 7, 10, 13, 15, 17, 21, 29, 53, 61, 77, 85, 94, 109]
