@@ -334,23 +334,13 @@ def theorem_area_log_bound_2d(x: float, c1: float, c2: float) -> float:
     return math.log(math.pi / 3.0) + primorial_log_bound(threshold)
 
 
-def _exact_kth_root_pow2(value: int, halvings: int) -> int:
-    """Exact 2^halvings-th root of a perfect power, else InputError."""
-    root = value
-    for _ in range(halvings):
-        r = math.isqrt(root)
-        if r * r != root:
-            raise InputError(f"{value} is not a perfect 2^{halvings}-th power")
-        root = r
-    return root
-
-
 def multiquadratic_discriminant(a_list) -> tuple[int, int]:
     """(|disc|, r) of the multiquadratic field generated by sqrt of each a_i,
     where |disc| = (2^r * rad(prod a_i))^(2^(m-1)).
 
     Computed from the product of the discriminants of the 2^m - 1 quadratic
-    subfields; r is read off that product and lies in {0, 2, 3}.
+    subfields; r, in {0, 2, 3}, is read off the 2-adic valuations of that
+    product and of rad, and one exact power checks the shape.
     """
     a = [check_int(ai, "generator") for ai in a_list]
     m = len(a)
@@ -374,10 +364,9 @@ def multiquadratic_discriminant(a_list) -> tuple[int, int]:
                 f"generators are multiplicatively dependent mod squares: {a}")
         prod_discs *= abs(fundamental_discriminant(part[bits]))
     rad = math.lcm(*(abs(ai) for ai in a))  # every a_i is squarefree
-    base = _exact_kth_root_pow2(prod_discs, m - 1)
-    two_part, shape_err = divmod(base, rad)
-    r = max(two_part.bit_length() - 1, 0)
-    if shape_err or (1 << r) != two_part or r not in (0, 2, 3):
+    v2_disc, v2_rad = ((n & -n).bit_length() - 1 for n in (prod_discs, rad))
+    r = (v2_disc >> (m - 1)) - v2_rad
+    if r not in (0, 2, 3) or (rad << r) ** (1 << (m - 1)) != prod_discs:
         raise InputError(f"discriminant {prod_discs} does not match the "
                          f"(2^r * rad)^(2^(m-1)) shape for generators {a}")
     return prod_discs, r

@@ -19,7 +19,7 @@ pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are not sieved: a wheel
 over the tables that p leaves open walks the q that could split them, the
 same table test filters them, and is_prime settles the first survivor, p's
 least pair up to the running optimum.  _sets_below then counts the sets
-below the optimum, from the optimum alone.
+below the optimum, from the optimum alone, by the sweep's prefix walk.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
@@ -245,9 +245,6 @@ class _IdealPool:
     def prefix_rows(self, n_rows: int) -> list[int]:
         return self.rows
 
-    def count_le(self, v: np.ndarray) -> np.ndarray:
-        return self.facs.searchsorted(v, side="right")
-
     def first_passes(self, accs: list[int], j0s: np.ndarray,
                      j1s: np.ndarray) -> list[int | None]:
         rows, target = self.rows, self.target
@@ -305,7 +302,7 @@ def _split_rows_qi(pool, exts) -> list[int]:
 # search, the exact cover over Q and the Q(i) search all run this sweep,
 # _sweep_sets over a _MaskMatrix or an _IdealPool, and over Q wheels find the
 # pairs past hi/8; _sets_below counts the sets below the optimum once it is
-# known, by the same walk.
+# known, by the same prefix walk (_prefixes).
 
 _INT64_MAX = (1 << 63) - 1  # facs and the slice products are int64: hi must not pass this
 _PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones before a q - 1 >= hi/8
@@ -314,6 +311,17 @@ _PAIR_FIRSTS = (2, 3, 5, 7)  # the p with p - 1 < 8 = 1*2*4, the only ones befor
 def _last_q(x, m):
     """The largest q with m(q - 1) < x."""
     return (x - 1) // m + 1
+
+
+def _top_card(facs, hi) -> int:
+    """The largest even k whose k smallest factors multiply below hi, or 0."""
+    top, prod = 0, 1
+    while top + 2 <= len(facs):
+        prod *= int(facs[top]) * int(facs[top + 1])
+        if prod >= hi:
+            break
+        top += 2
+    return top
 
 
 def _sweep_sets(masks, lo, hi):
@@ -328,18 +336,10 @@ def _sweep_sets(masks, lo, hi):
     pairs read, past those the sets of six or more read; the Q(i) pool
     holds every ideal from the start.
 
-    The cardinalities run down from the largest even k whose k smallest
-    factors multiply below hi, and each pass lowers hi to best + 1 for the
-    next (_sweep_card); a tie across cardinalities is kept.
+    The cardinalities run down from _top_card, and each pass lowers hi to
+    best + 1 for the next (_sweep_card); a tie across cardinalities is kept.
     """
-    facs = masks.facs
-    top, prod = 0, 1
-    while top + 2 <= len(facs):
-        prod *= int(facs[top]) * int(facs[top + 1])
-        if prod >= hi:
-            break
-        top += 2
-    del facs  # a view would keep the buffers that hold replaces
+    top = _top_card(masks.facs, hi)
     best, winners = None, []
     for card in range(top, 1, -2):
         if card == min(top, 4):
@@ -352,26 +352,19 @@ def _sweep_sets(masks, lo, hi):
     return best, winners
 
 
-def _sweep_card(masks, card, lo, hi):
-    """(best, winners) of _sweep_sets over the sets of `card` members.
+def _prefixes(facs, card, lo, hi):
+    """The prefixes of card - 1 members, card <= _top_card(facs, hi), that
+    some later member can complete to a set with factor in [lo, hi):
+    (prods, starts, members), their products, the least index of a last
+    member and the member index arrays, one per position.
 
-    The walk adds one member to all prefixes at once (_extend); a prefix is
-    its product, next start index and member indices.  Its members have
-    factors at most sqrt(hi), so the walk reads the `short` factors up to
-    there and card more.  A member i with m members left, itself included,
-    needs the m factors from i on to multiply below hi, and the m - 1
-    dearest factors a member can have, dear[m - 1], to reach lo: one
-    searchsorted each.  The last member of a prefix of card - 1 runs over
-    a slice [j0, j1) of factors in [lo, hi).  The slices go in order to
-    `masks.first_passes` in chunks of at most _BATCH_ROWS rows, or one
-    longer slice alone, with their prefix row ORs built for that chunk.  A
-    hit lowers hi to best + 1, which cuts the later slices; within a chunk
-    a hit above the new optimum is dropped.  A slice's first pass is its
-    least factor, and its later passes of that factor are ties.
+    The walk adds one member to all prefixes at once.  A prefix member has
+    a factor below sqrt(hi), so the walk reads the factors up to there and
+    card more.  A member i with m members left, itself included, needs the
+    m factors from i on to multiply below hi, and the m - 1 dearest factors
+    a member can have, dear[m - 1], to reach lo: one searchsorted each.
     """
-    facs = masks.facs
-    short = int(facs.searchsorted(math.isqrt(hi - 1), side="right")) + card
-    small = facs[:short].tolist()
+    small = facs[:int(facs.searchsorted(math.isqrt(hi - 1), side="right")) + card].tolist()
     bound = (hi - 1) // math.prod(small[:card - 1])
     dear = [1]  # dear[r]: the product of the r largest factors a member can have
     for f in reversed(facs[:facs.searchsorted(bound, side="right")][1 - card:].tolist()):
@@ -380,15 +373,30 @@ def _sweep_card(masks, card, lo, hi):
     for m in range(1, card):
         spans.append([min(a * f, hi) for a, f in zip(spans[-1], small[m:])])
     prods, starts = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    members = []  # the member index arrays, one per position
+    members = []
     for m in range(card, 1, -1):
         least = -(-lo // dear[m - 1])  # ceil(lo / dear), then ceil(that / prods) in int64
-        k, i, prods = _extend(prods, np.maximum(starts, facs.searchsorted(-(-least // prods))),
-                              np.searchsorted(spans[m - 1], (hi - 1) // prods, "right"), facs)
-        members, starts = [c[k] for c in members] + [i], i + 1
-    del spans, small
+        k, i = _runs(np.maximum(starts, facs.searchsorted(-(-least // prods))),
+                     np.searchsorted(spans[m - 1], (hi - 1) // prods, "right"))
+        prods, members, starts = prods[k] * facs[i], [c[k] for c in members] + [i], i + 1
+    return prods, starts, members
+
+
+def _sweep_card(masks, card, lo, hi):
+    """(best, winners) of _sweep_sets over the sets of `card` members.
+
+    The last member of a prefix from _prefixes runs over a slice [j0, j1)
+    of factors in [lo, hi).  The slices go in order to `masks.first_passes`
+    in chunks of at most _BATCH_ROWS rows, or one longer slice alone, with
+    their prefix row ORs built for that chunk.  A hit lowers hi to
+    best + 1, which cuts the later slices; within a chunk a hit above the
+    new optimum is dropped.  A slice's first pass is its least factor, and
+    its later passes of that factor are ties.
+    """
+    facs = masks.facs
+    prods, starts, members = _prefixes(facs, card, lo, hi)
     j0s = np.maximum(facs.searchsorted((lo - 1) // prods + 1), starts)
-    rows = masks.prefix_rows(short)
+    rows = masks.prefix_rows(int(members[-1].max(initial=-1)) + 1)  # members[-1]: the largest
     best, winners, cut = None, [], None
     while True:
         if cut != hi:  # first, and after a hit: cut the slices at hi, drop the empty
@@ -425,31 +433,17 @@ def _runs(starts: np.ndarray, ends: np.ndarray):
     return k, np.arange(len(k)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
-def _extend(prods, starts, ends, facs):
-    """One step of a prefix walk: every prefix k, of product prods[k], takes
-    each member i in [starts[k], ends[k]) in turn.  (k, i, the products of
-    the longer prefixes), by k and then i ascending."""
-    k, i = _runs(starts, ends)
-    return k, i, prods[k] * facs[i]
-
-
 def _sets_below(facs, best, count_le) -> int:
     """The number of even sets of two or more members with factor below best,
-    from the factors `facs` ascending (at least those with f^2 < best) and
-    count_le(v), the number of members of factor at most each v.  A set is a
-    prefix of even size and product prod, a member i and a last member j > i:
-    for all prefixes of one size at once, each i with prod * f_i^2 < best has
-    count_le((best - 1) // (prod * f_i)) - (i + 1) last members and opens the
-    prefixes two longer by the b > i with prod * f_i * least[b] < best."""
-    small = facs[:facs.searchsorted(math.isqrt(best - 1), side="right")]
-    # f_b * f_(b+1)^2, capped at best to fit in int64
-    least = np.array([min(f * g * g, best) for f, g in itertools.pairwise(small.tolist())])
-    n, prods, starts = 0, np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    while len(prods):
-        _, i, prods = _extend(prods, starts, (small * small).searchsorted((best - 1) // prods, "right"), small)
-        n += int((count_le((best - 1) // prods) - i - 1).sum())
-        _, b, prods = _extend(prods, i + 1, least.searchsorted((best - 1) // prods, "right"), small)
-        starts = b + 1
+    from the factors `facs` ascending and count_le(v), the number of members
+    of factor at most each v: a prefix of _prefixes(facs, card, 1, best) has
+    count_le((best - 1) // prod) - start last members.  A prefix member i
+    reads f_(i+1), so `facs` holds every factor up to the first past
+    sqrt(best - 1)."""
+    n = 0
+    for card in range(_top_card(facs, best), 1, -2):
+        prods, starts, _ = _prefixes(facs, card, 1, best)
+        n += int((count_le((best - 1) // prods) - starts).sum())
     return n
 
 
@@ -491,9 +485,11 @@ def _prime_pi(n):
 
 
 def _sets_below_q(masks, best) -> int:
-    """_sets_below over Q, from the primes with (p - 1)^2 < best, sieved here as
-    the masks may stop short of them below best = 64.  count_le(v) = pi(v + 1)
-    reads masks.facs up to masks.held >= best/8 and one _prime_pi past it."""
+    """_sets_below over Q.  Its walk reads the primes to the first p with
+    p - 1 > isqrt(best - 1), which Bertrand's postulate puts at most at
+    2 isqrt(best) + 2, so they are sieved to there (no fixed margin is safe:
+    the prime gap after 31,397 is 72).  count_le(v) = pi(v + 1) reads
+    masks.facs up to masks.held >= best/8 and one _prime_pi past it."""
     pi = _prime_pi(best - 1)
 
     def count_le(v):
@@ -502,7 +498,7 @@ def _sets_below_q(masks, best) -> int:
         n[far] = [pi(x + 1) for x in v[far].tolist()]
         return n
 
-    return _sets_below(_accel.primes_up_to(math.isqrt(best - 1) + 1) - 1, best, count_le)
+    return _sets_below(_accel.primes_up_to(2 * math.isqrt(best) + 2) - 1, best, count_le)
 
 
 class _PairWheel:
@@ -735,7 +731,8 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     return SearchResult(
         l=float(l), base="Qi", factor=best, sets=tuple(sets),
         excluded_fields=tuple(exts), certificates=certs, exhaustive=False, best_effort=True,
-        tested_below_optimum=_sets_below(masks.facs, best, masks.count_le),
+        tested_below_optimum=_sets_below(
+            masks.facs, best, lambda v: masks.facs.searchsorted(v, side="right")),
         volume=volume_qi(algebra_qi(sets[0])))
 
 
@@ -772,6 +769,9 @@ class ExclusionReport:
             "assignments": [a.to_json() for a in self.assignments],
             "tested_extensions": self.tested_extensions,
         }
+
+
+_ASSIGNMENT_CAP = 1 << 16  # verify_exclusion_3d builds a report for each assignment
 
 
 def _norm_choices(norm: int, multiplicity: int):
@@ -816,10 +816,16 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     The list is much larger than those fields, so valid=False does not show
     the systole is below l: at l=1.0 the norm-17 extension that every
     assignment of (2, 5, 9, 13) leaves open has no geodesic shorter than
-    1.466.  As in valid_algebra_3d, an l above about 6.06 raises InputError.
+    1.466.  As in valid_algebra_3d, an l above about 6.06 raises InputError,
+    and so does a multiset with more than 2^16 assignments, before any
+    extension or row is built: k distinct split norms give 2^k.
     """
     check_real(l, "systole bound", 0, strict=True)
     norms, options = _norm_options(ram_norm_multiset)
+    count = math.prod(len(o) for o in options)
+    if count > _ASSIGNMENT_CAP:
+        raise InputError(f"norm multiset {norms} has {count} conjugate assignments, "
+                         f"more than the {_ASSIGNMENT_CAP} supported")
     exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
 
     combos = [tuple(sorted((P for group in combo for P in group), key=_ideal_key))

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -297,6 +298,7 @@ def test_sweep_keeps_ties_inside_a_batch(rows, target, monkeypatch):
     facs = [1, 4, 4, 8, 12, 12]
     masks = _IdealPool.__new__(_IdealPool)
     masks.facs, masks.rows, masks.target = np.array(facs, dtype=np.int64), rows, target
+    count_le = functools.partial(masks.facs.searchsorted, side="right")
     subsets = [c for k in (2, 4, 6) for c in itertools.combinations(range(6), k)]
     for lo in (2 ** k for k in range(1, 16)):
         in_range = [c for c in subsets if lo <= math.prod(facs[i] for i in c) < 2 * lo]
@@ -310,7 +312,7 @@ def test_sweep_keeps_ties_inside_a_batch(rows, target, monkeypatch):
             assert (got, sorted(got_winners)) == (best, winners), (lo, batch_rows)
         below = 2 * lo if best is None else best
         n_below = sum(math.prod(facs[i] for i in c) < below for c in subsets)
-        assert _sets_below(masks.facs, below, masks.count_le) == n_below, lo
+        assert _sets_below(masks.facs, below, count_le) == n_below, lo
 
 
 @pytest.mark.parametrize("held", ["short of the root", "at the root", "past best"])
@@ -329,6 +331,29 @@ def test_sets_below_matches_naive_prime_sets(held):
         assert search._sets_below_q(masks, best) == bisect.bisect_left(factors, best), best
 
 
+def test_prefix_walk_matches_the_combinations_in_range():
+    # every (prefix, last member j) that the walk's slices hold is a set of
+    # `card` indices with factor in [lo, hi), and each such set once; tied
+    # factors, as over Q(i), included
+    rng = random.Random(0)
+    for _ in range(400):
+        facs = np.array(sorted(rng.choices(range(1, 40), k=rng.randint(4, 12))), dtype=np.int64)
+        lo = rng.randint(1, 10 ** rng.randint(1, 7))
+        hi = lo + rng.randint(1, 10 ** rng.randint(1, 7))
+        for card in (2, 4, 6):
+            want = [c for c in itertools.combinations(range(len(facs)), card)
+                    if lo <= math.prod(int(facs[i]) for i in c) < hi]
+            if card > search._top_card(facs, hi):
+                assert want == [], (facs, lo, hi, card)
+                continue
+            prods, starts, members = search._prefixes(facs, card, lo, hi)
+            j0s = np.maximum(facs.searchsorted((lo - 1) // prods + 1), starts)
+            j1s = facs.searchsorted((hi - 1) // prods + 1)
+            got = [(*(int(c[k]) for c in members), j)
+                   for k in range(len(prods)) for j in range(j0s[k], j1s[k])]
+            assert sorted(got) == want, (facs.tolist(), lo, hi, card)
+
+
 def test_sets_below_counts_the_even_pool_subsets_with_tied_factors():
     # conjugate ideals of one norm give tied factors
     pool = gaussian_primes_up_to_norm(30)
@@ -337,9 +362,10 @@ def test_sets_below_counts_the_even_pool_subsets_with_tied_factors():
     assert facs == [1, 4, 4, 8, 12, 12, 16, 16, 28, 28]
     factors = sorted(math.prod(c) for k in range(2, len(facs) + 1, 2)
                      for c in itertools.combinations(facs, k))
+    count_le = functools.partial(masks.facs.searchsorted, side="right")
     for best in sorted({2} | {f + d for f in factors for d in (0, 1)}):
         want = bisect.bisect_left(factors, best)
-        assert _sets_below(masks.facs, best, masks.count_le) == want, best
+        assert _sets_below(masks.facs, best, count_le) == want, best
 
 
 def test_minimal_result_json_roundtrips():
@@ -587,6 +613,24 @@ def test_verify_exclusion_input_errors():
         verify_exclusion_3d([2], 1.0)
     with pytest.raises(InadmissibleAlgebraError):
         verify_exclusion_3d([2, 5, 9], 1.0)
+
+
+def test_verify_exclusion_caps_the_assignments_before_building_rows(monkeypatch):
+    # 18 split norms of multiplicity 1 give 2^18 conjugate assignments; the
+    # cap raises before the rows are built.  At a cap lowered to 4, two split
+    # norms (4 assignments) still run and four (16) raise
+    calls, split_rows = [], search._split_rows_qi
+    monkeypatch.setattr(search, "_split_rows_qi",
+                        lambda *args: calls.append(args) or split_rows(*args))
+    split = [p for p in sieve_primes(200) if p % 4 == 1][:18]
+    with pytest.raises(InputError, match="262144 conjugate assignments"):
+        verify_exclusion_3d(split, 1.0)
+    assert calls == []
+    monkeypatch.setattr(search, "_ASSIGNMENT_CAP", 4)
+    assert len(verify_exclusion_3d(split[:2], 1.0).assignments) == 4
+    assert len(calls) == 1
+    with pytest.raises(InputError, match="16 conjugate assignments"):
+        verify_exclusion_3d(split[:4], 1.0)
 
 
 def test_norm_choices_match_an_ideal_count_oracle():
