@@ -183,6 +183,7 @@ def build_split_masks(primes: np.ndarray, tables: list[np.ndarray]) -> np.ndarra
 
 
 def masks_to_ints(words: np.ndarray) -> list[int]:
-    """Collapse each uint64 row into one arbitrary-width Python int."""
+    """Each uint64 row as one Python int, for the readers of one row at a
+    time: constructions._greedy_roles and search.verify_exclusion_3d."""
     le = np.ascontiguousarray(words, dtype="<u8")
     return [int.from_bytes(row.tobytes(), "little") for row in le]

@@ -38,7 +38,7 @@ from .real_quadratic import (
     is_squarefree,
     splitting_type_q,
 )
-from .search import _certify_q, _certify_qi, _minimal_sets, _split_rows_qi
+from .search import _certify_q, _certify_qi, _member_json, _minimal_sets, _split_rows_qi
 from .volume import area_factor
 
 _PRIMORIAL_CAP = 100_000_000
@@ -163,18 +163,15 @@ class CoverResult:
         return area_factor(self.algebra)
 
     def to_json(self) -> dict:
-        def member_json(m):
-            return m if isinstance(m, int) else m.to_json()
-
         return {
-            "ram": [member_json(m) for m in self.algebra.ram_sorted],
+            "ram": [_member_json(m) for m in self.algebra.ram_sorted],
             "factor": self.factor,
             "fields": [f.to_json() for f in self.fields],
             "certificate": [
-                {"field": f.to_json(), "witness": member_json(w)}
+                {"field": f.to_json(), "witness": _member_json(w)}
                 for f, w in self.certificate.items()
             ],
-            "roles": [{"member": member_json(m), "role": r} for m, r in self.roles],
+            "roles": [{"member": _member_json(m), "role": r} for m, r in self.roles],
             "exact": self.exact,
         }
 
@@ -228,19 +225,20 @@ def _cover_bound(x: float) -> float:
 def _greedy_roles(n_fields: int, window: int, rows_in, torsion) -> list:
     """The (member, role) list of a greedy cover of n_fields fields.
 
-    rows_in(window) gives the primes (or ideals) up to the window,
-    ascending, and their split rows as ints.  The window doubles until the
-    greedy cover of its rows covers every field; its picks are the cover
-    members, in member order.  The torsion conditions (those of
-    quaternion.py, or () for none) that no cover member meets are met by
-    one more member: the first of the window that meets them all, which
-    the first window holds (13 over Q, the norm-49 ideal over Q(i)).
-    Parity members, the first not yet taken, make the set even.
+    rows_in(window) gives the split rows, as words, of the primes (or
+    ideals) up to the window, then those members ascending, a list built
+    after the rows.  The window doubles until the greedy cover of its rows
+    covers every field; its picks are the cover members, in member order.
+    The torsion conditions (those of quaternion.py, or () for none) that no
+    cover member meets are met by one more member: the first of the window
+    that meets them all, which the first window holds (13 over Q, the
+    norm-49 ideal over Q(i)).  Parity members, the first not yet taken, make
+    the set even.
     """
     full_mask = (1 << n_fields) - 1
     while True:
-        members, rows = rows_in(window)
-        picks = _greedy_cover(rows, full_mask)
+        words, members = rows_in(window)
+        picks = _greedy_cover(_accel.masks_to_ints(words), full_mask)
         if picks is not None:
             break
         if window > 64 * _DISC_CAP:
@@ -282,8 +280,7 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
 
         def rows_in(window):
             primes = _accel.primes_up_to(window)
-            words = _accel.build_split_masks(primes, tables)
-            return primes.tolist(), _accel.masks_to_ints(words)
+            return _accel.build_split_masks(primes, tables), primes.tolist()
 
         window = max(1000, 3 * max(discs, default=0))
         roles = _greedy_roles(len(fields), window, rows_in,
@@ -302,7 +299,7 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
 
     def rows_in(window):
         pool = gaussian_primes_up_to_norm(window)
-        return pool, _split_rows_qi(pool, exts)
+        return _split_rows_qi(pool, exts), pool
 
     window = max(200, 3 * max((e.rel_disc_norm for e in exts), default=0))
     roles = _greedy_roles(len(exts), window, rows_in,

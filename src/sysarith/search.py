@@ -22,10 +22,10 @@ least pair up to the running optimum.  _sets_below then counts the sets
 below the optimum, from the optimum alone, by the sweep's prefix walk.
 
 The exact cover over Q and the 3-manifold search over Q(i) run the same
-sweep.  Over Q(i) it ranges over the even subsets of a pool of prime ideals
-of bounded norm, whose split rows are read from Legendre tables and packed
-into Python ints; the result is least over the pool and certified, and
-best-effort because an ideal outside the pool could do better.  The search
+sweep, on split rows of uint64 words.  Over Q(i) it ranges over the even
+subsets of a pool of prime ideals of bounded norm, whose split rows are
+read from Legendre tables; the result is least over the pool and certified,
+and best-effort because an ideal outside the pool could do better.  The search
 stops with NoCandidateError once the ranges pass the product of the whole
 pool, or the int64 limit of the sweep.
 """
@@ -71,18 +71,22 @@ from .volume import volume_qi
 # ---------------------------------------------------------------------------
 # obstruction masks
 #
-# Bit f of a prime's row is set iff the prime splits in field f; a set of
-# primes obstructs every field iff the OR of its rows covers all field bits.
-# With the torsion filter on, two extra virtual bits (p = 1 mod 4 and
-# p = 1 mod 3) must be covered as well.  Over Q(i) the rows are those of
-# prime ideals, and their bits are quadratic extensions of Q(i).
+# Bit f of a prime's row, in uint64 word f // 64, is set iff the prime
+# splits in field f; a set of primes obstructs every field iff the OR of
+# its rows covers all field bits.  With the torsion filter on, two extra
+# virtual bits (p = 1 mod 4 and p = 1 mod 3) must be covered as well.  Over
+# Q(i) the rows are those of prime ideals, and their bits are extensions.
 
-_WORD = (1 << 64) - 1
 _WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
-_BATCH_ROWS = 1 << 16  # word-0 rows per chunk of the sweep and per vectorized step
+_BATCH_ROWS = 1 << 16  # rows, and need words, per chunk of the sweep and per vectorized step
 # the 0/1 tables of the torsion bits: quaternion.TORSION_Q over its period 12
 _TORSION_TABLES = [np.array([c(r) for r in range(12)], dtype=np.int8)
                    for c in TORSION_Q]
+
+
+def _full(bits: int) -> np.ndarray:
+    """The words of the row with bits [0, bits) set: the target of a sweep."""
+    return np.frombuffer(((1 << bits) - 1).to_bytes(8 * max(1, -(-bits // 64)), "little"), "<u8")
 
 
 def _grow(buf: np.ndarray, n: int, extra: int) -> np.ndarray:
@@ -105,13 +109,13 @@ class _MaskMatrix:
     small primes split; the other fields follow, then the torsion bits.
     `tables` lists their tables in that order; a bit is set where its
     table reads 1, and `passing` is the one test of those bits that reads
-    the tables themselves.  Every held prime gets its word 0 (`w0`),
+    the tables themselves.  Every held prime gets its word 0 (`_w0`),
     stored next to its factor p - 1 (`facs`), the one array the sweep
-    searches; the buffers grow geometrically.  Full rows, as Python ints,
-    are built only for the prime indices [0, n) that `prefix_rows(n)` asks
-    for: the sweep's prefixes.  `first_passes` filters the last primes of
-    a chunk of sets on word 0 alone, and the few survivors are re-checked
-    by `passing` on the bits above word 0 that their prefix leaves open.
+    searches; the buffers grow geometrically.  Full rows are built only
+    for the prime indices [0, n) that `prefix_rows(n)` asks for: the
+    sweep's prefixes.  `first_passes` filters the last primes of a chunk of
+    sets on word 0 alone, and the few survivors are re-checked by `passing`
+    on the bits above word 0 that their prefix leaves open.
     """
 
     def __init__(self, discs: list[int], torsion: bool):
@@ -120,21 +124,15 @@ class _MaskMatrix:
         split = [int((chi[small % len(chi)] == 1).sum()) for chi in tables]
         self.tables = ([tables[f] for f in np.argsort(split, kind="stable")]
                        + (_TORSION_TABLES if torsion else []))
-        bits = len(self.tables)
-        self.width = max(1, (bits + 63) // 64)
-        self.target = (1 << bits) - 1
+        self.target = _full(len(self.tables))
         self.held = self.n = 0
         self._facs = np.empty(0, dtype=np.int64)
         self._w0 = np.empty(0, dtype=np.uint64)
-        self._prefix: list[int] = []
+        self._prefix = np.empty((0, len(self.target)), dtype=np.uint64)
 
     @property
     def facs(self) -> np.ndarray:
         return self._facs[:self.n]
-
-    @property
-    def w0(self) -> np.ndarray:
-        return self._w0[:self.n]
 
     def _words(self, primes: np.ndarray, width: int) -> np.ndarray:
         """The first `width` words of the rows of `primes`."""
@@ -154,8 +152,8 @@ class _MaskMatrix:
             self.n = n + m
         self.held = max(self.held, c)
 
-    def prefix_rows(self, n_rows: int) -> list[int]:
-        """The full rows of at least the prime indices [0, n_rows), as ints.
+    def prefix_rows(self, n_rows: int) -> np.ndarray:
+        """The full rows of at least the prime indices [0, n_rows), as words.
 
         The rows built grow geometrically, so a sweep whose prefixes reach
         a little further each range builds them in few calls.
@@ -163,14 +161,13 @@ class _MaskMatrix:
         have = len(self._prefix)
         if n_rows > have:
             want = min(self.n, max(n_rows, 2 * have))
-            self._prefix += _accel.masks_to_ints(
-                self._words(self._facs[have:want] + 1, self.width))
+            self._prefix = np.concatenate(
+                [self._prefix, self._words(self._facs[have:want] + 1, len(self.target))])
         return self._prefix
 
-    def open_bits(self, acc: int):
-        """The bits above word 0 that a prefix with row OR `acc` leaves
-        open, lowest first, found one at a time as they are read."""
-        rest = (self.target & ~acc) >> 64
+    def open_bits(self, need: np.ndarray):
+        """The bits above word 0 set in `need`, lowest first, read lazily."""
+        rest = int.from_bytes(need[1:].astype("<u8").tobytes(), "little")
         while rest:
             low = rest & -rest
             yield low.bit_length() + 63
@@ -186,107 +183,109 @@ class _MaskMatrix:
             n = n[table[n % len(table)] == 1]
         return n
 
-    def _recheck(self, acc: int, survivors: np.ndarray) -> int | None:
-        """The first of the word-0 survivors whose row OR acc also sets the
-        bits above word 0 that acc leaves open."""
+    def _recheck(self, need: np.ndarray, survivors: np.ndarray) -> int | None:
+        """The first word-0 survivor whose row also sets need's bits above word 0."""
         if not len(survivors):
             return None
-        p = self.passing(self._facs[survivors] + 1, self.open_bits(acc))
+        p = self.passing(self._facs[survivors] + 1, self.open_bits(need))
         return int(self.facs.searchsorted(p[0] - 1)) if len(p) else None
 
-    def _first_pass(self, acc: int, j0: int, j1: int) -> int | None:
+    def _first_pass(self, need: np.ndarray, j0: int, j1: int) -> int | None:
         """The first pass of one slice, read in place in steps."""
-        need0 = np.uint64(self.target & ~acc & _WORD)
-        w0 = self.w0
+        need0 = need[0]
         for s0 in range(j0, j1, _BATCH_ROWS):
-            hits = ((w0[s0:min(j1, s0 + _BATCH_ROWS)] & need0) == need0).nonzero()[0]
-            j = self._recheck(acc, hits + s0)
+            hits = ((self._w0[s0:min(j1, s0 + _BATCH_ROWS)] & need0) == need0).nonzero()[0]
+            j = self._recheck(need, hits + s0)
             if j is not None:
                 return j
         return None
 
-    def first_passes(self, accs: list[int], j0s: np.ndarray,
+    def first_passes(self, need: np.ndarray, j0s: np.ndarray,
                      j1s: np.ndarray) -> list[int | None]:
-        """For each slice k, the least j in [j0s[k], j1s[k]) whose row OR
-        accs[k], its prefix's row OR, covers every bit, or None.
+        """For each slice k, the least j in [j0s[k], j1s[k]) whose row sets
+        every bit of need[k], the bits its prefix leaves open, or None.
 
         The sweep hands over at most _BATCH_ROWS rows, or one longer slice
         that is read in place.  Word 0 filters: one gather tests the rows of
         all the slices, each against its own prefix, and the survivors are
         re-checked on the bits above word 0 that their prefix leaves open.
         """
-        if len(accs) == 1 and j1s[0] - j0s[0] > _BATCH_ROWS:
-            return [self._first_pass(accs[0], int(j0s[0]), int(j1s[0]))]
+        if len(need) == 1 and j1s[0] - j0s[0] > _BATCH_ROWS:
+            return [self._first_pass(need[0], int(j0s[0]), int(j1s[0]))]
         owner, idx = _runs(j0s, j1s)
-        need = np.array([self.target & ~acc & _WORD for acc in accs], dtype=np.uint64)[owner]
-        hits = ((self.w0[idx] & need) == need).nonzero()[0]
+        need0 = np.ascontiguousarray(need[:, 0])[owner]
+        hits = ((self._w0[idx] & need0) == need0).nonzero()[0]
         who = owner[hits]
-        out: list[int | None] = [None] * len(accs)
+        out: list[int | None] = [None] * len(need)
         for s in sorted(set(who.tolist())):
-            out[s] = self._recheck(accs[s], idx[hits[who == s]])
+            out[s] = self._recheck(need[s], idx[hits[who == s]])
         return out
 
 
 class _IdealPool:
-    """Split rows of a Gaussian prime-ideal pool sorted by norm, in the
-    shape the sweep reads: `facs` holds N - 1 of each ideal, and every row
-    is a Python int from _split_rows_qi.  The slices are tested in a Python
-    loop: the pool is small, and its low bits are not ranked by rarity like
-    word 0 over Q, so a word-0 filter would not pay for itself."""
+    """Split rows of a Gaussian prime-ideal pool sorted by norm: `facs` holds
+    N - 1 of each ideal, `rows` its words, tested a word at a time: the pool
+    is small and not ranked by rarity, so a word-0 filter would not pay."""
 
     def __init__(self, pool: list[GaussianPrimeIdeal], exts):
         self.facs = np.array([P.norm - 1 for P in pool], dtype=np.int64)
         self.rows = _split_rows_qi(pool, exts)
-        self.target = (1 << len(exts)) - 1
+        self.target = _full(len(exts))
 
     def hold(self, c: int) -> None:
         """The pool holds every ideal from the start."""
 
-    def prefix_rows(self, n_rows: int) -> list[int]:
+    def prefix_rows(self, n_rows: int) -> np.ndarray:
         return self.rows
 
-    def first_passes(self, accs: list[int], j0s: np.ndarray,
+    def first_passes(self, need: np.ndarray, j0s: np.ndarray,
                      j1s: np.ndarray) -> list[int | None]:
-        rows, target = self.rows, self.target
-        return [next((j for j in range(j0, j1) if acc | rows[j] == target), None)
-                for acc, j0, j1 in zip(accs, j0s.tolist(), j1s.tolist())]
+        owner, idx = _runs(j0s, j1s)
+        for w in range(need.shape[1]):  # drop the rows that miss a bit of word w
+            keep = (need[owner, w] & ~self.rows[idx, w]) == 0
+            owner, idx = owner[keep], idx[keep]
+            if not len(idx):
+                break
+        found = dict(zip(owner[::-1].tolist(), idx[::-1].tolist()))  # a slice's least j last
+        return [found.get(k) for k in range(len(need))]
 
 
-def _split_rows_qi(pool, exts) -> list[int]:
-    """Bit e of row i is set iff pool[i] splits in exts[e].
+def _split_rows_qi(pool, exts) -> np.ndarray:
+    """Bit e of row i is set iff pool[i] splits in exts[e], in uint64 words.
 
     An odd ideal splits iff delta = a + bi is a nonzero square mod it: for
     a degree-1 ideal of norm p with i = r mod it, iff a + b*r is a square
     mod p; for an inert (q), iff a^2 + b^2 is a square mod q.  Each ideal
     reads one Legendre table over int64 arrays of the deltas, and its bits
-    are packed into one Python int.  (1+i) follows two_splitting where it
+    are packed into its row's bytes.  (1+i) follows two_splitting where it
     is unramified.  A zero residue is allowed only at the ideals of
-    ext.gens; any other raises SysarithError.
+    ext.gens; any other raises SysarithError.  No exts give one zero word.
     """
     a, b = np.array([(e.delta.a, e.delta.b) for e in exts], dtype=np.int64).reshape(-1, 2).T
-    rows = []
+    rows = np.zeros((len(pool), len(_full(len(exts)))), dtype="<u8")
     q, leg = 0, None
-    for P in pool:
+    for i, P in enumerate(pool):
         if P.norm % 2 == 0:
-            rows.append(sum(1 << k for k, e in enumerate(exts)
-                            if e.rel_disc_two_exp == 0 and e.two_splitting == SPLIT))
-            continue
-        if P.kind == SPLIT:
-            p = P.norm
-            r = -P.gen.a * pow(P.gen.b, -1, p) % p
-            res = (a % p + b % p * r) % p
+            split = np.array([e.rel_disc_two_exp == 0 and e.two_splitting == SPLIT
+                              for e in exts], dtype=bool)
         else:
-            p = P.gen.a
-            res = ((a % p) ** 2 + (b % p) ** 2) % p
-        if p != q:
-            q, leg = p, _accel._legendre_table(p)
-        sym = leg[res]
-        for k in np.flatnonzero(sym == 0).tolist():
-            if P.gen not in exts[k].gens:
-                raise SysarithError(
-                    f"residue symbol of {exts[k].delta} at unramified {P.gen} is 0")
-        rows.append(int.from_bytes(np.packbits(sym == 1, bitorder="little").tobytes(),
-                                   "little"))
+            if P.kind == SPLIT:
+                p = P.norm
+                r = -P.gen.a * pow(P.gen.b, -1, p) % p
+                res = (a % p + b % p * r) % p
+            else:
+                p = P.gen.a
+                res = ((a % p) ** 2 + (b % p) ** 2) % p
+            if p != q:
+                q, leg = p, _accel._legendre_table(p)
+            sym = leg[res]
+            for k in np.flatnonzero(sym == 0).tolist():
+                if P.gen not in exts[k].gens:
+                    raise SysarithError(
+                        f"residue symbol of {exts[k].delta} at unramified {P.gen} is 0")
+            split = sym == 1
+        packed = np.packbits(split, bitorder="little")
+        rows.view(np.uint8)[i, :len(packed)] = packed
     return rows
 
 
@@ -387,11 +386,11 @@ def _sweep_card(masks, card, lo, hi):
 
     The last member of a prefix from _prefixes runs over a slice [j0, j1)
     of factors in [lo, hi).  The slices go in order to `masks.first_passes`
-    in chunks of at most _BATCH_ROWS rows, or one longer slice alone, with
-    their prefix row ORs built for that chunk.  A hit lowers hi to
-    best + 1, which cuts the later slices; within a chunk a hit above the
-    new optimum is dropped.  A slice's first pass is its least factor, and
-    its later passes of that factor are ties.
+    in chunks of at most _BATCH_ROWS rows and need words, or one longer
+    slice alone, with `need`, the bits their prefixes leave open.  A hit
+    lowers hi to best + 1, which cuts the later slices; within a chunk a hit
+    above the new optimum is dropped.  A slice's first pass is its least
+    factor, and its later passes of that factor are ties.
     """
     facs = masks.facs
     prods, starts, members = _prefixes(facs, card, lo, hi)
@@ -407,11 +406,13 @@ def _sweep_card(masks, card, lo, hi):
             ends, cut = np.cumsum(j1s - j0s), hi
         if not len(prods):
             return best, winners
-        e = max(int(ends.searchsorted(ends[0] - j1s[0] + j0s[0] + _BATCH_ROWS, "right")), 1)
-        accs = [0] * e
-        for c in members:
-            accs = [acc | rows[m] for acc, m in zip(accs, c[:e].tolist())]
-        for k, j in enumerate(masks.first_passes(accs, j0s[:e], j1s[:e])):
+        e = int(ends.searchsorted(ends[0] - j1s[0] + j0s[0] + _BATCH_ROWS, "right"))
+        e = max(min(e, _BATCH_ROWS // rows.shape[1]), 1)
+        need = rows[members[0][:e]]
+        for c in members[1:]:
+            need |= rows[c[:e]]
+        need ^= masks.target  # no row sets a bit past the target
+        for k, j in enumerate(masks.first_passes(need, j0s[:e], j1s[:e])):
             while j is not None:
                 factor = int(prods[k]) * int(facs[j])
                 if best is not None and factor > best:
@@ -420,7 +421,7 @@ def _sweep_card(masks, card, lo, hi):
                     best, winners, hi = factor, [], factor + 1
                 winners.append((*(int(c[k]) for c in members), j))
                 tie = min(int(facs.searchsorted(facs[j], side="right")), int(j1s[k]))
-                j, = (masks.first_passes([accs[k]], np.array([j + 1]), np.array([tie]))
+                j, = (masks.first_passes(need[k:k + 1], np.array([j + 1]), np.array([tie]))
                       if j + 1 < tie else (None,))
         prods, j0s, j1s, ends = prods[e:], j0s[e:], j1s[e:], ends[e:]
         members = [c[e:] for c in members]
@@ -609,6 +610,10 @@ def _minimal_sets(discs: list[int], torsion: bool):
 # ---------------------------------------------------------------------------
 # search results
 
+def _member_json(m):
+    return m.to_json() if isinstance(m, GaussianPrimeIdeal) else m
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a minimal/valid-algebra search over Q or Q(i)."""
@@ -630,17 +635,14 @@ class SearchResult:
         return [make(s) for s in self.sets]
 
     def to_json(self) -> dict:
-        def member_json(m):
-            return m.to_json() if isinstance(m, GaussianPrimeIdeal) else m
-
         return {
             "l": self.l,
             "base": self.base,
             "factor_or_volume": self.volume if self.base == "Qi" else self.factor,
-            "sets": [[member_json(m) for m in s] for s in self.sets],
+            "sets": [[_member_json(m) for m in s] for s in self.sets],
             "excluded_fields": [f.to_json() for f in self.excluded_fields],
             "certificates": [
-                [{"field": f.to_json(), "witness": member_json(w)}
+                [{"field": f.to_json(), "witness": _member_json(w)}
                  for f, w in cert.items()]
                 for cert in self.certificates
             ],
@@ -831,7 +833,7 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     combos = [tuple(sorted((P for group in combo for P in group), key=_ideal_key))
               for combo in itertools.product(*options)]
     union = sorted({P for ideals in combos for P in ideals}, key=_ideal_key)
-    row = dict(zip(union, _split_rows_qi(union, exts)))
+    row = dict(zip(union, _accel.masks_to_ints(_split_rows_qi(union, exts))))
     target = (1 << len(exts)) - 1
     reports = []
     for ideals in combos:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 
 def sieve_primes(n: int) -> list[int]:
     """All primes <= n by a plain sieve."""
@@ -23,6 +25,22 @@ def sieve_primes(n: int) -> list[int]:
         if mask[p]:
             mask[p * p:: p] = bytearray(len(mask[p * p:: p]))
     return [i for i, m in enumerate(mask) if m]
+
+
+def int_words(rows, width=None) -> np.ndarray:
+    """Python-int rows as a (len(rows), width) uint64 matrix, bit b of a row
+    in word b // 64; width defaults to the fewest words, at least one, that
+    hold every row."""
+    if width is None:
+        width = max(1, -(-max(rows, default=0).bit_length() // 64))
+    return np.array([[row >> 64 * w & (1 << 64) - 1 for w in range(width)]
+                     for row in rows], dtype=np.uint64).reshape(len(rows), width)
+
+
+def word_ints(words) -> list[int]:
+    """The rows of a uint64 word matrix as Python ints, word 0 lowest."""
+    return [sum(int(x) << 64 * w for w, x in enumerate(row))
+            for row in np.asarray(words).tolist()]
 
 
 def brute_is_squarefree(n: int) -> bool:

@@ -29,6 +29,7 @@ from oracles import (
     brute_even_split_qi,
     brute_splitting_q,
     brute_symbol_qi,
+    int_words,
     naive_minimal_sets,
     sieve_primes,
 )
@@ -283,7 +284,7 @@ def test_cover_3d_torsion_adds_the_first_ideal_meeting_the_missing_condition():
 
 def test_greedy_roles_raises_when_no_member_meets_the_torsion_conditions():
     with pytest.raises(SysarithError, match="torsion"):
-        constructions._greedy_roles(1, 4, lambda window: ([2, 3], [1, 0]),
+        constructions._greedy_roles(1, 4, lambda window: (int_words([1, 0]), [2, 3]),
                                     (lambda m: False,))
 
 
@@ -296,7 +297,7 @@ def test_greedy_roles_doubles_the_window_and_drops_redundant_picks():
     def rows_in(window):
         windows.append(window)
         n = 2 if window < 20 else 3
-        return members[:n], rows[:n]
+        return int_words(rows[:n]), members[:n]
 
     # greedy takes all three rows in turn; the last two cover the first
     assert constructions._greedy_cover(rows, 0b111111) == [1, 2]
@@ -333,7 +334,7 @@ def test_cover_3d_lost_certificate_raises_a_package_error(monkeypatch):
     # rows that claim a cover no ideal gives: the certificate step must
     # raise a SysarithError, not leak StopIteration
     monkeypatch.setattr(constructions, "_split_rows_qi",
-                        lambda pool, exts: [(1 << len(exts)) - 1] * len(pool))
+                        lambda pool, exts: int_words([(1 << len(exts)) - 1] * len(pool)))
     monkeypatch.setattr(search, "splitting_in_ext", lambda P, ext: "inert")
     with pytest.raises(SysarithError, match="certificate"):
         cover_algebra_3d(0.5)

@@ -46,11 +46,13 @@ from oracles import (
     brute_is_squarefree,
     brute_splitting_q,
     brute_splits_qi,
+    int_words,
     max_ram_cardinality,
     naive_minimal_sets,
     naive_prime_sets,
     naive_valid_sets_qi,
     sieve_primes,
+    word_ints,
 )
 
 # (bound, factor, minimizer sets, tested_below_optimum) regression pins;
@@ -168,27 +170,30 @@ def test_mask_matrix_torsion_bits(n_fields):
     primes = np.array(sieve_primes(2999), dtype=np.int64)
     masks = _MaskMatrix([5] * n_fields, torsion=True)
     masks.hold(2999)
-    rows = masks.prefix_rows(len(primes))
+    words = masks.prefix_rows(len(primes))
+    rows = word_ints(words)
     assert len(rows) == len(primes)
-    assert masks.width == (1 if n_fields == 3 else 2)
+    assert words.shape[1] == len(masks.target) == (1 if n_fields == 3 else 2)
 
     def bit(b):
         return [bool(row >> b & 1) for row in rows]
 
     assert bit(n_fields) == [p % 4 == 1 for p in primes.tolist()]
     assert bit(n_fields + 1) == [p % 3 == 1 for p in primes.tolist()]
-    assert masks.target.bit_count() == n_fields + 2
+    assert word_ints([masks.target])[0].bit_count() == n_fields + 2
 
 
 def test_open_bits_are_the_clear_bits_above_word_0_lowest_first():
+    # need, the bits a prefix with row OR acc leaves open, in words
     masks = _MaskMatrix([5] * 150, torsion=True)  # 152 bits in three words
+    target = word_ints([masks.target])[0]
     rng = np.random.default_rng(3)
-    accs = [0, masks.target, masks.target >> 100, (1 << 64) - 1,
+    accs = [0, target, target >> 100, (1 << 64) - 1,
             *(sum(1 << b for b in range(152) if rng.random() < 0.7) for _ in range(20))]
-    for acc in accs:
+    for acc, need in zip(accs, int_words([target & ~acc for acc in accs], 3)):
         want = [b for b in range(64, 152) if not acc >> b & 1]
-        assert list(masks.open_bits(acc)) == want, hex(acc)
-    assert next(masks.open_bits(1 << 64)) == 65
+        assert list(masks.open_bits(need)) == want, hex(acc)
+    assert next(masks.open_bits(int_words([target & ~(1 << 64)])[0])) == 65
 
 
 @pytest.mark.parametrize("torsion", [False, True])
@@ -234,19 +239,21 @@ def test_first_passes_find_the_least_passing_row(n_fields, monkeypatch):
     ds = [d for d in range(2, 500) if brute_is_squarefree(d)][:n_fields]
     masks = _MaskMatrix([d if d % 4 == 1 else 4 * d for d in ds], torsion=True)
     masks.hold(20_000)
-    rows = masks.prefix_rows(masks.n)
+    rows = word_ints(masks.prefix_rows(masks.n))
+    target = word_ints([masks.target])[0]
     bits = n_fields + 2
     rng = np.random.default_rng(5)
-    accs = [masks.target & ~sum(1 << int(b) for b in rng.choice(bits, k, replace=False))
+    accs = [target & ~sum(1 << int(b) for b in rng.choice(bits, k, replace=False))
             for k in rng.integers(1, 5, size=60)]
     j0s = rng.integers(0, masks.n, size=60)
     j1s = np.minimum(j0s + rng.integers(0, 400, size=60), masks.n)
-    want = [next((j for j in range(j0, j1) if acc | rows[j] == masks.target), None)
+    want = [next((j for j in range(j0, j1) if acc | rows[j] == target), None)
             for acc, j0, j1 in zip(accs, j0s.tolist(), j1s.tolist())]
     assert sum(j is not None for j in want) > 30
+    need = int_words([target & ~acc for acc in accs], len(masks.target))
     for batch_rows in STEP_ROWS:
         monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
-        assert masks.first_passes(accs, j0s, j1s) == want, batch_rows
+        assert masks.first_passes(need, j0s, j1s) == want, batch_rows
 
 
 @functools.cache
@@ -287,6 +294,15 @@ def test_minimal_sets_match_naive_oracle_past_word_0(n_fields, torsion, monkeypa
         assert _minimal_sets(discs, torsion) == want, batch_rows
 
 
+def ideal_pool(facs, rows, n_bits):
+    """An _IdealPool over given factors and Python-int rows of n_bits bits."""
+    masks = _IdealPool.__new__(_IdealPool)
+    masks.facs = np.array(facs, dtype=np.int64)
+    masks.rows = int_words(rows, -(-n_bits // 64))
+    masks.target = int_words([(1 << n_bits) - 1])[0]
+    return masks
+
+
 # every set passes; or a set passes iff it holds one of 0, 3 and one of 1, 2, 5
 @pytest.mark.parametrize("rows,target", [([1] * 6, 1), ([1, 2, 2, 1, 0, 2], 3)])
 def test_sweep_keeps_ties_inside_a_batch(rows, target, monkeypatch):
@@ -296,8 +312,7 @@ def test_sweep_keeps_ties_inside_a_batch(rows, target, monkeypatch):
     # The count of every subset below the range's best, or below its hi if
     # none passes, reads the tied factors too
     facs = [1, 4, 4, 8, 12, 12]
-    masks = _IdealPool.__new__(_IdealPool)
-    masks.facs, masks.rows, masks.target = np.array(facs, dtype=np.int64), rows, target
+    masks = ideal_pool(facs, rows, target.bit_length())
     count_le = functools.partial(masks.facs.searchsorted, side="right")
     subsets = [c for k in (2, 4, 6) for c in itertools.combinations(range(6), k)]
     for lo in (2 ** k for k in range(1, 16)):
@@ -432,7 +447,7 @@ def test_split_rows_qi_match_brute_oracle():
     pool = gaussian_primes_up_to_norm(200)
     assert {P.norm for P in pool} >= {2, 9, 49, 121}
     assert any(P.gen in e.gens for P in pool for e in exts)
-    rows = _split_rows_qi(pool, exts)
+    rows = word_ints(_split_rows_qi(pool, exts))
     assert len(rows) == len(pool)
     for P, row in zip(pool, rows):
         assert row_bits(row, len(exts)) == [
@@ -446,7 +461,7 @@ def test_split_rows_qi_match_splitting_in_ext_on_the_cover_window():
     exts = quad_exts_with_disc_below(math.exp(8))
     pool = gaussian_primes_up_to_norm(3 * max(e.rel_disc_norm for e in exts))
     assert len(pool) == 1116
-    for P, row in zip(pool, _split_rows_qi(pool, exts)):
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts))):
         assert row_bits(row, len(exts)) == [
             splitting_in_ext(P, e) == SPLIT for e in exts], str(P.gen)
 
@@ -457,9 +472,84 @@ def test_split_rows_qi_reject_a_zero_residue_outside_the_generators(delta, p):
     # lost its generators breaks that, and the rows say so
     ext = quad_ext(delta)
     P = ideal_above(p)
-    assert P.gen in ext.gens and _split_rows_qi([P], [ext]) == [0]
+    assert P.gen in ext.gens and word_ints(_split_rows_qi([P], [ext])) == [0]
     with pytest.raises(SysarithError, match="residue symbol"):
         _split_rows_qi([P], [dataclasses.replace(ext, gens=())])
+
+
+@pytest.mark.parametrize("n_exts", [63, 64, 65])
+def test_split_rows_qi_leave_the_padding_bits_clear(n_exts):
+    # one word more at 65 extensions; no bit past the last extension is set
+    exts = quad_exts_with_disc_below(math.exp(8))[:n_exts]
+    pool = gaussian_primes_up_to_norm(200)
+    words = _split_rows_qi(pool, exts)
+    assert words.dtype == np.uint64 and words.shape == (len(pool), 1 if n_exts < 65 else 2)
+    for P, row in zip(pool, word_ints(words)):
+        assert row >> n_exts == 0, str(P.gen)
+        assert row_bits(row, n_exts) == [splitting_in_ext(P, e) == SPLIT for e in exts], str(P.gen)
+
+
+def test_split_rows_qi_of_no_extension_are_one_zero_word():
+    pool = gaussian_primes_up_to_norm(50)
+    words = _split_rows_qi(pool, [])
+    assert words.shape == (len(pool), 1) and not words.any()
+
+
+@pytest.mark.parametrize("n_bits", [100, 129, 192])
+def test_ideal_pool_first_passes_match_the_row_scan(n_bits):
+    # rows of two and three words, with bits at the word edges 63/64 and
+    # 127/128; the pool drops a slice's rows one word at a time, and each
+    # slice's answer is still its least j with acc | rows[j] == target
+    rng = random.Random(n_bits)
+    target = (1 << n_bits) - 1
+    rows = [sum(1 << b for b in range(n_bits) if rng.random() < 0.9) for _ in range(60)]
+    # row 60 passes word 0 of the need 1 | 1 << 64 but fails word 1; row 61 passes
+    rows += [target & ~(1 << 64), target]
+    edges = [b for b in (0, 63, 64, 127, 128) if b < n_bits]
+    cases = [(1 | 1 << 64, 60, 62), (1 | 1 << 64, 60, 61),
+             (0, 5, 5), (0, 9, 3),  # empty slices
+             (0, 0, 62), (0, 30, 40),  # every row passes
+             (sum(1 << b for b in edges if b >= 64), 0, 62),  # open only above word 0
+             *((1 << b, 0, 62) for b in edges)]
+    for _ in range(300):
+        j0 = rng.randrange(62)
+        need = sum(1 << b for b in rng.sample(range(n_bits), rng.randint(1, 4)))
+        cases.append((need, j0, min(62, j0 + rng.randint(0, 25))))
+    needs, j0s, j1s = zip(*cases)
+    want = [next((j for j in range(j0, j1) if (target & ~need) | rows[j] == target), None)
+            for need, j0, j1 in cases]
+    assert rows[60] & 1 and not rows[60] >> 64 & 1
+    assert want[:6] == [61, None, None, None, 0, 30]
+    assert sum(j is not None for j in want) > 100
+    masks = ideal_pool(range(1, 63), rows, n_bits)
+    got = masks.first_passes(int_words(needs, -(-n_bits // 64)),
+                             np.array(j0s, dtype=np.int64), np.array(j1s, dtype=np.int64))
+    assert got == want
+
+
+def test_sweep_over_three_word_pool_rows_matches_the_subsets(monkeypatch):
+    # tied factors, as conjugate ideals give, and 150-bit rows; the sweep's
+    # optimum and ties in each range, and its count below, are those of
+    # every even subset, whatever the chunk size
+    rng = random.Random(7)
+    facs = [1, 4, 4, 8, 12, 12, 16, 16]
+    rows = [sum(1 << b for b in range(150) if rng.random() < 0.9) for _ in facs]
+    masks = ideal_pool(facs, rows, 150)
+    subsets = [c for k in (2, 4, 6, 8) for c in itertools.combinations(range(8), k)]
+    passing = [c for c in subsets
+               if functools.reduce(int.__or__, (rows[i] for i in c)) == (1 << 150) - 1]
+    assert 0 < len(passing) < len(subsets)
+    found = 0
+    for lo in (2 ** k for k in range(1, 22)):
+        in_range = [c for c in passing if lo <= math.prod(facs[i] for i in c) < 2 * lo]
+        best = min((math.prod(facs[i] for i in c) for c in in_range), default=None)
+        winners = sorted(c for c in in_range if math.prod(facs[i] for i in c) == best)
+        found += best is not None
+        for batch_rows in STEP_ROWS:
+            monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+            got, got_winners = _sweep_sets(masks, lo, 2 * lo)
+            assert (got, sorted(got_winners)) == (best, winners), (lo, batch_rows)
+    assert found > 3
 
 
 @pytest.mark.parametrize("pool_bound", [13, 30, 50])
@@ -510,7 +600,7 @@ def test_valid_algebra_3d_stops_at_the_int64_limit(monkeypatch):
 
     def rows(pool, exts):
         k = len(pool) - 2
-        return [0] + [1 << b for b in range(k)] + [((1 << len(exts)) - 1) >> k << k]
+        return int_words([0] + [1 << b for b in range(k)] + [((1 << len(exts)) - 1) >> k << k])
 
     monkeypatch.setattr(search, "gaussian_primes_up_to_norm", pool)
     monkeypatch.setattr(search, "_split_rows_qi", rows)
@@ -867,10 +957,10 @@ def test_sweep_hands_no_dead_batch_to_first_passes(monkeypatch):
     live, slices = [], []
     first_passes = _IdealPool.first_passes
 
-    def spy(self, accs, j0s, j1s):
+    def spy(self, need, j0s, j1s):
         live.append(bool((j1s > j0s).any()))
-        slices.append(len(accs))
-        return first_passes(self, accs, j0s, j1s)
+        slices.append(len(need))
+        return first_passes(self, need, j0s, j1s)
 
     monkeypatch.setattr(_IdealPool, "first_passes", spy)
     res = valid_algebra_3d(2.0, pool_norm_bound=100)
@@ -886,9 +976,9 @@ def test_sweep_hands_first_passes_one_chunk_at_a_time(monkeypatch):
     calls = []
 
     def spy(first_passes):
-        def call(self, accs, j0s, j1s):
-            calls.append((len(accs), int((j1s - j0s).sum())))
-            return first_passes(self, accs, j0s, j1s)
+        def call(self, need, j0s, j1s):
+            calls.append((len(need), int((j1s - j0s).sum())))
+            return first_passes(self, need, j0s, j1s)
         return call
 
     for cls in (_MaskMatrix, _IdealPool):
