@@ -12,9 +12,10 @@ hi to their best.  The masks are built only as far as the sweep reads them:
 full rows for the small primes that open a set, and for every held prime a
 single word 0 holding the 64 fields that the fewest small primes split.
 The sets of one size are walked a member at a time, all prefixes at once;
-the last primes of a chunk of them are filtered on word 0 in one vectorized
-step, and the few rows that pass are re-checked on the character tables of
-the fields and torsion bits that the rest of the set leaves open.  The
+the last primes of a chunk of them are filtered on word 0, each slice of
+at least _IN_PLACE_ROWS rows read in place and the shorter ones in one
+gather, and the few rows that pass are re-checked on the character tables
+of the fields and torsion bits that the rest of the set leaves open.  The
 pairs {p, q} with p in 2, 3, 5, 7 and q - 1 >= hi/8 are not sieved: a wheel
 over the tables that p leaves open walks the q that could split them, the
 same table test filters them, and is_prime settles the first survivor, p's
@@ -78,7 +79,14 @@ from .volume import volume_qi
 # Q(i) the rows are those of prime ideals, and their bits are extensions.
 
 _WORD0_RANK_BOUND = 1 << 10  # word 0 holds the fields the fewest primes below this split
-_BATCH_ROWS = 1 << 16  # rows, and need words, per chunk of the sweep and per vectorized step
+# rows, and need words, per chunk of the sweep and per vectorized step; a
+# longer slice is read in place, in steps of this many rows
+_BATCH_ROWS = 1 << 16
+# a slice of at least this many rows is read in place, at about 1.8 ns a row
+# and a few us a slice, where a gather through index arrays costs about
+# 12.5 ns a row (l = 5.0, 2-vCPU VM); on the surface search at l = 4.75,
+# 256 and 1024 saved 15 and 11 % of the time, 64 and 4096 nothing
+_IN_PLACE_ROWS = 256
 # the 0/1 tables of the torsion bits: quaternion.TORSION_Q over its period 12
 _TORSION_TABLES = [np.array([c(r) for r in range(12)], dtype=np.int8)
                    for c in TORSION_Q]
@@ -114,8 +122,10 @@ class _MaskMatrix:
     searches; the buffers grow geometrically.  Full rows are built only
     for the prime indices [0, n) that `prefix_rows(n)` asks for: the
     sweep's prefixes.  `first_passes` filters the last primes of a chunk of
-    sets on word 0 alone, and the few survivors are re-checked by `passing`
-    on the bits above word 0 that their prefix leaves open.
+    sets on word 0 alone, reading each slice of at least _IN_PLACE_ROWS
+    rows in place and gathering the shorter ones, and the few survivors
+    are re-checked by `passing` on the bits above word 0 that their prefix
+    leaves open.
     """
 
     def __init__(self, discs: list[int], torsion: bool):
@@ -205,18 +215,22 @@ class _MaskMatrix:
         """For each slice k, the least j in [j0s[k], j1s[k]) whose row sets
         every bit of need[k], the bits its prefix leaves open, or None.
 
-        The sweep hands over at most _BATCH_ROWS rows, or one longer slice
-        that is read in place.  Word 0 filters: one gather tests the rows of
-        all the slices, each against its own prefix, and the survivors are
-        re-checked on the bits above word 0 that their prefix leaves open.
+        Word 0 filters, and the survivors are re-checked on the bits above
+        word 0 that their prefix leaves open.  A slice of at least
+        _IN_PLACE_ROWS rows, or of more than _BATCH_ROWS, is read in place
+        by `_first_pass`; one gather tests the rows of all the shorter
+        slices, each against its own prefix.
         """
-        if len(need) == 1 and j1s[0] - j0s[0] > _BATCH_ROWS:
-            return [self._first_pass(need[0], int(j0s[0]), int(j1s[0]))]
-        owner, idx = _runs(j0s, j1s)
-        need0 = np.ascontiguousarray(need[:, 0])[owner]
-        hits = ((self._w0[idx] & need0) == need0).nonzero()[0]
-        who = owner[hits]
+        lens = j1s - j0s
+        long = (lens >= _IN_PLACE_ROWS) | (lens > _BATCH_ROWS)
         out: list[int | None] = [None] * len(need)
+        for k in long.nonzero()[0].tolist():
+            out[k] = self._first_pass(need[k], int(j0s[k]), int(j1s[k]))
+        short = (~long).nonzero()[0]
+        owner, idx = _runs(j0s[short], j1s[short])
+        need0 = need[short, 0][owner]
+        hits = ((self._w0[idx] & need0) == need0).nonzero()[0]
+        who = short[owner[hits]]
         for s in sorted(set(who.tolist())):
             out[s] = self._recheck(need[s], idx[hits[who == s]])
         return out
@@ -387,7 +401,8 @@ def _sweep_card(masks, card, lo, hi):
     The last member of a prefix from _prefixes runs over a slice [j0, j1)
     of factors in [lo, hi).  The slices go in order to `masks.first_passes`
     in chunks of at most _BATCH_ROWS rows and need words, or one longer
-    slice alone, with `need`, the bits their prefixes leave open.  A hit
+    slice alone, with `need`, the bits their prefixes leave open; over Q,
+    a slice of at least _IN_PLACE_ROWS rows is read in place there.  A hit
     lowers hi to best + 1, which cuts the later slices; within a chunk a hit
     above the new optimum is dropped.  A slice's first pass is its least
     factor, and its later passes of that factor are ties.

@@ -192,6 +192,7 @@ def test_volume(capsys):
     ["search3d", "--systole", "10"],                 # extension list past the cap
     ["cover2d", "--exact", "--systole", "6"],        # exact cover past its cap
     ["cover2d", "--systole", "5"],                   # greedy cover past its cap
+    ["cover3d", "--systole", "5"],                   # greedy cover past its cap
 ])
 def test_input_errors_exit_1(capsys, args):
     code, _, err = run(capsys, *args)

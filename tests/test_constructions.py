@@ -330,6 +330,18 @@ def test_cover_3d_errors():
         cover_algebra_3d(9.0)
 
 
+def test_cover_3d_refuses_a_large_x_before_the_extension_list(monkeypatch):
+    # the extension list and the ideal rows took 101 s and 499 MB at x = 5;
+    # the cap is checked first, so no extension list is built
+    def exts(bound):
+        raise AssertionError(f"listed extensions up to {bound} before refusing")
+
+    monkeypatch.setattr(constructions, "quad_exts_with_disc_below", exts)
+    for x in (4.51, 5.0, 7.0):
+        with pytest.raises(InputError, match=r"greedy cover over Q\(i\)"):
+            cover_algebra_3d(x)
+
+
 def test_cover_3d_lost_certificate_raises_a_package_error(monkeypatch):
     # rows that claim a cover no ideal gives: the certificate step must
     # raise a SysarithError, not leak StopIteration

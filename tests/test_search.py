@@ -256,6 +256,51 @@ def test_first_passes_find_the_least_passing_row(n_fields, monkeypatch):
         assert masks.first_passes(need, j0s, j1s) == want, batch_rows
 
 
+def test_first_passes_read_the_long_slices_in_place(monkeypatch):
+    # slices of L - 1, L and L + 1 rows, L = _IN_PLACE_ROWS, and of one more
+    # than the default step, each under a need open in word 0 and above it,
+    # open only above it, open nowhere, and open everywhere: each answer is
+    # the slice's least passing row by a scan of the full rows, and exactly
+    # the slices of at least L rows, or of more than one step, are read in
+    # place by _first_pass
+    L, step = search._IN_PLACE_ROWS, search._BATCH_ROWS
+    ds = [d for d in range(2, 500) if brute_is_squarefree(d)][:127]
+    masks = _MaskMatrix([d if d % 4 == 1 else 4 * d for d in ds], torsion=True)
+    masks.hold(1_000_000)
+    rows = word_ints(masks.prefix_rows(masks.n))
+    target = word_ints([masks.target])[0]
+    rng = np.random.default_rng(11)
+
+    def bits(lo, k):
+        return sum(1 << int(b) for b in rng.choice(range(lo, target.bit_length()), k, replace=False))
+
+    slices = []
+    for n_rows in (L - 1, L, L + 1, step + 1):
+        for need in (bits(0, 1) | bits(64, 2), bits(64, 3), 0, target):
+            j0 = int(rng.integers(0, masks.n - n_rows))
+            slices.append((need, j0, j0 + n_rows))
+    needs, j0s, j1s = map(list, zip(*slices))
+    want = [next((j for j in range(j0, j1) if rows[j] & need == need), None)
+            for need, j0, j1 in zip(needs, j0s, j1s)]
+    assert sum(j is not None for j in want) == 12 and want[2::4] == j0s[2::4]
+    in_place = []
+    first_pass = _MaskMatrix._first_pass
+
+    def spy(self, need, j0, j1):
+        in_place.append((j0, j1))
+        return first_pass(self, need, j0, j1)
+
+    monkeypatch.setattr(_MaskMatrix, "_first_pass", spy)
+    need = int_words(needs, len(masks.target))
+    for batch_rows in STEP_ROWS:
+        monkeypatch.setattr(search, "_BATCH_ROWS", batch_rows)
+        in_place.clear()
+        assert masks.first_passes(need, np.array(j0s), np.array(j1s)) == want, batch_rows
+        assert in_place == [(j0, j1) for j0, j1 in zip(j0s, j1s)
+                            if j1 - j0 >= L or j1 - j0 > batch_rows], batch_rows
+        assert len(in_place) == (16 if batch_rows < L - 1 else 12), batch_rows
+
+
 @functools.cache
 def word0_fields():
     """126 fields Q(sqrt d) in which 2 splits, then one, d_odd, in which 2
