@@ -14,6 +14,18 @@ without re-sieving from 2.  `primes_up_to` joins its segments.
 discriminant as the product of the Legendre tables of the odd primes
 dividing it and a character mod 8 for its 2-part (Cohen, A Course in
 Computational Algebraic Number Theory, §1.4).
+
+`legendre_wheels` and `wheel_words` read word 0 of a search's held primes
+from the same factorization, one Legendre table per prime divisor, not one
+character table per field.  χ_d(p) = 1 iff an even number of the symbols
+whose product it is read -1.  So each odd q dividing one of up to 64
+discriminants gets a uint64 table over its residues that holds, at the
+non-residues, the bits of the fields q divides, and the 2-parts share one
+such table mod 8; a prime's word is the complement of the XOR of these
+tables at p, less the bits of the fields p divides.  The moduli are
+pairwise coprime, so tables fold into wheels over the product of their
+moduli (Pritchard, Acta Inf. 17, 1982), and a prime reads one residue per
+wheel, not one per field.
 """
 
 from __future__ import annotations
@@ -95,9 +107,9 @@ def smallest_factor_table(n: int) -> np.ndarray:
 # Kronecker symbol table for one field, as a periodic character mod |disc|
 
 # the characters of the prime discriminants -4, 8 and -8, over one period
-_CHI_M4 = np.array([0, 1, 0, -1], dtype=np.int8)
-_CHI_8 = np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8)
-_CHI_M8 = np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)
+_TWO_PARTS = {-4: np.array([0, 1, 0, -1], dtype=np.int8),
+              8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+              -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8)}
 
 
 def _legendre_table(q: int) -> np.ndarray:
@@ -109,28 +121,38 @@ def _legendre_table(q: int) -> np.ndarray:
     return leg
 
 
+def _prime_discs(disc: int, spf: np.ndarray) -> list[int]:
+    """The prime discriminants whose product is disc, a fundamental
+    discriminant: one of -4, 8, -8 when disc is even (8 for disc = 8u with
+    u = 1 mod 4, -8 for u = 3 mod 4), then each odd prime q dividing it,
+    standing for q* = ±q, whose character (q*/r) is the Legendre symbol
+    (r/q).  spf is a smallest-factor table reaching |disc|."""
+    d = abs(disc)
+    odd = d >> ((d & -d).bit_length() - 1)
+    parts = [] if d == odd else [-4 if d == 4 * odd else 8 if (disc // 8) % 4 == 1 else -8]
+    while odd > 1:
+        parts.append(int(spf[odd]))
+        odd //= parts[-1]
+    return parts
+
+
+def _symbol(q: int) -> np.ndarray:
+    """The character of the prime discriminant q (see _prime_discs) over one period."""
+    return _legendre_table(q) if q % 2 else _TWO_PARTS[q]
+
+
 def character_table(disc: int, spf: np.ndarray) -> np.ndarray:
     """chi[r] = (disc/r) for 0 <= r < |disc|, disc a fundamental discriminant.
 
     chi is the Kronecker symbol as a character periodic mod |disc|, so
     chi[p mod |disc|] answers split/inert for any prime p not dividing
-    disc.  disc is the product of prime discriminants q* = ±q, one per odd
-    prime q dividing it, and one of -4, 8, -8 when it is even; (q*/r) is
-    the Legendre symbol (r/q).  spf is a smallest-factor table reaching
-    |disc| (see smallest_factor_table).
+    disc: the product of the characters of its prime discriminants.  spf
+    is a smallest-factor table reaching |disc| (see smallest_factor_table).
     """
-    d = abs(disc)
-    odd = d >> ((d & -d).bit_length() - 1)
-    if d == odd:
-        chi = np.ones(d, dtype=np.int8)
-    elif d == 4 * odd:
-        chi = np.tile(_CHI_M4, odd)
-    else:  # disc = 8u with u odd: the 2-part is 8 if u = 1 mod 4, else -8
-        chi = np.tile(_CHI_8 if (disc // 8) % 4 == 1 else _CHI_M8, odd)
-    while odd > 1:
-        q = int(spf[odd])
-        odd //= q
-        chi *= np.tile(_legendre_table(q), d // q)
+    chi = np.ones(abs(disc), dtype=np.int8)
+    for q in _prime_discs(disc, spf):
+        sym = _symbol(q)
+        chi *= np.tile(sym, len(chi) // len(sym))
     return chi
 
 
@@ -146,6 +168,14 @@ def character_tables(discs: list[int]) -> list[np.ndarray]:
 # packed split masks: bit f of row i set iff primes[i] splits in field f
 
 _MASK_BLOCK = 1 << 15  # primes per pass over the tables, keeps the block in cache
+
+
+def _mod(block: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """block mod m into out, as block - (block // m) * m: numpy divides by a
+    scalar without a hardware division, which its remainder does not."""
+    np.floor_divide(block, m, out=out)
+    out *= m
+    return np.subtract(block, out, out=out)
 
 
 def build_split_masks(primes: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
@@ -171,15 +201,76 @@ def build_split_masks(primes: np.ndarray, tables: list[np.ndarray]) -> np.ndarra
             r, h, g = residue[:k], hit[:k], bit[:k]
             out = words[w, b0:b0 + k]
             for b, table in enumerate(split):
-                # p - (p // m) * m: numpy divides by a scalar without a
-                # hardware division, which its remainder does not
-                np.floor_divide(block, len(table), out=r)
-                r *= len(table)
-                np.subtract(block, r, out=r)
-                np.take(table, r, out=h)
+                np.take(table, _mod(block, len(table), r), out=h)
                 np.left_shift(h, np.uint64(b), out=g, dtype=np.uint64)
                 out |= g
     return np.ascontiguousarray(words.T)
+
+
+# ---------------------------------------------------------------------------
+# word 0 from Legendre wheels: one residue per group of small moduli
+
+# the largest period a fold makes: over the 221,117 primes held at l = 4.75,
+# 2^10, 2^12 and 2^14 gave 29, 23 and 19 wheels of 0.3, 0.6 and 1.9 MB, read
+# in 28, 17 and 15 ms (the 64 tables: 51-66 ms); 2^12 keeps the peak low
+_WHEEL_PERIOD = 1 << 12
+
+
+def legendre_wheels(discs: list[int]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The plan wheel_words reads for up to 64 fundamental discriminants:
+    (wheels, qs, ramified).
+
+    Each wheel is a uint64 table over one period; its entry at r is the XOR,
+    over the moduli folded into it, of the bits of the fields whose symbol
+    of that modulus reads -1 at r, and the first wheel also carries every
+    field bit.  qs are the primes dividing some disc, ascending, and
+    ramified[i] the bits of the fields that qs[i] divides.
+    """
+    spf = smallest_factor_table(max((abs(d) for d in discs), default=1))
+    bits: dict[int, int] = {}  # prime discriminant -> the fields it divides
+    for f, disc in enumerate(discs):
+        for q in _prime_discs(disc, spf):
+            bits[q] = bits.get(q, 0) | 1 << f
+    tables: dict[int, np.ndarray] = {}  # modulus -> its XOR table
+    ramified: dict[int, int] = {}  # prime -> the fields it divides
+    for q, b in bits.items():
+        m, p = (q, q) if q % 2 else (8, 2)  # the 2-parts share the modulus 8
+        sym = np.resize(_symbol(q), m)
+        tables[m] = tables.get(m, 0) ^ np.where(sym == -1, np.uint64(b), np.uint64(0))
+        ramified[p] = ramified.get(p, 0) | b
+    wheels: list[np.ndarray] = []
+    for m in sorted(tables, reverse=True):  # first fit, largest modulus first
+        i = next((i for i, w in enumerate(wheels) if len(w) * m <= _WHEEL_PERIOD), None)
+        if i is None:
+            wheels.append(tables[m])
+        else:  # a wheel of period n and a table mod m, coprime: one table mod nm
+            wheels[i] = np.tile(wheels[i], m) ^ np.tile(tables[m], len(wheels[i]))
+    if wheels:
+        wheels[0] ^= np.uint64((1 << len(discs)) - 1)
+    qs = sorted(ramified)
+    return (wheels, np.array(qs, dtype=np.int64),
+            np.array([ramified[q] for q in qs], dtype=np.uint64))
+
+
+def wheel_words(primes: np.ndarray, plan) -> np.ndarray:
+    """Word 0 of the rows of `primes`, an int64 array of primes: bit f set
+    iff primes[i] splits in field f of the plan's legendre_wheels(discs),
+    as build_split_masks over their character tables reads it.  A composite
+    n could meet the zero of a symbol, which only the fix-up at the primes
+    qs clears."""
+    wheels, qs, ramified = plan
+    words = np.zeros(len(primes), dtype=np.uint64)
+    residue = np.empty(min(len(primes), _MASK_BLOCK), dtype=np.int64)
+    for b0 in range(0, len(primes), _MASK_BLOCK):
+        block = primes[b0:b0 + _MASK_BLOCK]
+        r, out = residue[:len(block)], words[b0:b0 + _MASK_BLOCK]
+        for wheel in wheels:
+            out ^= wheel[_mod(block, len(wheel), r)]
+    if len(primes):  # a prime dividing a disc is ramified in its fields
+        i = np.minimum(primes.searchsorted(qs), len(primes) - 1)
+        hit = primes[i] == qs
+        words[i[hit]] &= ~ramified[hit]
+    return words
 
 
 def masks_to_ints(words: np.ndarray) -> list[int]:

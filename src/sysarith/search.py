@@ -10,7 +10,9 @@ apart.  A set of six or more reads only primes below hi/480, so the masks
 sieve and hold the primes up to hi/8 after those sets have run and lowered
 hi to their best.  The masks are built only as far as the sweep reads them:
 full rows for the small primes that open a set, and for every held prime a
-single word 0 holding the 64 fields that the fewest small primes split.
+single word 0 holding the 64 fields that the fewest small primes split,
+read from Legendre wheels: one residue per group of the odd primes and the
+2-parts that divide those fields' discriminants, not one per field.
 The sets of one size are walked a member at a time, all prefixes at once;
 the last primes of a chunk of them are filtered on word 0, each slice of
 at least _IN_PLACE_ROWS rows read in place and the shorter ones in one
@@ -60,7 +62,7 @@ from .gaussian import (
     quad_exts_with_disc_below,
     splitting_in_ext,
 )
-from .quaternion import TORSION_Q, algebra_q, algebra_qi
+from .quaternion import algebra_q, algebra_qi
 from .real_quadratic import (
     fields_with_regulator_below,
     is_prime,
@@ -87,9 +89,9 @@ _BATCH_ROWS = 1 << 16
 # 12.5 ns a row (l = 5.0, 2-vCPU VM); on the surface search at l = 4.75,
 # 256 and 1024 saved 15 and 11 % of the time, 64 and 4096 nothing
 _IN_PLACE_ROWS = 256
-# the 0/1 tables of the torsion bits: quaternion.TORSION_Q over its period 12
-_TORSION_TABLES = [np.array([c(r) for r in range(12)], dtype=np.int8)
-                   for c in TORSION_Q]
+# the torsion bits as characters: quaternion.TORSION_Q's p = 1 mod 4 and
+# p = 1 mod 3 are chi_-4(n) = 1 and chi_-3(n) = 1, for every integer n
+_TORSION_DISCS = [-4, -3]
 
 
 def _full(bits: int) -> np.ndarray:
@@ -114,12 +116,14 @@ class _MaskMatrix:
     range here, and finds the pairs past them apart (_sweep_pairs).
 
     Bits are ordered so that word 0 holds the 64 fields that the fewest
-    small primes split; the other fields follow, then the torsion bits.
-    `tables` lists their tables in that order; a bit is set where its
-    table reads 1, and `passing` is the one test of those bits that reads
-    the tables themselves.  Every held prime gets its word 0 (`_w0`),
-    stored next to its factor p - 1 (`facs`), the one array the sweep
-    searches; the buffers grow geometrically.  Full rows are built only
+    small primes split; the other fields follow, then the torsion bits,
+    the characters of -4 and -3.  `tables` lists their character tables in
+    that order; a bit is set where its table reads 1, and `passing` is the
+    one test of those bits that reads the tables themselves.  Every held
+    prime gets its word 0 (`_w0`), read from the Legendre wheels of word
+    0's discriminants (`_accel.legendre_wheels`), and stored next to its
+    factor p - 1 (`facs`), the one array the sweep searches; the buffers
+    grow geometrically.  Full rows are built from the tables only
     for the prime indices [0, n) that `prefix_rows(n)` asks for: the
     sweep's prefixes.  `first_passes` filters the last primes of a chunk of
     sets on word 0 alone, reading each slice of at least _IN_PLACE_ROWS
@@ -129,11 +133,14 @@ class _MaskMatrix:
     """
 
     def __init__(self, discs: list[int], torsion: bool):
+        n = len(discs)
+        discs = discs + (_TORSION_DISCS if torsion else [])
         tables = _accel.character_tables(discs)
         small = _accel.primes_up_to(_WORD0_RANK_BOUND)
-        split = [int((chi[small % len(chi)] == 1).sum()) for chi in tables]
-        self.tables = ([tables[f] for f in np.argsort(split, kind="stable")]
-                       + (_TORSION_TABLES if torsion else []))
+        split = [int((chi[small % len(chi)] == 1).sum()) for chi in tables[:n]]
+        order = [*np.argsort(split, kind="stable").tolist(), *range(n, len(discs))]
+        self.tables = [tables[f] for f in order]
+        self._wheels = _accel.legendre_wheels([discs[f] for f in order[:64]])
         self.target = _full(len(self.tables))
         self.held = self.n = 0
         self._facs = np.empty(0, dtype=np.int64)
@@ -144,13 +151,6 @@ class _MaskMatrix:
     def facs(self) -> np.ndarray:
         return self._facs[:self.n]
 
-    def _words(self, primes: np.ndarray, width: int) -> np.ndarray:
-        """The first `width` words of the rows of `primes`."""
-        out = np.zeros((len(primes), width), dtype=np.uint64)
-        built = _accel.build_split_masks(primes, self.tables[:64 * width])
-        out[:, :built.shape[1]] = built
-        return out
-
     def hold(self, c: int) -> None:
         """Sieve the primes in (held, c] and add them, with their word 0."""
         for primes in _accel.prime_segments(self.held + 1, c + 1):
@@ -158,7 +158,7 @@ class _MaskMatrix:
             self._facs = _grow(self._facs, n, m)
             self._facs[n:n + m] = primes - 1
             self._w0 = _grow(self._w0, n, m)
-            self._w0[n:n + m] = self._words(primes, 1)[:, 0]
+            self._w0[n:n + m] = _accel.wheel_words(primes, self._wheels)
             self.n = n + m
         self.held = max(self.held, c)
 
@@ -171,8 +171,10 @@ class _MaskMatrix:
         have = len(self._prefix)
         if n_rows > have:
             want = min(self.n, max(n_rows, 2 * have))
-            self._prefix = np.concatenate(
-                [self._prefix, self._words(self._facs[have:want] + 1, len(self.target))])
+            rows = np.zeros((want - have, len(self.target)), dtype=np.uint64)
+            built = _accel.build_split_masks(self._facs[have:want] + 1, self.tables)
+            rows[:, :built.shape[1]] = built  # no table gives no word: one zero word
+            self._prefix = np.concatenate([self._prefix, rows])
         return self._prefix
 
     def open_bits(self, need: np.ndarray):

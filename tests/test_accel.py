@@ -1,5 +1,7 @@
 """The numeric kernels against the independent residue oracle."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from sysarith._accel import (
     build_split_masks,
     character_table,
     character_tables,
+    legendre_wheels,
     prime_segments,
     primes_up_to,
     smallest_factor_table,
+    wheel_words,
 )
+from sysarith.quaternion import TORSION_Q
 from sysarith.real_quadratic import kronecker
 
 from oracles import brute_is_squarefree, brute_splitting_q, sieve_primes
@@ -55,13 +60,56 @@ def test_character_table_is_the_kronecker_symbol():
     # covers the three 2-adic classes and the fields of cover_algebra_2d(3.0)
     discs = [d if d % 4 == 1 else 4 * d for d in range(2, 3000)
              if brute_is_squarefree(d)]
-    discs = [disc for disc in discs if disc < 3000]
+    discs = [disc for disc in discs if disc < 3000] + [-3, -4, -8]
     assert {disc % 8 for disc in discs} == {0, 1, 4, 5}
     spf = smallest_factor_table(max(discs))
     for disc in discs:
         chi = character_table(disc, spf)
         assert chi.dtype == np.int8
-        assert chi.tolist() == [kronecker(disc, r) for r in range(disc)], disc
+        assert chi.tolist() == [kronecker(disc, r) for r in range(abs(disc))], disc
+
+
+def test_torsion_conditions_are_the_characters_of_minus_4_and_minus_3():
+    # quaternion.TORSION_Q's p = 1 mod 4 and p = 1 mod 3 are chi_-4(n) = 1
+    # and chi_-3(n) = 1 at every n, prime or not, as the pair wheels read them
+    n = np.arange(10_000)
+    for chi, condition in zip(character_tables([-4, -3]), TORSION_Q, strict=True):
+        assert (chi[n % len(chi)] == 1).tolist() == [condition(k) for k in n.tolist()]
+
+
+def random_discs(rng, n):
+    """n fundamental discriminants of every 2-adic kind: odd u = 1 mod 4,
+    4u with u = 3 mod 4, 8u with u = 1 and with u = 3 mod 4, and the
+    negative -3, -4 and -8."""
+    odd = [u for u in range(3, 2000, 2) if brute_is_squarefree(u)]
+    kinds = [[u for u in odd if u % 4 == 1], [4 * u for u in odd if u % 4 == 3],
+             [8 * u for u in odd if u % 4 == 1], [8 * u for u in odd if u % 4 == 3],
+             [-3, -4, -8]]
+    return [rng.choice(rng.choice(kinds)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n_discs", [0, 1, 63, 64])
+def test_wheel_words_match_the_table_kernel(n_discs):
+    # word 0 of the wheels is build_split_masks's over the character tables:
+    # over the primes from 2, which meet every prime dividing a disc (the
+    # ramified fix-up) and cross a _MASK_BLOCK boundary, and over a segment
+    # past every such prime
+    rng = random.Random(n_discs)
+    low = primes_up_to(400_000)
+    high = next(prime_segments(10 ** 7, 10 ** 7 + 10 ** 5))
+    assert len(low) > _accel._MASK_BLOCK
+    for _ in range(5):
+        discs = random_discs(rng, n_discs)
+        plan = legendre_wheels(discs)
+        assert np.isin(plan[1], low).all() and plan[1].max(initial=0) < high[0]
+        tables = character_tables(discs)
+        for primes in (low, high):
+            # word 0; with no table there is no word, and zeros stand for it
+            want = build_split_masks(primes, tables)[:, :1].sum(axis=1, dtype=np.uint64)
+            assert wheel_words(primes, plan).tolist() == want.tolist(), discs
+    # disc mod 8, or 8 + u mod 4 for disc = 8u: every kind is drawn
+    kinds = {d if d < 0 else d % 8 or 8 + d // 8 % 4 for d in random_discs(rng, 200)}
+    assert kinds == {1, 5, 4, 9, 11, -3, -4, -8}
 
 
 @pytest.mark.parametrize("segment", [1, 7, 997, _accel._SEGMENT])
@@ -110,6 +158,8 @@ def test_prime_segments_run_no_nested_sieve(monkeypatch):
 
 def test_split_masks_empty_inputs():
     assert build_split_masks(np.array([2, 3, 5], dtype=np.int64), []).shape == (3, 0)
+    assert wheel_words(np.array([2, 3, 5], dtype=np.int64), legendre_wheels([])).tolist() == [0] * 3
+    assert wheel_words(np.empty(0, dtype=np.int64), legendre_wheels([5, 8])).shape == (0,)
     assert build_split_masks(np.empty(0, dtype=np.int64),
                              character_tables([5, 8])).shape == (0, 1)
     assert character_tables([]) == []

@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from sysarith import gaussian, search
+from sysarith import _accel, gaussian, search
 from sysarith.errors import (
     InadmissibleAlgebraError,
     InputError,
@@ -228,6 +228,32 @@ def test_mask_matrix_passing_matches_the_split_oracle(torsion):
                    if len(fails := [b for b in every if not reads_1(b, p)]) == 1)
     bits = [b for b in every if b != last] + [last]
     assert passing(bits[:-1], [q]) == [q] and passing(bits, [q]) == []
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+def test_word_0_of_every_hold_is_the_table_kernels(torsion, monkeypatch):
+    # the wheels' word 0 of every prime a hold adds is build_split_masks's
+    # over the first 64 tables, bit for bit: at l = 0.3 with no field (no
+    # bit at all, or the torsion bits alone), with the torsion bits in word
+    # 0, and with fields above it; l = 0.3 passes at its least even set
+    holds = []
+    hold = _MaskMatrix.hold
+
+    def spy(self, c):
+        n = self.n
+        hold(self, c)
+        want = _accel.build_split_masks(self.facs[n:] + 1, self.tables[:64])
+        holds.append((self._w0[n:self.n].tolist(),
+                      want[:, :1].sum(axis=1, dtype=np.uint64).tolist()))
+
+    monkeypatch.setattr(_MaskMatrix, "hold", spy)
+    assert _minimal_sets([], torsion) == naive_minimal_sets([], torsion) == \
+        ((12, [(2, 13)], 5) if torsion else (2, [(2, 3)], 0))
+    for l in (1.0, 2.2, 4.0):
+        discs = [f.disc for f in fields_with_regulator_below(l)]
+        _minimal_sets(discs, torsion)
+    assert len(discs) > 64 and sum(len(w) for w, _ in holds) > 1000
+    assert all(got == want for got, want in holds)
 
 
 @pytest.mark.parametrize("n_fields", [40, 127])
