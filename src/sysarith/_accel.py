@@ -26,6 +26,10 @@ tables at p, less the bits of the fields p divides.  The moduli are
 pairwise coprime, so tables fold into wheels over the product of their
 moduli (Pritchard, Acta Inf. 17, 1982), and a prime reads one residue per
 wheel, not one per field.
+
+`runs` expands index runs [starts[k], ends[k]) into (k, j) pairs: the
+range sweep's prefix walk and the walk over products of Gaussian prime
+generators each grow all their prefixes by one member with it.
 """
 
 from __future__ import annotations
@@ -278,3 +282,14 @@ def masks_to_ints(words: np.ndarray) -> list[int]:
     time: constructions._greedy_roles and search.verify_exclusion_3d."""
     le = np.ascontiguousarray(words, dtype="<u8")
     return [int.from_bytes(row.tobytes(), "little") for row in le]
+
+
+# ---------------------------------------------------------------------------
+# run expansion
+
+def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, j) for every j in [starts[k], ends[k]), by k and then j ascending:
+    the run expansion of the sweep's prefix walk and the extension walk."""
+    lens = np.maximum(ends - starts, 0)
+    k = np.repeat(np.arange(len(lens)), lens)
+    return k, np.arange(len(k)) + np.repeat(starts - np.cumsum(lens) + lens, lens)

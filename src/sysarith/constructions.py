@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _accel
 from .errors import InputError, NoCandidateError, SysarithError, check_int, check_real
-from .gaussian import _DISC_CAP, gaussian_primes_up_to_norm, quad_exts_with_disc_below
+from .gaussian import _DISC_CAP, _exts_and_columns, gaussian_primes_up_to_norm
 from .geodesics import MODE_PAPER, exact_systole_q
 from .quaternion import (
     TORSION_Q,
@@ -301,11 +301,11 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
     # and 101 s and 499 MB at x = 5 (2-vCPU VM)
     if x > 4.5:
         raise InputError(f"greedy cover over Q(i) is supported only for x <= 4.5, got {x}")
-    exts = quad_exts_with_disc_below(bound)
+    exts, cols = _exts_and_columns(bound)
 
     def rows_in(window):
         pool = gaussian_primes_up_to_norm(window)
-        return _split_rows_qi(pool, exts), pool
+        return _split_rows_qi(pool, exts, cols), pool
 
     window = max(200, 3 * max((e.rel_disc_norm for e in exts), default=0))
     roles = _greedy_roles(len(exts), window, rows_in,

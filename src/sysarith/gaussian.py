@@ -14,6 +14,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateExtensionError, InputError, SysarithError, check_int, check_real
 from .real_quadratic import INERT, RAMIFIED, SPLIT, _prime_factors, is_prime
 
@@ -364,11 +366,23 @@ def splitting_in_ext(P: GaussianPrimeIdeal, ext: GaussianQuadExt) -> str:
 # the list holds about 0.26 extensions per unit of norm, at about 0.8 KB each
 _DISC_CAP = 10_000_000
 
-# (limit, every extension with rel_disc_norm <= limit, sorted, and the
-# descents' (gen, a, b, norm, key) of every odd prime of norm <= limit, sorted);
-# rebound as one tuple, so a reader never pairs a limit with another limit's
-# lists, and each generator is built once
-_exts_memo: tuple[int, list[GaussianQuadExt], list[tuple]] = (0, [], [])
+_KINDS = (SPLIT, INERT, RAMIFIED)  # the splittings of (1+i), by their index in the walk
+
+
+def _ext_columns(exts) -> np.ndarray:
+    """The int64 columns that _split_rows_qi reads, of shape (3, len(exts)):
+    a and b of each delta = a + bi, and 1 where (1+i) splits."""
+    return np.array([[e.delta.a for e in exts], [e.delta.b for e in exts],
+                     [e.rel_disc_two_exp == 0 and e.two_splitting == SPLIT for e in exts]],
+                    dtype=np.int64).reshape(3, -1)
+
+
+# (limit, every extension with rel_disc_norm <= limit, sorted, their
+# _ext_columns, and the generator of every odd prime of norm <= limit,
+# sorted); rebound as one tuple, so a reader never pairs a limit with another
+# limit's lists, and each generator is built once
+_exts_memo: tuple[int, list[GaussianQuadExt], np.ndarray, list[GaussianInt]] = (
+    0, [], _ext_columns([]), [])
 
 
 def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
@@ -376,76 +390,107 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
 
     Sorted by (rel_disc_norm, delta norm, unit_exp, generator keys); the
     smallest possible norm is 9 (delta = 3), so small bounds give [].  The
-    process keeps the extensions up to the largest limit asked for, and each
-    call returns a new list sliced from them.  A bound past the kept limit
-    extends the list to max(floor(bound), 2 * kept limit), or to _DISC_CAP
-    if that is less: the key starts with the norm, so the extensions past
-    the old limit, built by one descent, sort after every kept one and are
-    appended.  So the memo builds each extension once, and no call builds
-    past twice its own bound.  A bound past _DISC_CAP raises InputError.
+    process keeps the extensions up to the largest limit asked for, with
+    their _ext_columns, and each call returns a new list sliced from them.
+    A bound past the kept limit extends the list to max(floor(bound), 2 *
+    kept limit), or to _DISC_CAP if that is less: the key starts with the
+    norm, so the extensions past the old limit, built by one level walk
+    (_quad_exts_up_to), sort after every kept one and are appended, and so
+    are their columns.  So the memo builds each extension once, and no call
+    builds past twice its own bound.  A bound past _DISC_CAP raises
+    InputError.
     """
     global _exts_memo
     if check_real(bound, "bound", 0) > _DISC_CAP:
         raise InputError(f"discriminant norm bound {bound:.3g} exceeds "
                          f"the supported cap {_DISC_CAP}")
     limit = math.floor(bound)
-    held, exts, odd = _exts_memo
+    held, exts, cols, odd = _exts_memo
     if held < limit:
         grown = min(max(limit, 2 * held), _DISC_CAP)
         odd = odd + _odd_generators(held, grown)
-        exts = exts + _quad_exts_up_to(grown, odd, held)
-        _exts_memo = grown, exts, odd
+        piece = _quad_exts_up_to(grown, odd, held)
+        exts = exts + piece
+        _exts_memo = grown, exts, np.concatenate([cols, _ext_columns(piece)], axis=1), odd
     return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]
 
 
-def _odd_generators(above: int, limit: int) -> list[tuple]:
-    """(gen, a, b, norm, key) of each odd prime with above < norm <= limit."""
-    return [(P.gen, P.gen.a, P.gen.b, P.norm, _ideal_key(P))
-            for P in _gaussian_primes(above, limit) if P.norm % 2 == 1]
+def _exts_and_columns(bound: float) -> tuple[list[GaussianQuadExt], np.ndarray]:
+    """quad_exts_with_disc_below(bound) and its _ext_columns, a view of the
+    memo's: the list is a prefix of the kept one, which grows only at its end."""
+    exts = quad_exts_with_disc_below(bound)
+    return exts, _exts_memo[2][:, :len(exts)]
 
 
-def _quad_exts_up_to(limit: int, odd: list[tuple], above: int = 0) -> list[GaussianQuadExt]:
-    """The sorted extensions with above < rel_disc_norm <= limit, by descent.
+def _odd_generators(above: int, limit: int) -> list[GaussianInt]:
+    """The generator of each odd prime with above < norm <= limit, by (norm, b, a)."""
+    return [P.gen for P in _gaussian_primes(above, limit) if P.norm % 2]
 
-    The odd generators, _odd_generators(0, n) for some n >= limit, are chosen
-    in norm order, each step carrying their product as plain ints (a, b), its
-    norm and the generators' sort keys; a product and its unit give the odd
-    delta, whose (1+i)-exponent is read off its residue mod 16, and the same
-    delta times (1+i), whose exponent is 5.  Only an extension whose norm lies
-    in the interval becomes GaussianInts and a GaussianQuadExt.
+
+@functools.cache
+def _two_type_table() -> np.ndarray:
+    """_two_type over the residues a + bi mod 16, as int64 (exponent, index
+    in _KINDS) of shape (2, 16, 16); only the odd residues are filled."""
+    table = np.zeros((2, 16, 16), dtype=np.int64)
+    for a in range(16):
+        for b in range(1 - a % 2, 16, 2):
+            exp, kind = _two_type(a, b)
+            table[:, a, b] = exp, _KINDS.index(kind)
+    return table
+
+
+def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list[GaussianQuadExt]:
+    """The sorted extensions with above < rel_disc_norm <= limit, by a level walk.
+
+    odd is _odd_generators(0, n) for some n >= limit.  Level k holds every
+    product of k of them with norm at most limit as int64 arrays: its parts
+    (a, b), its norm and its generators' indices, ascending; all of them
+    grow at once into level k + 1 by each later generator that fits
+    (_accel.runs).  A product, times 1 or i and times (1+i) or not, gives
+    four deltas: an odd one's (1+i)-exponent and splitting are read off its
+    residue mod 16 (_two_type_table), and (1+i) times it has exponent 5.
+    Only a delta whose norm lies in the interval becomes GaussianInts and a
+    GaussianQuadExt, level by level, and one lexsort puts the extensions of
+    all levels in (norm, delta norm, unit, generator keys) order: generator
+    keys as indices, (1+i) first.
     """
     pi = GaussianInt(1, 1)
-    pi_key = (2, 1, 1)
-    out: list[tuple[tuple, GaussianQuadExt]] = []  # (sort key, extension)
-
-    def emit(gens: tuple[GaussianInt, ...], keys: tuple, a: int, b: int, n: int) -> None:
-        kept = []
-        for unit_exp, da, db in ((0, a, b), (1, -b, a)):
-            if gens or unit_exp:  # delta = 1 is a square
-                two_exp, kind = _two_type(da, db)
-                if above < n << two_exp <= limit:
-                    kept.append((n << two_exp, n, unit_exp, keys, da, db, gens,
-                                 two_exp, kind))
-            if above < n << 5 <= limit:
-                kept.append((n << 5, 2 * n, unit_exp, (pi_key,) + keys, da - db,
-                             da + db, (pi,) + gens, 5, RAMIFIED))
-        if kept:
-            odd_part = GaussianInt(*_first_quadrant(a, b))
-            for norm, delta_norm, unit_exp, ks, da, db, gs, two_exp, kind in kept:
-                out.append(((norm, delta_norm, unit_exp, ks),
-                            GaussianQuadExt(GaussianInt(da, db), unit_exp, gs, odd_part,
-                                            two_exp, norm, kind)))
-
-    def rec(start: int, gens: tuple[GaussianInt, ...], keys: tuple, a: int, b: int,
-            n: int) -> None:
-        emit(gens, keys, a, b, n)
-        for j in range(start, len(odd)):
-            g, ga, gb, gn, gk = odd[j]
-            m = n * gn
-            if m > limit:
-                break  # norms ascending, nothing later fits either
-            rec(j + 1, gens + (g,), keys + (gk,), a * ga - b * gb, a * gb + b * ga, m)
-
-    rec(0, (), (), 1, 0, 1)
-    out.sort(key=lambda t: t[0])
-    return [e for _, e in out]
+    ga, gb = np.array([(g.a, g.b) for g in odd], dtype=np.int64).reshape(-1, 2).T
+    gn = ga * ga + gb * gb
+    two = _two_type_table()
+    a, b, n = np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
+    starts, members = np.zeros(1, np.int64), []
+    exts: list[GaussianQuadExt] = []
+    keys = []  # per level: norm, delta norm, unit and generator indices of its extensions
+    while len(n):
+        # the deltas a + bi, (1+i)(a + bi), i(a + bi) and (1+i)i(a + bi)
+        da, db = np.stack([a, a - b, -b, -a - b]), np.stack([b, a + b, a, a - b])
+        exp = np.full(da.shape, 5, dtype=np.int64)
+        kind = np.full(da.shape, _KINDS.index(RAMIFIED), dtype=np.int64)
+        exp[::2], kind[::2] = two[:, da[::2] % 16, db[::2] % 16]
+        norm = n << exp
+        keep = (above < norm) & (norm <= limit)
+        keep[0] &= bool(members)  # delta = 1 is a square
+        v, p = keep.nonzero()
+        used, at = np.unique(p, return_inverse=True)
+        odd_parts = [GaussianInt(*_first_quadrant(x, y))
+                     for x, y in zip(a[used].tolist(), b[used].tolist())]
+        gens = list(zip(*(map(odd.__getitem__, c[used].tolist()) for c in members)))
+        gens = gens or [()] * len(used)
+        for x, y, u, with_pi, i, e, m, s in zip(
+                da[v, p].tolist(), db[v, p].tolist(), (v >> 1).tolist(), (v & 1).tolist(),
+                at.tolist(), exp[v, p].tolist(), norm[v, p].tolist(), kind[v, p].tolist()):
+            exts.append(GaussianQuadExt(GaussianInt(x, y), u, (pi,) + gens[i] if with_pi
+                                        else gens[i], odd_parts[i], e, m, _KINDS[s]))
+        # (1+i) is index 0 and odd[j] is j + 1, then -1 past the last generator
+        idx = np.stack([np.zeros(len(p), np.int64), *(c[p] + 1 for c in members),
+                        np.full(len(p), -1)])
+        keys.append(np.concatenate([[norm[v, p], n[p] << (v & 1), v >> 1],
+                                    np.where(v & 1, idx[:-1], idx[1:])]))
+        k, j = _accel.runs(starts, gn.searchsorted(limit // n, side="right"))
+        a, b, n = a[k] * ga[j] - b[k] * gb[j], a[k] * gb[j] + b[k] * ga[j], n[k] * gn[j]
+        starts, members = j + 1, [c[k] for c in members] + [j]
+    height = max(len(key) for key in keys)
+    key = np.concatenate([np.pad(key, ((0, height - len(key)), (0, 0)), constant_values=-1)
+                          for key in keys], axis=1)
+    return [exts[i] for i in np.lexsort(key[::-1]).tolist()]

@@ -27,10 +27,11 @@ below the optimum, from the optimum alone, by the sweep's prefix walk.
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep, on split rows of uint64 words.  Over Q(i) it ranges over the even
 subsets of a pool of prime ideals of bounded norm, whose split rows are
-read from Legendre tables; the result is least over the pool and certified,
-and best-effort because an ideal outside the pool could do better.  The search
-stops with NoCandidateError once the ranges pass the product of the whole
-pool, or the int64 limit of the sweep.
+read from Legendre tables at the delta columns that the extension list
+keeps beside it (gaussian._ext_columns); the result is least over the
+pool and certified, and best-effort because an ideal outside the pool
+could do better.  The search stops with NoCandidateError once the ranges
+pass the product of the whole pool, or the int64 limit of the sweep.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ from .gaussian import (
     SPLIT,
     GaussianPrimeIdeal,
     GaussianQuadExt,
+    _exts_and_columns,
     _ideal_key,
     _ideals_above,
     gaussian_primes_up_to_norm,
-    quad_exts_with_disc_below,
     splitting_in_ext,
 )
 from .quaternion import algebra_q, algebra_qi
@@ -229,7 +230,7 @@ class _MaskMatrix:
         for k in long.nonzero()[0].tolist():
             out[k] = self._first_pass(need[k], int(j0s[k]), int(j1s[k]))
         short = (~long).nonzero()[0]
-        owner, idx = _runs(j0s[short], j1s[short])
+        owner, idx = _accel.runs(j0s[short], j1s[short])
         need0 = need[short, 0][owner]
         hits = ((self._w0[idx] & need0) == need0).nonzero()[0]
         who = short[owner[hits]]
@@ -243,9 +244,9 @@ class _IdealPool:
     N - 1 of each ideal, `rows` its words, tested a word at a time: the pool
     is small and not ranked by rarity, so a word-0 filter would not pay."""
 
-    def __init__(self, pool: list[GaussianPrimeIdeal], exts):
+    def __init__(self, pool: list[GaussianPrimeIdeal], exts, cols):
         self.facs = np.array([P.norm - 1 for P in pool], dtype=np.int64)
-        self.rows = _split_rows_qi(pool, exts)
+        self.rows = _split_rows_qi(pool, exts, cols)
         self.target = _full(len(exts))
 
     def hold(self, c: int) -> None:
@@ -256,7 +257,7 @@ class _IdealPool:
 
     def first_passes(self, need: np.ndarray, j0s: np.ndarray,
                      j1s: np.ndarray) -> list[int | None]:
-        owner, idx = _runs(j0s, j1s)
+        owner, idx = _accel.runs(j0s, j1s)
         for w in range(need.shape[1]):  # drop the rows that miss a bit of word w
             keep = (need[owner, w] & ~self.rows[idx, w]) == 0
             owner, idx = owner[keep], idx[keep]
@@ -266,24 +267,24 @@ class _IdealPool:
         return [found.get(k) for k in range(len(need))]
 
 
-def _split_rows_qi(pool, exts) -> np.ndarray:
+def _split_rows_qi(pool, exts, cols) -> np.ndarray:
     """Bit e of row i is set iff pool[i] splits in exts[e], in uint64 words.
 
-    An odd ideal splits iff delta = a + bi is a nonzero square mod it: for
-    a degree-1 ideal of norm p with i = r mod it, iff a + b*r is a square
-    mod p; for an inert (q), iff a^2 + b^2 is a square mod q.  Each ideal
-    reads one Legendre table over int64 arrays of the deltas, and its bits
-    are packed into its row's bytes.  (1+i) follows two_splitting where it
-    is unramified.  A zero residue is allowed only at the ideals of
-    ext.gens; any other raises SysarithError.  No exts give one zero word.
+    cols is gaussian._ext_columns(exts): each delta = a + bi as int64 arrays
+    a and b, and where (1+i) splits.  An odd ideal splits iff delta is a
+    nonzero square mod it: for a degree-1 ideal of norm p with i = r mod
+    it, iff a + b*r is a square mod p; for an inert (q), iff a^2 + b^2 is a
+    square mod q.  Each ideal reads one Legendre table over a and b, and
+    its bits are packed into its row's bytes; (1+i) reads the third column.
+    A zero residue is allowed only at the ideals of ext.gens; any other
+    raises SysarithError.  No exts give one zero word.
     """
-    a, b = np.array([(e.delta.a, e.delta.b) for e in exts], dtype=np.int64).reshape(-1, 2).T
+    a, b, two_split = cols
     rows = np.zeros((len(pool), len(_full(len(exts)))), dtype="<u8")
     q, leg = 0, None
     for i, P in enumerate(pool):
         if P.norm % 2 == 0:
-            split = np.array([e.rel_disc_two_exp == 0 and e.two_splitting == SPLIT
-                              for e in exts], dtype=bool)
+            split = two_split == 1
         else:
             if P.kind == SPLIT:
                 p = P.norm
@@ -391,8 +392,8 @@ def _prefixes(facs, card, lo, hi):
     members = []
     for m in range(card, 1, -1):
         least = -(-lo // dear[m - 1])  # ceil(lo / dear), then ceil(that / prods) in int64
-        k, i = _runs(np.maximum(starts, facs.searchsorted(-(-least // prods))),
-                     np.searchsorted(spans[m - 1], (hi - 1) // prods, "right"))
+        k, i = _accel.runs(np.maximum(starts, facs.searchsorted(-(-least // prods))),
+                           np.searchsorted(spans[m - 1], (hi - 1) // prods, "right"))
         prods, members, starts = prods[k] * facs[i], [c[k] for c in members] + [i], i + 1
     return prods, starts, members
 
@@ -442,13 +443,6 @@ def _sweep_card(masks, card, lo, hi):
                       if j + 1 < tie else (None,))
         prods, j0s, j1s, ends = prods[e:], j0s[e:], j1s[e:], ends[e:]
         members = [c[e:] for c in members]
-
-
-def _runs(starts: np.ndarray, ends: np.ndarray):
-    """(k, j) for every j in [starts[k], ends[k]), by k and then j ascending."""
-    lens = np.maximum(ends - starts, 0)
-    k = np.repeat(np.arange(len(lens)), lens)
-    return k, np.arange(len(k)) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
 def _sets_below(facs, best, count_le) -> int:
@@ -724,9 +718,9 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     """
     check_real(l, "systole bound", 0, strict=True)
     check_real(pool_norm_bound, "pool norm bound", 2)
-    exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
+    exts, cols = _exts_and_columns(math.exp(2.0 * (l + 2.0)))
     pool = gaussian_primes_up_to_norm(pool_norm_bound)
-    masks = _IdealPool(pool, exts)
+    masks = _IdealPool(pool, exts, cols)
     total = math.prod(P.norm - 1 for P in pool)
     lo = 2
     while True:
@@ -845,12 +839,12 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     if count > _ASSIGNMENT_CAP:
         raise InputError(f"norm multiset {norms} has {count} conjugate assignments, "
                          f"more than the {_ASSIGNMENT_CAP} supported")
-    exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
+    exts, cols = _exts_and_columns(math.exp(2.0 * (l + 2.0)))
 
     combos = [tuple(sorted((P for group in combo for P in group), key=_ideal_key))
               for combo in itertools.product(*options)]
     union = sorted({P for ideals in combos for P in ideals}, key=_ideal_key)
-    row = dict(zip(union, _accel.masks_to_ints(_split_rows_qi(union, exts))))
+    row = dict(zip(union, _accel.masks_to_ints(_split_rows_qi(union, exts, cols))))
     target = (1 << len(exts)) - 1
     reports = []
     for ideals in combos:

@@ -2,7 +2,9 @@
 
 Everything here trades speed for obviousness: direct residue enumeration,
 naive subset filters, and straight double-loop lattice sums, written without
-reusing any package internals beyond basic value types.
+reusing any package internals beyond basic value types.  The one exception
+is recursive_quad_exts, the reference for the extension walk's enumeration
+and order, which reads the package's 2-adic classification (_two_type).
 """
 
 from __future__ import annotations
@@ -241,6 +243,45 @@ def brute_splits_qi(P, delta_a: int, delta_b: int) -> bool:
         return (delta_a + delta_b) % 2 == 1 and brute_even_split_qi(delta_a, delta_b)
     p = P.norm if P.kind == "split" else P.gen.a
     return brute_symbol_qi(delta_a, delta_b, P.gen.a, P.gen.b, p) == "split"
+
+
+def recursive_quad_exts(limit: int, above: int = 0) -> list:
+    """The extensions of Q(i) with above < rel_disc_norm <= limit, sorted by
+    (rel_disc_norm, delta norm, unit_exp, generator keys), by a recursive
+    descent: the odd prime generators are chosen in (norm, b, a) order, each
+    step carrying their product; a product times 1 or i gives an odd delta,
+    whose (1+i)-exponent is _two_type's, and that delta times (1+i) has
+    exponent 5."""
+    from sysarith.gaussian import (GaussianInt, GaussianQuadExt, _two_type,
+                                   canonical_associate, gaussian_primes_up_to_norm)
+
+    pi, pi_key = GaussianInt(1, 1), (2, 1, 1)
+    odd = [(P.gen, (P.norm, P.gen.b, P.gen.a)) for P in gaussian_primes_up_to_norm(limit)
+           if P.norm % 2]
+    out = []
+
+    def emit(gens, keys, a, b, n):
+        odd_part = canonical_associate(GaussianInt(a, b))
+        for unit_exp, da, db in ((0, a, b), (1, -b, a)):
+            if gens or unit_exp:  # delta = 1 is a square
+                two_exp, kind = _two_type(da, db)
+                out.append(((n << two_exp, n, unit_exp, keys), GaussianQuadExt(
+                    GaussianInt(da, db), unit_exp, gens, odd_part, two_exp, n << two_exp, kind)))
+            out.append(((n << 5, 2 * n, unit_exp, (pi_key,) + keys), GaussianQuadExt(
+                GaussianInt(da - db, da + db), unit_exp, (pi,) + gens, odd_part, 5, n << 5,
+                "ramified")))
+
+    def rec(start, gens, keys, a, b, n):
+        emit(gens, keys, a, b, n)
+        for j in range(start, len(odd)):
+            (g, k), m = odd[j], n * odd[j][0].norm
+            if m > limit:
+                break  # norms ascending, nothing later fits either
+            rec(j + 1, gens + (g,), keys + (k,), a * g.a - b * g.b, a * g.b + b * g.a, m)
+
+    rec(0, (), (), 1, 0, 1)
+    out.sort(key=lambda t: t[0])
+    return [e for key, e in out if above < key[0] <= limit]
 
 
 def naive_valid_sets_qi(pool, exts):

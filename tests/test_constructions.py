@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sysarith import constructions, search
+from sysarith import constructions, gaussian, search
 from sysarith.constructions import (
     ROLE_COVER,
     ROLE_PARITY,
@@ -336,7 +336,7 @@ def test_cover_3d_refuses_a_large_x_before_the_extension_list(monkeypatch):
     def exts(bound):
         raise AssertionError(f"listed extensions up to {bound} before refusing")
 
-    monkeypatch.setattr(constructions, "quad_exts_with_disc_below", exts)
+    monkeypatch.setattr(gaussian, "quad_exts_with_disc_below", exts)
     for x in (4.51, 5.0, 7.0):
         with pytest.raises(InputError, match=r"greedy cover over Q\(i\)"):
             cover_algebra_3d(x)
@@ -346,7 +346,7 @@ def test_cover_3d_lost_certificate_raises_a_package_error(monkeypatch):
     # rows that claim a cover no ideal gives: the certificate step must
     # raise a SysarithError, not leak StopIteration
     monkeypatch.setattr(constructions, "_split_rows_qi",
-                        lambda pool, exts: int_words([(1 << len(exts)) - 1] * len(pool)))
+                        lambda pool, exts, cols: int_words([(1 << len(exts)) - 1] * len(pool)))
     monkeypatch.setattr(search, "splitting_in_ext", lambda P, ext: "inert")
     with pytest.raises(SysarithError, match="certificate"):
         cover_algebra_3d(0.5)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from oracles import (
     brute_even_split_qi,
     brute_squarefree_part,
     brute_symbol_qi,
+    recursive_quad_exts,
     sieve_primes,
 )
 
@@ -317,11 +319,18 @@ def test_conjugation_class_counts_at_large_bound():
 MEMO_BOUNDS = [0, 8, 9, 9.5, 50, *(math.exp(6 + k / 5) for k in range(21)), 22026.0]
 
 
+EMPTY_MEMO = (0, [], gaussian._ext_columns([]), [])
+
+
 @pytest.fixture(scope="module")
 def fresh_exts():
-    # the descent itself, once per limit, bypassing the process memo
-    return {limit: gaussian._quad_exts_up_to(limit, gaussian._odd_generators(0, limit))
-            for limit in {math.floor(b) for b in MEMO_BOUNDS}}
+    # the level walk itself, once per limit, bypassing the process memo, and
+    # equal to the reference's recursive descent at every limit
+    walks = {}
+    for limit in sorted({math.floor(b) for b in MEMO_BOUNDS}):
+        walks[limit] = gaussian._quad_exts_up_to(limit, gaussian._odd_generators(0, limit))
+        assert walks[limit] == recursive_quad_exts(limit), limit
+    return walks
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -329,17 +338,19 @@ def test_extension_memo_matches_a_fresh_enumeration(order, fresh_exts, monkeypat
     bounds = sorted(MEMO_BOUNDS, reverse=order == "descending")
     if order == "shuffled":
         random.Random(0).shuffle(bounds)
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
+    monkeypatch.setattr(gaussian, "_exts_memo", EMPTY_MEMO)
     for bound in bounds:
         request = math.floor(bound)
         before = gaussian._exts_memo[0]
-        assert quad_exts_with_disc_below(bound) == fresh_exts[request], bound
+        exts, cols = gaussian._exts_and_columns(bound)
+        assert exts == fresh_exts[request], bound
+        assert np.array_equal(cols, gaussian._ext_columns(exts)), bound
         held = gaussian._exts_memo[0]
         assert max(before, request) <= held <= max(2 * before, request), (bound, before, held)
 
 
 def test_extension_memo_hands_out_new_lists(monkeypatch):
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
+    monkeypatch.setattr(gaussian, "_exts_memo", EMPTY_MEMO)
     whole = quad_exts_with_disc_below(500)  # exactly the held list's length
     want = list(whole)
     whole.clear()
@@ -352,7 +363,7 @@ def test_extension_memo_hands_out_new_lists(monkeypatch):
 
 
 def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
+    monkeypatch.setattr(gaussian, "_exts_memo", EMPTY_MEMO)
     descent = gaussian._quad_exts_up_to
     calls = []
 
@@ -368,7 +379,7 @@ def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
     # twice and the appended pieces are exactly the held list
     assert [above for above, _, _ in calls] == [0] + [limit for _, limit, _ in calls[:-1]]
     assert all(above < limit for above, limit, _ in calls)
-    held, exts, _ = gaussian._exts_memo
+    held, exts, _, _ = gaussian._exts_memo
     assert held == calls[-1][1]
     assert [e for _, _, piece in calls for e in piece] == exts
 
@@ -376,7 +387,7 @@ def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
 def test_descents_build_each_generator_once(monkeypatch):
     # the descents read their odd generators from a kept list that grows by
     # the ideals past its limit, so an ascending ladder builds each ideal once
-    monkeypatch.setattr(gaussian, "_exts_memo", (0, [], []))
+    monkeypatch.setattr(gaussian, "_exts_memo", EMPTY_MEMO)
     build = gaussian._gaussian_primes
     calls = []
 
@@ -391,7 +402,7 @@ def test_descents_build_each_generator_once(monkeypatch):
     assert [above for above, _, _ in calls] == [0] + [bound for _, bound, _ in calls[:-1]]
     built = [P for _, _, piece in calls for P in piece]
     assert built == gaussian_primes_up_to_norm(calls[-1][1])
-    assert [g[0] for g in gaussian._exts_memo[2]] == [P.gen for P in built if P.norm % 2]
+    assert gaussian._exts_memo[3] == [P.gen for P in built if P.norm % 2]
 
 
 @pytest.mark.parametrize("above,bound", [(0, 1), (1, 2), (2, 9), (8, 9), (9, 50), (24, 25),
@@ -406,7 +417,8 @@ def test_gaussian_primes_above_a_norm(above, bound):
 def test_descent_builds_only_the_norms_above(above, limit):
     odd = gaussian._odd_generators(0, limit)
     whole = gaussian._quad_exts_up_to(limit, odd)
-    assert gaussian._quad_exts_up_to(limit, odd, above) == [
+    assert whole == recursive_quad_exts(limit)
+    assert gaussian._quad_exts_up_to(limit, odd, above) == recursive_quad_exts(limit, above) == [
         e for e in whole if e.rel_disc_norm > above]
 
 

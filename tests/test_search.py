@@ -22,6 +22,7 @@ from sysarith.errors import (
 from sysarith.gaussian import (
     SPLIT,
     GaussianInt,
+    _ext_columns,
     gaussian_primes_up_to_norm,
     ideal_above,
     quad_ext,
@@ -443,7 +444,7 @@ def test_prefix_walk_matches_the_combinations_in_range():
 def test_sets_below_counts_the_even_pool_subsets_with_tied_factors():
     # conjugate ideals of one norm give tied factors
     pool = gaussian_primes_up_to_norm(30)
-    masks = _IdealPool(pool, quad_exts_with_disc_below(20))
+    masks = _IdealPool(pool, *gaussian._exts_and_columns(20))
     facs = masks.facs.tolist()
     assert facs == [1, 4, 4, 8, 12, 12, 16, 16, 28, 28]
     factors = sorted(math.prod(c) for k in range(2, len(facs) + 1, 2)
@@ -518,7 +519,7 @@ def test_split_rows_qi_match_brute_oracle():
     pool = gaussian_primes_up_to_norm(200)
     assert {P.norm for P in pool} >= {2, 9, 49, 121}
     assert any(P.gen in e.gens for P in pool for e in exts)
-    rows = word_ints(_split_rows_qi(pool, exts))
+    rows = word_ints(_split_rows_qi(pool, exts, _ext_columns(exts)))
     assert len(rows) == len(pool)
     for P, row in zip(pool, rows):
         assert row_bits(row, len(exts)) == [
@@ -532,7 +533,7 @@ def test_split_rows_qi_match_splitting_in_ext_on_the_cover_window():
     exts = quad_exts_with_disc_below(math.exp(8))
     pool = gaussian_primes_up_to_norm(3 * max(e.rel_disc_norm for e in exts))
     assert len(pool) == 1116
-    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts))):
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts, _ext_columns(exts)))):
         assert row_bits(row, len(exts)) == [
             splitting_in_ext(P, e) == SPLIT for e in exts], str(P.gen)
 
@@ -543,9 +544,10 @@ def test_split_rows_qi_reject_a_zero_residue_outside_the_generators(delta, p):
     # lost its generators breaks that, and the rows say so
     ext = quad_ext(delta)
     P = ideal_above(p)
-    assert P.gen in ext.gens and word_ints(_split_rows_qi([P], [ext])) == [0]
+    assert P.gen in ext.gens and word_ints(_split_rows_qi([P], [ext], _ext_columns([ext]))) == [0]
+    lost = dataclasses.replace(ext, gens=())
     with pytest.raises(SysarithError, match="residue symbol"):
-        _split_rows_qi([P], [dataclasses.replace(ext, gens=())])
+        _split_rows_qi([P], [lost], _ext_columns([lost]))
 
 
 @pytest.mark.parametrize("n_exts", [63, 64, 65])
@@ -553,7 +555,7 @@ def test_split_rows_qi_leave_the_padding_bits_clear(n_exts):
     # one word more at 65 extensions; no bit past the last extension is set
     exts = quad_exts_with_disc_below(math.exp(8))[:n_exts]
     pool = gaussian_primes_up_to_norm(200)
-    words = _split_rows_qi(pool, exts)
+    words = _split_rows_qi(pool, exts, _ext_columns(exts))
     assert words.dtype == np.uint64 and words.shape == (len(pool), 1 if n_exts < 65 else 2)
     for P, row in zip(pool, word_ints(words)):
         assert row >> n_exts == 0, str(P.gen)
@@ -562,7 +564,7 @@ def test_split_rows_qi_leave_the_padding_bits_clear(n_exts):
 
 def test_split_rows_qi_of_no_extension_are_one_zero_word():
     pool = gaussian_primes_up_to_norm(50)
-    words = _split_rows_qi(pool, [])
+    words = _split_rows_qi(pool, [], _ext_columns([]))
     assert words.shape == (len(pool), 1) and not words.any()
 
 
@@ -669,7 +671,7 @@ def test_valid_algebra_3d_stops_at_the_int64_limit(monkeypatch):
     def pool(bound):
         return [P for P in gaussian_primes_up_to_norm(bound) if P.norm == 2 or P.norm > 256]
 
-    def rows(pool, exts):
+    def rows(pool, exts, cols):
         k = len(pool) - 2
         return int_words([0] + [1 << b for b in range(k)] + [((1 << len(exts)) - 1) >> k << k])
 
