@@ -55,7 +55,7 @@ def check_int(value, name: str, lo=-math.inf) -> int:
 
     A plain int returns at once, without the ABC test (0.3 us) or the int()
     call: the Q covers' field scan checks each d in range, and the unit
-    walk's embeds_q calls kronecker_symbol per unit and ramified prime."""
+    walk's embeds_q checks the d of each unit it meets."""
     if type(value) is int and value >= lo:
         return value
     if not (isinstance(value, numbers.Integral) and value >= lo):

@@ -451,8 +451,9 @@ def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list
     residue mod 16 (_two_type_table), and (1+i) times it has exponent 5.
     Only a delta whose norm lies in the interval becomes GaussianInts and a
     GaussianQuadExt, level by level, and one lexsort puts the extensions of
-    all levels in (norm, delta norm, unit, generator keys) order: generator
-    keys as indices, (1+i) first.
+    all levels in (norm, unit, odd generator indices) order.  The norm fixes
+    the delta norm, the (1+i) factor and the level, so keys that compare
+    them would never decide.
     """
     pi = GaussianInt(1, 1)
     ga, gb = np.array([(g.a, g.b) for g in odd], dtype=np.int64).reshape(-1, 2).T
@@ -461,7 +462,7 @@ def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list
     a, b, n = np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
     starts, members = np.zeros(1, np.int64), []
     exts: list[GaussianQuadExt] = []
-    keys = []  # per level: norm, delta norm, unit and generator indices of its extensions
+    keys = []  # per level: norm, unit and generator indices of its extensions
     while len(n):
         # the deltas a + bi, (1+i)(a + bi), i(a + bi) and (1+i)i(a + bi)
         da, db = np.stack([a, a - b, -b, -a - b]), np.stack([b, a + b, a, a - b])
@@ -482,11 +483,7 @@ def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list
                 at.tolist(), exp[v, p].tolist(), norm[v, p].tolist(), kind[v, p].tolist()):
             exts.append(GaussianQuadExt(GaussianInt(x, y), u, (pi,) + gens[i] if with_pi
                                         else gens[i], odd_parts[i], e, m, _KINDS[s]))
-        # (1+i) is index 0 and odd[j] is j + 1, then -1 past the last generator
-        idx = np.stack([np.zeros(len(p), np.int64), *(c[p] + 1 for c in members),
-                        np.full(len(p), -1)])
-        keys.append(np.concatenate([[norm[v, p], n[p] << (v & 1), v >> 1],
-                                    np.where(v & 1, idx[:-1], idx[1:])]))
+        keys.append(np.stack([norm[v, p], v >> 1, *(c[p] for c in members)]))
         k, j = _accel.runs(starts, gn.searchsorted(limit // n, side="right"))
         a, b, n = a[k] * ga[j] - b[k] * gb[j], a[k] * gb[j] + b[k] * ga[j], n[k] * gn[j]
         starts, members = j + 1, [c[k] for c in members] + [j]

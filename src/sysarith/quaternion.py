@@ -20,12 +20,20 @@ from .gaussian import (
     quad_residue_symbol,
     splitting_in_ext,
 )
-from .real_quadratic import SPLIT, QuadFieldQ, is_prime, kronecker_symbol
+from .real_quadratic import SPLIT, QuadFieldQ, _check_d, _disc_symbol, is_prime
 
 
 @dataclass(frozen=True)
 class QuaternionAlgebraQ:
+    """The algebra ramified at the primes in ram.  Each is checked to be an
+    int prime once, here, so embeds_q reads them unchecked."""
+
     ram: frozenset[int]
+
+    def __post_init__(self):
+        for p in self.ram:
+            if not (isinstance(p, int) and is_prime(p)):
+                raise InputError(f"ramification set contains non-prime {p!r}")
 
     @property
     def ram_sorted(self) -> tuple[int, ...]:
@@ -52,11 +60,7 @@ class QuaternionAlgebraQi:
 
 
 def algebra_q(primes: Iterable[int]) -> QuaternionAlgebraQ:
-    ram = frozenset(check_int(p, "prime") for p in primes)
-    for p in ram:
-        if not is_prime(p):
-            raise InputError(f"ramification set contains non-prime {p}")
-    return QuaternionAlgebraQ(ram)
+    return QuaternionAlgebraQ(frozenset(check_int(p, "prime") for p in primes))
 
 
 def algebra_qi(ideals: Iterable[GaussianPrimeIdeal]) -> QuaternionAlgebraQi:
@@ -85,9 +89,11 @@ def require_admissible(B) -> None:
 
 
 def embeds_q(field, B: QuaternionAlgebraQ) -> bool:
-    """Q(sqrt(d)) embeds iff no ramified prime splits in it.  Empty ram: True."""
-    d = field.d if isinstance(field, QuadFieldQ) else field
-    return all(kronecker_symbol(d, p) != 1 for p in B.ram)
+    """Q(sqrt(d)) embeds iff no ramified prime splits in it.  Empty ram: True.
+
+    d is checked once; B's primes were checked when B was built."""
+    d = _check_d(field.d if isinstance(field, QuadFieldQ) else field)
+    return all(_disc_symbol(d, p) != 1 for p in B.ram)
 
 
 def embeds_qi(ext: GaussianQuadExt, B: QuaternionAlgebraQi) -> bool:

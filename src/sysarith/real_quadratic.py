@@ -3,7 +3,9 @@ regulators, the ascending walk over the units of all fields, and
 _prime_factors, the one integer factorizer of the package (trial division).
 
 All unit arithmetic is exact integers; floating point only enters at the
-final logarithm, taken with enough working precision for the unit's size.
+final logarithm.  regulator(d) takes it with enough working precision for
+the unit's size; the regulator field list compares a float log with its
+bound and takes the precise log only for a unit within rounding of it.
 Units satisfy x^2 - disc*y^2 = +-4 with the unit equal to
 (x + y*sqrt(disc))/2.  fundamental_unit(d) runs one field's continued
 fraction; the regulator field list and the trace systole walk the units
@@ -123,16 +125,27 @@ def kronecker(a: int, n: int) -> int:
 
 
 def kronecker_symbol(d: int, p: int) -> int:
-    """(disc/p) for disc the discriminant of Q(sqrt(d)); 0 iff p | disc.
+    """(disc/p) for disc the discriminant of Q(sqrt(d)); 0 iff p | disc."""
+    d, p = _check_d(d), check_int(p, "p")
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    return _disc_symbol(d, p)
+
+
+def _check_d(d: int) -> int:
+    """d, if it is a nonzero integer; else InputError."""
+    d = check_int(d, "d")
+    if d == 0:
+        raise InputError("d must be nonzero")
+    return d
+
+
+def _disc_symbol(d: int, p: int) -> int:
+    """kronecker_symbol(d, p) without its checks: d a nonzero int, p prime.
 
     d is not factored: divided by p^2 while it can be, d is disc or disc/4
     times a square prime to p.  So p | disc if p | d, or if p = 2 and
     d = 3 mod 4; else (d/p) = (disc/p)."""
-    d, p = check_int(d, "d"), check_int(p, "p")
-    if d == 0:
-        raise InputError("d must be nonzero")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
     while d % (p * p) == 0:
         d //= p * p
     return 0 if d % p == 0 or (p == 2 and d % 4 == 3) else kronecker(d, p)
@@ -267,12 +280,35 @@ def _units(norms=(1, -1)):
                 yield QuadFieldQ(d, disc), FundamentalUnit(x, math.isqrt(m // disc), norm)
 
 
+# The float log of a unit (x + y*sqrt(disc))/2 with x < 2^53 is within 1e-14
+# of the true log below e^10: disc's conversion, the sqrt, the product and the
+# sum each round by a relative 2^-53 at most, 4.5e-16 in the log, and the log
+# itself by an ulp of a value below 10, 1.8e-15.  _unit_log is within an ulp
+# of the true log.  So a float log more than _FLOAT_SLACK from a
+# bound <= 10 lies on the side of it that _unit_log's does, and only a log
+# within the slack takes the mpmath path.
+_FLOAT_SLACK = 1e-9
+
+
+def _log_below(u: FundamentalUnit, disc: int, bound: float) -> bool:
+    """_unit_log(u, disc) < bound for bound <= 10, by a float log unless that
+    lies within _FLOAT_SLACK of the bound or x >= 2^53."""
+    if u.x < 1 << 53:
+        approx = math.log((u.x + u.y * math.sqrt(disc)) / 2)
+        if abs(approx - bound) > _FLOAT_SLACK:
+            return approx < bound
+    return _unit_log(u, disc) < bound
+
+
 def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     """All real quadratic fields with regulator < bound, ascending d.
 
     Reads the unit walk: each field's first unit is its fundamental unit,
     and its log is the value regulator(d) returns.  A unit below e^bound
-    has trace x < e^bound + 1, so the walk stops one x past that.
+    has trace x < e^bound + 1, so the walk stops one x past that.  Each
+    field is tested by a float log of its unit, and by _unit_log's mpmath
+    log only where the float lies within _FLOAT_SLACK of the bound, so the
+    list is the one the mpmath log alone gives.
     """
     check_real(bound, "bound", 0, strict=True)
     if bound > 10:
@@ -283,5 +319,5 @@ def fields_with_regulator_below(bound: float) -> list[QuadFieldQ]:
     first = {}
     for field, u in itertools.takewhile(lambda fu: fu[1].x <= last, _units()):
         first.setdefault(field, u)
-    return sorted((f for f, u in first.items() if _unit_log(u, f.disc) < bound),
+    return sorted((f for f, u in first.items() if _log_below(u, f.disc, bound)),
                   key=lambda f: f.d)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import mpmath
 import numpy as np
 
 
@@ -385,6 +386,23 @@ def brute_fields_with_regulator_below(l: float) -> list[tuple[int, float]]:
                     out.append((d, math.log(unit)))
                 break
             y += 1
+    return out
+
+
+def walk_unit_logs(x_last: int) -> dict[int, float]:
+    """{d: log of the fundamental unit of Q(sqrt(d))} for every field that a
+    unit of trace x <= x_last meets, in the order the units are met.
+
+    The unit of trace x and norm n is (x + sqrt(x^2 - 4n))/2, ascending in
+    x with norm +1 first, so a field's first unit is its fundamental unit.
+    Each log is taken at 256 bits and rounded once to a float."""
+    out = {}
+    with mpmath.workprec(256):
+        for x in range(1, x_last + 1):
+            for m in (x * x - 4, x * x + 4):
+                d = brute_squarefree_part(m)
+                if d > 0 and d not in out:
+                    out[d] = float(mpmath.log((x + mpmath.sqrt(m)) / 2))
     return out
 
 

@@ -432,3 +432,16 @@ def test_extension_list_at_e10_is_pinned():
     assert len(rows) == 5745
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "94da05d25944235cc449c06b2a91a02d41b5e615d3b3c00a24b24fc573957893")
+
+
+def test_norm_fixes_the_keys_the_walk_does_not_sort_on():
+    # the level walk sorts by (norm, unit, odd generator indices) alone: at
+    # one relative discriminant norm every extension has the same delta
+    # norm, (1+i) factor and number of generators, so keys that compared
+    # them would never decide
+    fixed = {}
+    exts = quad_exts_with_disc_below(10**5)
+    for e in exts:
+        key = (e.delta.norm, GaussianInt(1, 1) in e.gens, len(e.gens))
+        assert fixed.setdefault(e.rel_disc_norm, key) == key, e
+    assert len(fixed) < len(exts)

@@ -1,5 +1,7 @@
 """Quaternion algebras over Q and Q(i): admissibility, embedding, torsion."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from sysarith.gaussian import (
     quad_ext,
 )
 from sysarith.quaternion import (
+    QuaternionAlgebraQ,
     algebra_q,
     algebra_qi,
     embeds_q,
@@ -22,17 +25,52 @@ from sysarith.quaternion import (
     torsion_free_q,
     torsion_free_qi,
 )
-from sysarith.real_quadratic import quad_field, splitting_type_q
+from sysarith.real_quadratic import kronecker_symbol, quad_field, splitting_type_q
 
-from oracles import sieve_primes
+from oracles import brute_is_squarefree, brute_splitting_q, sieve_primes
 
 
 def test_algebra_q_validation_and_order():
     B = algebra_q([11, 2])
     assert B.ram_sorted == (2, 11)
     assert B.to_json() == {"base": "Q", "ram": [2, 11]}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="contains non-prime 9"):
         algebra_q([2, 9])
+    with pytest.raises(InputError, match="prime must be one of the integers, got 2.0"):
+        algebra_q([2.0, 3])
+    with pytest.raises(InputError, match="contains non-prime 1"):
+        algebra_q([1, 5])
+
+
+@pytest.mark.parametrize("ram", [frozenset({4, 7}), frozenset({2.0, 3}), frozenset({1, 5})],
+                         ids=["non-prime 4", "float 2.0", "unit 1"])
+def test_quaternion_algebra_q_checks_its_primes_when_built(ram):
+    # embeds_q reads B.ram unchecked, so every algebra, however built, holds
+    # int primes only
+    with pytest.raises(InputError, match="ramification set contains non-prime"):
+        QuaternionAlgebraQ(ram)
+
+
+def test_embeds_q_checks_d_and_kronecker_symbol_checks_p():
+    B = algebra_q([2, 31])
+    with pytest.raises(InputError, match="d must be nonzero"):
+        embeds_q(0, B)
+    with pytest.raises(InputError, match="d must be one of the integers, got 1.5"):
+        embeds_q(1.5, B)
+    with pytest.raises(InputError, match="4 is not prime"):
+        kronecker_symbol(5, 4)
+
+
+def test_embeds_q_matches_the_splitting_oracle():
+    rng = random.Random(20)
+    primes = sieve_primes(200)
+    for _ in range(5):
+        ram = rng.sample(primes, rng.choice((2, 4, 6)))
+        B = algebra_q(ram)
+        for d in range(2, 2000):
+            if brute_is_squarefree(d):
+                expect = all(brute_splitting_q(d, p) != "split" for p in ram)
+                assert embeds_q(d, B) == embeds_q(quad_field(d), B) == expect, (ram, d)
 
 
 def test_algebra_qi_validation_and_order():

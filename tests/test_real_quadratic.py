@@ -31,6 +31,7 @@ from oracles import (
     brute_is_squarefree,
     brute_splitting_q,
     brute_squarefree_part,
+    walk_unit_logs,
 )
 
 # regulators frozen from the independent continued-fraction computation
@@ -219,6 +220,48 @@ def test_field_list_walks_units_without_continued_fractions(monkeypatch):
     assert 0 < len(parts) <= 2 * (math.floor(math.exp(3.0)) + 2)
     monkeypatch.undo()
     assert all(f.regulator < 3.0 for f in fields)
+
+
+@pytest.fixture(scope="module")
+def logs_below_e7():
+    return walk_unit_logs(math.floor(math.exp(7)) + 2)
+
+
+def _listed_with_spy(monkeypatch, bound):
+    """fields_with_regulator_below(bound)'s d's, and the mpmath logs that
+    it took."""
+    taken, unit_log = [], real_quadratic._unit_log
+
+    def spy(u, disc):
+        taken.append((disc, unit_log(u, disc)))
+        return taken[-1][1]
+
+    monkeypatch.setattr(real_quadratic, "_unit_log", spy)
+    listed = [f.d for f in fields_with_regulator_below(bound)]
+    monkeypatch.undo()
+    assert all(abs(log - bound) <= real_quadratic._FLOAT_SLACK + 1e-12 for _, log in taken)
+    return listed, taken
+
+
+def test_float_field_test_matches_the_mpmath_logs_on_a_grid(logs_below_e7, monkeypatch):
+    # no field's log lies within the slack of a bound k/4, so no mpmath log
+    # is taken; a unit of log below 7 has trace at most e^7 + 2
+    for k in range(2, 29):
+        listed, taken = _listed_with_spy(monkeypatch, k / 4)
+        assert listed == sorted(d for d, log in logs_below_e7.items() if log < k / 4), k
+        assert taken == []
+
+
+def test_float_field_test_falls_back_at_a_regulator(logs_below_e7, monkeypatch):
+    # at a bound equal to a field's regulator, or one float either side of
+    # it, the float log of that field cannot decide; the mpmath log must,
+    # and is taken for no field outside the slack
+    for d, log in list(logs_below_e7.items())[:300]:
+        assert regulator(d) == log, d
+        for bound in (math.nextafter(log, -math.inf), log, math.nextafter(log, math.inf)):
+            listed, taken = _listed_with_spy(monkeypatch, bound)
+            assert listed == sorted(e for e, v in logs_below_e7.items() if v < bound), (d, bound)
+            assert fundamental_discriminant(d) in [disc for disc, _ in taken], (d, bound)
 
 
 def test_fields_with_regulator_below_guards():
