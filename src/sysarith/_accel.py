@@ -8,12 +8,14 @@ Only machine-word arithmetic lives here.  Anything needing big integers
 Hudson, BIT 17, 1977), it strikes one segment of odd numbers at a time with
 the odd primes up to sqrt(hi), so its scratch is one segment, not hi bytes,
 and a sweep over the ranges [2^k, 2^(k+1)) extends the primes it has
-without re-sieving from 2.  `primes_up_to` joins its segments.
+without re-sieving from 2.  `primes_up_to` joins its segments, and
+`squarefree_up_to` strikes the multiples of the squares of its primes.
 
 `character_table` builds the Kronecker character of a fundamental
 discriminant as the product of the Legendre tables of the odd primes
 dividing it and a character mod 8 for its 2-part (Cohen, A Course in
-Computational Algebraic Number Theory, §1.4).
+Computational Algebraic Number Theory, §1.4); the tables of small primes
+are built once and shared, read-only.
 
 `legendre_wheels` and `wheel_words` read word 0 of a search's held primes
 from the same factorization, one Legendre table per prime divisor, not one
@@ -92,6 +94,16 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(2, n + 1)])
 
 
+def squarefree_up_to(n: int) -> np.ndarray:
+    """sf[m] = m is squarefree, for 0 <= m <= n; sf[0] is False.  Each p^2,
+    p a prime up to sqrt(n), strikes its multiples."""
+    sf = np.ones(n + 1, dtype=np.bool_)
+    sf[0] = False
+    for p in primes_up_to(math.isqrt(n)).tolist():
+        sf[p * p::p * p] = False
+    return sf
+
+
 # ---------------------------------------------------------------------------
 # smallest-prime-factor table (factors the discriminants)
 
@@ -140,9 +152,26 @@ def _prime_discs(disc: int, spf: np.ndarray) -> list[int]:
     return parts
 
 
+# the symbols of the prime discriminants q with |q| below this are kept,
+# read-only, once built: 1.1 MB for all of them.  Keeping every q met would
+# hold 96 MB more at the greedy cover of x = 4.5 (peak 112 -> 215 MB), and
+# keeping those below 2^14 15 MB more, for no time gained
+_SYMBOL_MEMO_BELOW = 1 << 12
+_symbols: dict[int, np.ndarray] = dict(_TWO_PARTS)
+for _part in _symbols.values():
+    _part.flags.writeable = False
+
+
 def _symbol(q: int) -> np.ndarray:
-    """The character of the prime discriminant q (see _prime_discs) over one period."""
-    return _legendre_table(q) if q % 2 else _TWO_PARTS[q]
+    """The character of the prime discriminant q (see _prime_discs) over one
+    period; read-only if it comes from the memo."""
+    sym = _symbols.get(q)
+    if sym is None:
+        sym = _legendre_table(q)
+        if q < _SYMBOL_MEMO_BELOW:
+            sym.flags.writeable = False
+            _symbols[q] = sym
+    return sym
 
 
 def character_table(disc: int, spf: np.ndarray) -> np.ndarray:
@@ -150,13 +179,20 @@ def character_table(disc: int, spf: np.ndarray) -> np.ndarray:
 
     chi is the Kronecker symbol as a character periodic mod |disc|, so
     chi[p mod |disc|] answers split/inert for any prime p not dividing
-    disc: the product of the characters of its prime discriminants.  spf
-    is a smallest-factor table reaching |disc| (see smallest_factor_table).
+    disc: the product of the characters of its prime discriminants.  Each
+    symbol's period m divides |disc|, so it multiplies chi in place through
+    the (|disc|/m, m) view, with no tiled copy; the symbols of small q come
+    from a memo (_symbol).  spf is a smallest-factor table reaching |disc|
+    (see smallest_factor_table).
     """
-    chi = np.ones(abs(disc), dtype=np.int8)
-    for q in _prime_discs(disc, spf):
+    chi = np.empty(abs(disc), dtype=np.int8)
+    for i, q in enumerate(_prime_discs(disc, spf)):
         sym = _symbol(q)
-        chi *= np.tile(sym, len(chi) // len(sym))
+        rows = chi.reshape(-1, len(sym))  # a view
+        if i:
+            rows *= sym
+        else:
+            rows[:] = sym
     return chi
 
 

@@ -33,10 +33,10 @@ from .quaternion import (
 )
 from .real_quadratic import (
     QuadFieldQ,
+    _disc_symbol,
     fundamental_discriminant,
     is_prime,
     is_squarefree,
-    splitting_type_q,
 )
 from .search import _certify_q, _certify_qi, _member_json, _minimal_sets, _split_rows_qi
 from .volume import area_factor
@@ -94,7 +94,7 @@ def _nonsplit_primes(L: QuadFieldQ, exclude: frozenset[int]):
             continue
         if p in exclude:
             continue
-        if splitting_type_q(L, p) != "split":
+        if _disc_symbol(L.d, p) != 1:
             yield p
 
 
@@ -177,10 +177,25 @@ class CoverResult:
 
 
 def real_fields_with_disc_below(bound: float) -> list[QuadFieldQ]:
-    """All real quadratic fields with fundamental discriminant <= bound."""
+    """All real quadratic fields with fundamental discriminant <= bound,
+    ascending d, read from a squarefree sieve up to bound."""
     check_real(bound, "bound")
-    return [QuadFieldQ(d, disc) for d in range(2, math.floor(bound) + 1)
-            if (disc := fundamental_discriminant(d)) <= bound and is_squarefree(d)]
+    d = np.flatnonzero(_accel.squarefree_up_to(max(math.floor(bound), 1)))
+    disc = np.where(d % 4 == 1, d, 4 * d)
+    keep = (d >= 2) & (disc <= bound)
+    return [QuadFieldQ(*f) for f in zip(d[keep].tolist(), disc[keep].tolist())]
+
+
+def _split_rows_q(primes: np.ndarray, discs: list[int], spf: np.ndarray) -> np.ndarray:
+    """build_split_masks(primes, character_tables(discs)), built one word
+    at a time: the character tables of 64 fields are made, read into their
+    word of every row and dropped, so no more than 64 are held at once.
+    spf is a smallest-factor table reaching every |disc|."""
+    words = np.empty((len(primes), (len(discs) + 63) // 64), dtype=np.uint64)
+    for w in range(words.shape[1]):
+        tables = [_accel.character_table(disc, spf) for disc in discs[64 * w:64 * w + 64]]
+        words[:, w] = _accel.build_split_masks(primes, tables)[:, 0]
+    return words
 
 
 def _greedy_cover(rows, full_mask):
@@ -266,7 +281,9 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
     Greedy (x <= 4.5) by default; `exact` (x <= 1.5) finds the minimal-factor set.
     """
     bound = _cover_bound(x)
-    # greedy holds an int8 table of |disc| bytes per field, 544 MB at x = 4.5
+    # the caps guard time: greedy holds the tables of 64 fields at a time, so
+    # x = 4.5 peaks at 113 MB, but it takes 3-4.5 s, and its tables and rows
+    # grow about as e^(4+4x)
     kind, cap = ("exact", 1.5) if exact else ("greedy", 4.5)
     if x > cap:
         raise InputError(f"{kind} cover is supported only for x <= {cap}, got {x}")
@@ -276,11 +293,15 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
         _, sets, _ = _minimal_sets(discs, require_torsion_free)
         roles = [(p, ROLE_COVER) for p in sets[0]]
     else:
-        tables = _accel.character_tables(discs)
+        spf = _accel.smallest_factor_table(max(discs, default=1))
 
         def rows_in(window):
+            """The split rows of the primes up to window, and those primes.
+            A wider window builds every table again, a word at a time; the
+            first window covers at every x = 0, 0.25, ..., 4.5, with and
+            without the torsion conditions."""
             primes = _accel.primes_up_to(window)
-            return _accel.build_split_masks(primes, tables), primes.tolist()
+            return _split_rows_q(primes, discs, spf), primes.tolist()
 
         window = max(1000, 3 * max(discs, default=0))
         roles = _greedy_roles(len(fields), window, rows_in,

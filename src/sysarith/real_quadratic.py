@@ -27,11 +27,34 @@ SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (psi_k, k): psi_k is the least odd composite that is a strong probable prime
+# to each of the first k prime bases, so below it those k bases decide
+# primality.  psi_1 ... psi_8 are from Pomerance, Selfridge & Wagstaff (Math.
+# Comp. 35, 1980) and Jaeschke (Math. Comp. 61, 1993), psi_9 = psi_10 = psi_11
+# from Jiang & Deng (Math. Comp. 83, 2014), psi_12 and psi_13 from Sorenson &
+# Webster (Math. Comp. 86, 2017).  psi_7 = psi_8 and psi_9 = psi_10 = psi_11:
+# only the least k of each is listed.
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the base set covers all n < 3.3e24."""
+    """Miller-Rabin to the first k prime bases, k the least whose bound psi_k
+    (see _MR_TIERS) exceeds n: deterministic for every
+    n < psi_13 = 3317044064679887385961981, about 3.3e24.  Above psi_13 it
+    is a strong probable-prime test to the 13 bases 2 ... 41."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -40,7 +63,8 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = ((d & -d).bit_length()) - 1
     d >>= r
-    for a in _MR_BASES:
+    k = next((k for psi, k in _MR_TIERS if n < psi), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

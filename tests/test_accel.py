@@ -69,6 +69,24 @@ def test_character_table_is_the_kronecker_symbol():
         assert chi.tolist() == [kronecker(disc, r) for r in range(abs(disc))], disc
 
 
+def test_memoized_symbols_stay_read_only_and_intact():
+    # the fields of 3 * 5 * 7 * 11 and its divisors share the symbols of 3, 5,
+    # 7 and 11, each multiplied into every table; none may be written to
+    discs = [5, 12, 21, 28, 33, 60, 105, 165, 385, 4 * 1155, 8 * 1155, 3 * 4099]
+    tables = character_tables(discs)
+    for disc, chi in zip(discs, tables):
+        assert chi.tolist() == [kronecker(disc, r) for r in range(disc)], disc
+    for q in (3, 5, 7, 11):
+        sym = _accel._symbols[q]
+        assert not sym.flags.writeable
+        assert np.array_equal(sym, _accel._legendre_table(q))
+        with pytest.raises(ValueError):
+            sym[1] = 0
+    # a prime past the memo's bound is built afresh each time
+    assert 4099 > _accel._SYMBOL_MEMO_BELOW and 4099 not in _accel._symbols
+    assert all(not _accel._symbols[q].flags.writeable for q in (-4, 8, -8))
+
+
 def test_torsion_conditions_are_the_characters_of_minus_4_and_minus_3():
     # quaternion.TORSION_Q's p = 1 mod 4 and p = 1 mod 3 are chi_-4(n) = 1
     # and chi_-3(n) = 1 at every n, prime or not, as the pair wheels read them

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from sysarith import constructions, gaussian, search
+from sysarith import _accel, constructions, gaussian, search
 from sysarith.constructions import (
     ROLE_COVER,
     ROLE_PARITY,
@@ -20,10 +21,22 @@ from sysarith.constructions import (
     systole_field_q,
     theorem_area_log_bound_2d,
 )
-from sysarith.errors import InadmissibleAlgebraError, InputError, NoCandidateError, SysarithError
+from sysarith.errors import (
+    InadmissibleAlgebraError,
+    InputError,
+    NoCandidateError,
+    SysarithError,
+    check_real,
+)
 from sysarith.geodesics import MODE_PAPER, exact_systole_q
 from sysarith.quaternion import algebra_q, embeds_q, is_admissible, torsion_free_q, torsion_free_qi
-from sysarith.real_quadratic import quad_field, splitting_type_q
+from sysarith.real_quadratic import (
+    QuadFieldQ,
+    fundamental_discriminant,
+    is_squarefree,
+    quad_field,
+    splitting_type_q,
+)
 
 from oracles import (
     brute_even_split_qi,
@@ -102,6 +115,41 @@ def test_real_fields_with_disc_below():
     assert [f.d for f in real_fields_with_disc_below(30)] == [
         2, 3, 5, 6, 7, 13, 17, 21, 29]
     assert real_fields_with_disc_below(4) == []
+
+
+def squarefree_scan(bound):
+    """The field scan by testing each d for squarefreeness."""
+    check_real(bound, "bound")
+    return [QuadFieldQ(d, disc) for d in range(2, math.floor(bound) + 1)
+            if (disc := fundamental_discriminant(d)) <= bound and is_squarefree(d)]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 4.99, 5, 8, 12.5, math.exp(8), 10 ** 5])
+def test_real_fields_with_disc_below_matches_the_squarefree_scan(bound):
+    fields = real_fields_with_disc_below(bound)
+    assert fields == squarefree_scan(bound)
+    assert all(type(f.d) is int and type(f.disc) is int for f in fields)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), "9"])
+def test_real_fields_with_disc_below_refuses_what_the_scan_refuses(bound):
+    with pytest.raises(InputError) as want:
+        squarefree_scan(bound)
+    with pytest.raises(InputError) as got:
+        real_fields_with_disc_below(bound)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_greedy_rows_built_a_word_at_a_time_equal_the_full_table_rows(x):
+    discs = [f.disc for f in real_fields_with_disc_below(math.exp(2 + 2 * x))]
+    primes = _accel.primes_up_to(3 * max(discs))
+    spf = _accel.smallest_factor_table(max(discs))
+    words = constructions._split_rows_q(primes, discs, spf)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, _accel.build_split_masks(primes, _accel.character_tables(discs)))
+    if x == 3:
+        assert (len(discs), words.shape[1]) == (905, 15)
 
 
 def verify_cover_2d(cover):
@@ -199,8 +247,8 @@ def test_cover_2d_exact_refuses_a_large_x_before_the_field_scan(monkeypatch):
 
 
 def test_cover_2d_greedy_refuses_a_large_x_before_the_field_scan(monkeypatch):
-    # the greedy cover holds |disc| bytes of character table per field, which
-    # peak at 637 MB for x = 4.5; the cap is checked before the scan
+    # the greedy cover's time grows about as e^(4+4x); the cap is checked
+    # before the scan
     def scan(bound):
         raise AssertionError(f"scanned up to {bound} before refusing")
 

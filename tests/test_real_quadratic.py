@@ -56,6 +56,38 @@ def test_basic_predicates_against_sympy():
         assert squarefree_part(-n) == brute_squarefree_part(-n), -n
 
 
+# psi_k, the least odd composite that is a strong probable prime to each of
+# the first k prime bases (OEIS A014233), for k = 1 ... 13
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981]
+
+
+def test_is_prime_rejects_every_psi_k():
+    # psi_12 passed the 12 bases 2 ... 37; base 41 rejects it
+    for psi in PSI[:12]:
+        assert not sympy.isprime(psi)
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_matches_sympy_around_each_tier_limit():
+    # random n within 10^6 of each limit, the primes next to it, and products
+    # of two primes near its square root, on both sides of it; psi_13 itself
+    # is a strong probable prime to all 13 bases, past the proven range
+    rng = random.Random(31)
+    for psi, _ in real_quadratic._MR_TIERS:
+        ns = [psi - 1, psi + 1, sympy.prevprime(psi), sympy.nextprime(psi)]
+        ns += [psi + rng.randint(-10 ** 6, 10 ** 6) for _ in range(300)]
+        root = math.isqrt(psi)
+        for _ in range(20):
+            p = sympy.nextprime(root - rng.randint(1, root // 2))
+            ns += [p * sympy.prevprime(psi // p + 1), p * sympy.nextprime(psi // p)]
+        for n in ns:
+            assert is_prime(n) == sympy.isprime(n), n
+        assert any(n < psi for n in ns) and any(n > psi for n in ns)
+
+
 def test_prime_factors_against_sympy():
     # every n <= 10^4, then random n <= 10^12 among which prime squares
     # times a cofactor, powers of two and products of two 6-digit primes
