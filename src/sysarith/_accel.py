@@ -313,13 +313,6 @@ def wheel_words(primes: np.ndarray, plan) -> np.ndarray:
     return words
 
 
-def masks_to_ints(words: np.ndarray) -> list[int]:
-    """Each uint64 row as one Python int, for the readers of one row at a
-    time: constructions._greedy_roles and search.verify_exclusion_3d."""
-    le = np.ascontiguousarray(words, dtype="<u8")
-    return [int.from_bytes(row.tobytes(), "little") for row in le]
-
-
 # ---------------------------------------------------------------------------
 # run expansion
 

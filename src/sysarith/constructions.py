@@ -38,7 +38,7 @@ from .real_quadratic import (
     is_prime,
     is_squarefree,
 )
-from .search import _certify_q, _certify_qi, _member_json, _minimal_sets, _split_rows_qi
+from .search import _certify_q, _certify_qi, _full, _member_json, _minimal_sets, _split_rows_qi
 from .volume import area_factor
 
 _PRIMORIAL_CAP = 100_000_000
@@ -198,31 +198,32 @@ def _split_rows_q(primes: np.ndarray, discs: list[int], spf: np.ndarray) -> np.n
     return words
 
 
-def _greedy_cover(rows, full_mask):
-    """Greedy max-coverage over bitmask rows; returns picked indices in order.
+def _greedy_cover(words, n_bits):
+    """Greedy max-coverage of bits [0, n_bits) over the rows of a uint64
+    word matrix; returns the picked row indices in order, or None if some
+    bit is in no row.
 
-    rows are scanned ascending, so ties go to the earliest (smallest) item.
+    Each round counts every row's uncovered bits one word column at a time,
+    and argmax takes the first row of the highest count, so ties go to the
+    earliest (smallest) item.
     """
-    uncovered = full_mask
+    full = _full(n_bits)
+    uncovered = full.copy()
+    counts = np.empty(len(words), dtype=np.int64)
     picks = []
-    while uncovered:
-        best_i, best_n = None, 0
-        for i, row in enumerate(rows):
-            n = (row & uncovered).bit_count()
-            if n > best_n:
-                best_i, best_n = i, n
-        if best_i is None:
+    while uncovered.any():
+        counts[:] = 0
+        for w in np.flatnonzero(uncovered):
+            counts += np.bitwise_count(words[:, w] & uncovered[w])
+        if not counts.any():
             return None  # some field uncoverable in this window
-        picks.append(best_i)
-        uncovered &= ~rows[best_i]
+        picks.append(int(counts.argmax()))
+        uncovered &= ~words[picks[-1]]
     # drop picks made redundant by later picks (keeps irredundancy exact)
     kept = list(picks)
     for i in reversed(range(len(kept))):
-        rest = 0
-        for j, k in enumerate(kept):
-            if j != i:
-                rest |= rows[k]
-        if rest & full_mask == full_mask:
+        rest = np.bitwise_or.reduce(words[kept[:i] + kept[i + 1:]], axis=0)
+        if not (full & ~rest).any():
             del kept[i]
     return kept
 
@@ -250,10 +251,9 @@ def _greedy_roles(n_fields: int, window: int, rows_in, torsion) -> list:
     norm-49 ideal over Q(i)).  Parity members, the first not yet taken, make
     the set even.
     """
-    full_mask = (1 << n_fields) - 1
     while True:
         words, members = rows_in(window)
-        picks = _greedy_cover(_accel.masks_to_ints(words), full_mask)
+        picks = _greedy_cover(words, n_fields)
         if picks is not None:
             break
         if window > 64 * _DISC_CAP:
@@ -281,9 +281,9 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
     Greedy (x <= 4.5) by default; `exact` (x <= 1.5) finds the minimal-factor set.
     """
     bound = _cover_bound(x)
-    # the caps guard time: greedy holds the tables of 64 fields at a time, so
-    # x = 4.5 peaks at 113 MB, but it takes 3-4.5 s, and its tables and rows
-    # grow about as e^(4+4x)
+    # the caps guard time: greedy holds the tables of 64 fields at a time and
+    # one copy of the rows, so x = 4.5 peaks at 83 MB, but it takes 3-4.5 s,
+    # and its tables and rows grow about as e^(4+4x)
     kind, cap = ("exact", 1.5) if exact else ("greedy", 4.5)
     if x > cap:
         raise InputError(f"{kind} cover is supported only for x <= {cap}, got {x}")

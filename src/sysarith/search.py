@@ -294,7 +294,7 @@ def _split_rows_qi(pool, exts, cols) -> np.ndarray:
                 p = P.gen.a
                 res = ((a % p) ** 2 + (b % p) ** 2) % p
             if p != q:
-                q, leg = p, _accel._legendre_table(p)
+                q, leg = p, _accel._symbol(p)
             sym = leg[res]
             for k in np.flatnonzero(sym == 0).tolist():
                 if P.gen not in exts[k].gens:
@@ -844,16 +844,16 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     combos = [tuple(sorted((P for group in combo for P in group), key=_ideal_key))
               for combo in itertools.product(*options)]
     union = sorted({P for ideals in combos for P in ideals}, key=_ideal_key)
-    row = dict(zip(union, _accel.masks_to_ints(_split_rows_qi(union, exts, cols))))
-    target = (1 << len(exts)) - 1
+    rows = _split_rows_qi(union, exts, cols)
+    at = {P: i for i, P in enumerate(union)}
+    target = _full(len(exts))
     reports = []
     for ideals in combos:
-        acc = 0
-        for P in ideals:
-            acc |= row[P]
-        left = target & ~acc  # the lowest open bit is the first failing extension
-        failing = exts[(left & -left).bit_length() - 1] if left else None
-        reports.append(AssignmentReport(ideals=ideals, valid=not left, failing_ext=failing))
+        left = target & ~np.bitwise_or.reduce(rows[[at[P] for P in ideals]], axis=0)
+        w = np.flatnonzero(left)  # the lowest open bit is the first failing extension
+        low = int(left[w[0]]) if len(w) else 0
+        failing = exts[64 * int(w[0]) + (low & -low).bit_length() - 1] if low else None
+        reports.append(AssignmentReport(ideals=ideals, valid=not low, failing_ext=failing))
     return ExclusionReport(
         norms=tuple(norms), l=float(l), valid=any(a.valid for a in reports),
         assignments=tuple(reports), tested_extensions=len(exts))

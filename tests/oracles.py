@@ -285,6 +285,37 @@ def recursive_quad_exts(limit: int, above: int = 0) -> list:
     return [e for key, e in out if above < key[0] <= limit]
 
 
+def greedy_cover_ints(rows, full_mask):
+    """The reference greedy max-coverage over Python-int bitmask rows:
+    picked indices in order, or None if some bit of full_mask is in no row.
+
+    Each round scans the rows ascending and keeps the first of the highest
+    count, so ties go to the earliest row; picks that the later picks make
+    redundant are then dropped, the last first.
+    """
+    uncovered = full_mask
+    picks = []
+    while uncovered:
+        best_i, best_n = None, 0
+        for i, row in enumerate(rows):
+            n = (row & uncovered).bit_count()
+            if n > best_n:
+                best_i, best_n = i, n
+        if best_i is None:
+            return None
+        picks.append(best_i)
+        uncovered &= ~rows[best_i]
+    kept = list(picks)
+    for i in reversed(range(len(kept))):
+        rest = 0
+        for j, k in enumerate(kept):
+            if j != i:
+                rest |= rows[k]
+        if rest & full_mask == full_mask:
+            del kept[i]
+    return kept
+
+
 def naive_valid_sets_qi(pool, exts):
     """(factor, sets, n_below) for the least-factor even subsets of `pool`
     in which every extension of `exts` has a split ideal, factor being

@@ -42,6 +42,7 @@ from oracles import (
     brute_even_split_qi,
     brute_splitting_q,
     brute_symbol_qi,
+    greedy_cover_ints,
     int_words,
     naive_minimal_sets,
     sieve_primes,
@@ -348,10 +349,49 @@ def test_greedy_roles_doubles_the_window_and_drops_redundant_picks():
         return int_words(rows[:n]), members[:n]
 
     # greedy takes all three rows in turn; the last two cover the first
-    assert constructions._greedy_cover(rows, 0b111111) == [1, 2]
+    assert constructions._greedy_cover(int_words(rows), 6) == [1, 2]
     assert constructions._greedy_roles(6, 10, rows_in, ()) == [
         (3, ROLE_COVER), (5, ROLE_COVER)]
     assert windows == [10, 20]
+
+
+def test_greedy_cover_matches_the_int_reference():
+    # random rows of 1-5 words, a third of them copies of earlier rows so
+    # that counts tie; every bit is put in some row, except one bit in a
+    # quarter of the trials, which gives None
+    rng = np.random.default_rng(20261021)
+    for trial in range(200):
+        width = int(rng.integers(1, 6))
+        n_bits = int(rng.integers(64 * width - 63, 64 * width + 1))
+        full = (1 << n_bits) - 1
+        density = rng.choice([0.02, 0.1, 0.4])
+        rows = []
+        for _ in range(int(rng.integers(1, 30))):
+            if rows and rng.random() < 1 / 3:
+                rows.append(rows[int(rng.integers(0, len(rows)))])
+            else:
+                bits = np.flatnonzero(rng.random(n_bits) < density).tolist()
+                rows.append(sum(1 << b for b in bits))
+        missing = full
+        for row in rows:
+            missing &= ~row
+        for b in range(n_bits):
+            if missing >> b & 1:
+                rows[int(rng.integers(0, len(rows)))] |= 1 << b
+        if trial % 4 == 0:
+            b = int(rng.integers(0, n_bits))
+            rows = [row & ~(1 << b) for row in rows]
+        want = greedy_cover_ints(rows, full)
+        assert (want is None) == (trial % 4 == 0)
+        assert constructions._greedy_cover(int_words(rows, width), n_bits) == want
+    # ties go to the earliest row, at every round
+    rows = [0b0011, 0b1100, 0b0011, 0b1100]
+    assert constructions._greedy_cover(int_words(rows), 4) == [0, 1]
+    assert constructions._greedy_cover(int_words([0b01, 0b10, 0b11]), 2) == [2]
+    assert constructions._greedy_cover(int_words([0b01, 0b01]), 2) is None
+    assert constructions._greedy_cover(int_words([0, 0]), 0) == []
+    assert constructions._greedy_cover(int_words([(1 << 201) - 1]), 201) == [0]
+    assert constructions._greedy_cover(int_words([(1 << 200) - 1]), 201) is None
 
 
 def test_cover_3d_wider():

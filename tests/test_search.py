@@ -745,10 +745,12 @@ def test_verify_exclusion_conjugate_symmetric_control():
 @pytest.mark.parametrize("norms,l,valid,n_assignments", [
     ((2, 5, 5, 9, 13, 29), 1.1, True, 4),
     ((2, 5, 5, 9, 13, 17, 29, 53, 61, 61), 2.8, False, 16),
+    ((2, 5, 5, 9, 13, 13), 1.3, False, 1),
 ])
 def test_verify_exclusion_matches_a_brute_scan(norms, l, valid, n_assignments):
     # each assignment fails on the first extension, in list order, that
-    # none of its ideals splits in by the residue enumeration oracles
+    # none of its ideals splits in by the residue enumeration oracles; every
+    # failure here is past word 0, at l = 1.3 in word 2
     rep = verify_exclusion_3d(norms, l)
     exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
     assert rep.tested_extensions == len(exts)
@@ -759,6 +761,8 @@ def test_verify_exclusion_matches_a_brute_scan(norms, l, valid, n_assignments):
             brute_splits_qi(P, e.delta.a, e.delta.b) for P in a.ideals)), None)
         assert a.failing_ext == failing and a.valid == (failing is None)
     assert rep.valid is valid is any(a.valid for a in rep.assignments)
+    assert sorted({exts.index(a.failing_ext) for a in rep.assignments if not a.valid}) == {
+        1.1: [109, 110], 2.8: [457, 458], 1.3: [165]}[l]
 
 
 def test_verify_exclusion_input_errors():
