@@ -174,6 +174,30 @@ def _symbol(q: int) -> np.ndarray:
     return sym
 
 
+# a prime q from here on gets its symbols from euler_symbols, not from a
+# table of all its residues, whose bytes and time grow with q: at 2^18 the
+# table costs about as much (2.4 ms) as Euler's criterion at both conjugates
+# over the 15,609 extensions of the greedy Q(i) cover at x = 4.5 (3.4 ms)
+_TABLE_BELOW = 1 << 18
+
+
+def euler_symbols(res: np.ndarray, q: int) -> np.ndarray:
+    """(r/q) for each residue 0 <= r < q in res, q an odd prime, as int8, by
+    Euler's criterion r^((q-1)/2) mod q: in int64 while (q - 1)^2 < 2^63,
+    in Python ints past that."""
+    e = (q - 1) // 2
+    if (q - 1) ** 2 < 1 << 63:
+        x, s = res.astype(np.int64), np.ones(len(res), dtype=np.int64)
+        while e:
+            if e & 1:
+                s = s * x % q
+            x = x * x % q
+            e >>= 1
+    else:
+        s = np.array([pow(r, e, q) for r in res.tolist()], dtype=object)
+    return np.where(s == 1, 1, np.where(s == 0, 0, -1)).astype(np.int8)
+
+
 def character_table(disc: int, spf: np.ndarray) -> np.ndarray:
     """chi[r] = (disc/r) for 0 <= r < |disc|, disc a fundamental discriminant.
 

@@ -369,20 +369,16 @@ _DISC_CAP = 10_000_000
 _KINDS = (SPLIT, INERT, RAMIFIED)  # the splittings of (1+i), by their index in the walk
 
 
-def _ext_columns(exts) -> np.ndarray:
-    """The int64 columns that _split_rows_qi reads, of shape (3, len(exts)):
-    a and b of each delta = a + bi, and 1 where (1+i) splits."""
-    return np.array([[e.delta.a for e in exts], [e.delta.b for e in exts],
-                     [e.rel_disc_two_exp == 0 and e.two_splitting == SPLIT for e in exts]],
-                    dtype=np.int64).reshape(3, -1)
-
-
 # (limit, every extension with rel_disc_norm <= limit, sorted, their
-# _ext_columns, and the generator of every odd prime of norm <= limit,
-# sorted); rebound as one tuple, so a reader never pairs a limit with another
-# limit's lists, and each generator is built once
+# columns from the level walk (_quad_exts_up_to), and the generator of every
+# odd prime of norm <= limit, sorted); rebound as one tuple, so a reader
+# never pairs a limit with another limit's lists, and each generator is built
+# once.  The columns are int64 of shape (5, len(list)): each delta = a + bi
+# as a and b, 1 where (1+i) splits, and the product ga + gb*i of the
+# extension's odd generators, which an odd prime ideal divides iff it
+# ramifies in the extension
 _exts_memo: tuple[int, list[GaussianQuadExt], np.ndarray, list[GaussianInt]] = (
-    0, [], _ext_columns([]), [])
+    0, [], np.zeros((5, 0), dtype=np.int64), [])
 
 
 def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
@@ -390,8 +386,9 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
 
     Sorted by (rel_disc_norm, delta norm, unit_exp, generator keys); the
     smallest possible norm is 9 (delta = 3), so small bounds give [].  The
-    process keeps the extensions up to the largest limit asked for, with
-    their _ext_columns, and each call returns a new list sliced from them.
+    process keeps the extensions up to the largest limit asked for, with the
+    walk's columns (delta, the (1+i) splitting and the odd generators'
+    product; see _exts_memo), and each call returns a new list sliced from them.
     A bound past the kept limit extends the list to max(floor(bound), 2 *
     kept limit), or to _DISC_CAP if that is less: the key starts with the
     norm, so the extensions past the old limit, built by one level walk
@@ -409,15 +406,16 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
     if held < limit:
         grown = min(max(limit, 2 * held), _DISC_CAP)
         odd = odd + _odd_generators(held, grown)
-        piece = _quad_exts_up_to(grown, odd, held)
+        piece, piece_cols = _quad_exts_up_to(grown, odd, held)
         exts = exts + piece
-        _exts_memo = grown, exts, np.concatenate([cols, _ext_columns(piece)], axis=1), odd
+        _exts_memo = grown, exts, np.concatenate([cols, piece_cols], axis=1), odd
     return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]
 
 
 def _exts_and_columns(bound: float) -> tuple[list[GaussianQuadExt], np.ndarray]:
-    """quad_exts_with_disc_below(bound) and its _ext_columns, a view of the
-    memo's: the list is a prefix of the kept one, which grows only at its end."""
+    """quad_exts_with_disc_below(bound) and its columns (see _exts_memo), a
+    view of the memo's: the list is a prefix of the kept one, which grows
+    only at its end."""
     exts = quad_exts_with_disc_below(bound)
     return exts, _exts_memo[2][:, :len(exts)]
 
@@ -439,8 +437,10 @@ def _two_type_table() -> np.ndarray:
     return table
 
 
-def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list[GaussianQuadExt]:
-    """The sorted extensions with above < rel_disc_norm <= limit, by a level walk.
+def _quad_exts_up_to(limit: int, odd: list[GaussianInt],
+                     above: int = 0) -> tuple[list[GaussianQuadExt], np.ndarray]:
+    """The sorted extensions with above < rel_disc_norm <= limit, by a level
+    walk, and their int64 columns of shape (5, len(extensions)).
 
     odd is _odd_generators(0, n) for some n >= limit.  Level k holds every
     product of k of them with norm at most limit as int64 arrays: its parts
@@ -453,7 +453,9 @@ def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list
     GaussianQuadExt, level by level, and one lexsort puts the extensions of
     all levels in (norm, unit, odd generator indices) order.  The norm fixes
     the delta norm, the (1+i) factor and the level, so keys that compare
-    them would never decide.
+    them would never decide.  The columns come from the same arrays, in the
+    same order: each delta's parts, 1 where (1+i) splits (exponent 0 and
+    split), and the level's product a + bi of the odd generators.
     """
     pi = GaussianInt(1, 1)
     ga, gb = np.array([(g.a, g.b) for g in odd], dtype=np.int64).reshape(-1, 2).T
@@ -463,6 +465,7 @@ def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list
     starts, members = np.zeros(1, np.int64), []
     exts: list[GaussianQuadExt] = []
     keys = []  # per level: norm, unit and generator indices of its extensions
+    cols = []  # per level: the columns of its extensions
     while len(n):
         # the deltas a + bi, (1+i)(a + bi), i(a + bi) and (1+i)i(a + bi)
         da, db = np.stack([a, a - b, -b, -a - b]), np.stack([b, a + b, a, a - b])
@@ -484,10 +487,16 @@ def _quad_exts_up_to(limit: int, odd: list[GaussianInt], above: int = 0) -> list
             exts.append(GaussianQuadExt(GaussianInt(x, y), u, (pi,) + gens[i] if with_pi
                                         else gens[i], odd_parts[i], e, m, _KINDS[s]))
         keys.append(np.stack([norm[v, p], v >> 1, *(c[p] for c in members)]))
+        cols.append(np.stack([da[v, p], db[v, p],
+                              (exp[v, p] == 0) & (kind[v, p] == _KINDS.index(SPLIT)),
+                              a[p], b[p]]))
         k, j = _accel.runs(starts, gn.searchsorted(limit // n, side="right"))
         a, b, n = a[k] * ga[j] - b[k] * gb[j], a[k] * gb[j] + b[k] * ga[j], n[k] * gn[j]
         starts, members = j + 1, [c[k] for c in members] + [j]
     height = max(len(key) for key in keys)
     key = np.concatenate([np.pad(key, ((0, height - len(key)), (0, 0)), constant_values=-1)
                           for key in keys], axis=1)
-    return [exts[i] for i in np.lexsort(key[::-1]).tolist()]
+    order = np.lexsort(key[::-1])
+    del keys, key  # freed before the columns are joined and sorted: 8 MB at limit 10^6
+    cols = np.concatenate(cols, axis=1)
+    return [exts[i] for i in order.tolist()], cols[:, order]

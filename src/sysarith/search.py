@@ -27,8 +27,9 @@ below the optimum, from the optimum alone, by the sweep's prefix walk.
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep, on split rows of uint64 words.  Over Q(i) it ranges over the even
 subsets of a pool of prime ideals of bounded norm, whose split rows are
-read from Legendre tables at the delta columns that the extension list
-keeps beside it (gaussian._ext_columns); the result is least over the
+read from Legendre symbols at the delta columns that the extension walk
+hands out beside its list, and checked at zero residues against its column
+of generator products; the result is least over the
 pool and certified, and best-effort because an ideal outside the pool
 could do better.  The search stops with NoCandidateError once the ranges
 pass the product of the whole pool, or the int64 limit of the sweep.
@@ -270,16 +271,22 @@ class _IdealPool:
 def _split_rows_qi(pool, exts, cols) -> np.ndarray:
     """Bit e of row i is set iff pool[i] splits in exts[e], in uint64 words.
 
-    cols is gaussian._ext_columns(exts): each delta = a + bi as int64 arrays
-    a and b, and where (1+i) splits.  An odd ideal splits iff delta is a
-    nonzero square mod it: for a degree-1 ideal of norm p with i = r mod
-    it, iff a + b*r is a square mod p; for an inert (q), iff a^2 + b^2 is a
-    square mod q.  Each ideal reads one Legendre table over a and b, and
-    its bits are packed into its row's bytes; (1+i) reads the third column.
-    A zero residue is allowed only at the ideals of ext.gens; any other
-    raises SysarithError.  No exts give one zero word.
+    cols holds the extension walk's columns of exts (gaussian._exts_memo):
+    each delta = a + bi as int64 arrays a and b, where (1+i) splits, and
+    the product ga + gb*i of the odd generators.  An odd ideal splits iff
+    delta is a nonzero square mod it: for a degree-1 ideal of norm p with
+    i = r mod it, iff a + b*r is a square mod p; for an inert (q), iff
+    a^2 + b^2 is a square mod q.  Each ideal reads the symbols of its
+    residues from one Legendre table, or by Euler's criterion past
+    _accel._TABLE_BELOW, and its bits are packed into its row's bytes; (1+i)
+    reads the third column.  A zero residue is allowed only where the ideal
+    also divides ga + gb*i, that is where it ramifies: the residues of the
+    generator column at the zeros are checked at once, and the first other
+    one in (ideal, extension) order raises SysarithError.  No exts give one
+    zero word.
     """
-    a, b, two_split = cols
+    a, b, two_split, ga, gb = cols
+    m = int(np.abs(cols).max(initial=0))
     rows = np.zeros((len(pool), len(_full(len(exts)))), dtype="<u8")
     q, leg = 0, None
     for i, P in enumerate(pool):
@@ -289,21 +296,31 @@ def _split_rows_qi(pool, exts, cols) -> np.ndarray:
             if P.kind == SPLIT:
                 p = P.norm
                 r = -P.gen.a * pow(P.gen.b, -1, p) % p
-                res = (a % p + b % p * r) % p
             else:
-                p = P.gen.a
-                res = ((a % p) ** 2 + (b % p) ** 2) % p
+                p, r = P.gen.a, None
+            res = _residues(a, b, r, p, m)
             if p != q:
-                q, leg = p, _accel._symbol(p)
-            sym = leg[res]
-            for k in np.flatnonzero(sym == 0).tolist():
-                if P.gen not in exts[k].gens:
+                q, leg = p, _accel._symbol(p) if p < _accel._TABLE_BELOW else None
+            sym = _accel.euler_symbols(res, p) if leg is None else leg[res]
+            if not sym.all():
+                k = np.flatnonzero(sym == 0)
+                bad = k[_residues(ga[k], gb[k], r, p, m) != 0]
+                if len(bad):
                     raise SysarithError(
-                        f"residue symbol of {exts[k].delta} at unramified {P.gen} is 0")
+                        f"residue symbol of {exts[bad[0]].delta} at unramified {P.gen} is 0")
             split = sym == 1
         packed = np.packbits(split, bitorder="little")
         rows.view(np.uint8)[i, :len(packed)] = packed
     return rows
+
+
+def _residues(x: np.ndarray, y: np.ndarray, r: int | None, p: int, m: int) -> np.ndarray:
+    """(x + y*r) % p for 0 <= r < p, or (x^2 + y^2) % p where r is None,
+    exactly, for int64 arrays with |x|, |y| <= m: in int64 while the terms
+    stay within it, in Python ints past that."""
+    if (m * p if r is not None else 2 * m * m) > _INT64_MAX:
+        x, y = x.astype(object), y.astype(object)
+    return (x + y * r if r is not None else x * x + y * y) % p
 
 
 # ---------------------------------------------------------------------------

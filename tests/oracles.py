@@ -285,6 +285,22 @@ def recursive_quad_exts(limit: int, above: int = 0) -> list:
     return [e for key, e in out if above < key[0] <= limit]
 
 
+def ext_columns(exts) -> np.ndarray:
+    """The int64 columns that the extension walk hands out beside exts, of
+    shape (5, len(exts)), read off the objects: a and b of each delta =
+    a + bi, 1 where (1+i) splits (exponent 0 and splitting "split"), and a
+    and b of the product of the odd generators (norm odd), taken from 1."""
+    cols = []
+    for e in exts:
+        ga, gb = 1, 0
+        for g in e.gens:
+            if (g.a * g.a + g.b * g.b) % 2:
+                ga, gb = ga * g.a - gb * g.b, ga * g.b + gb * g.a
+        cols.append((e.delta.a, e.delta.b,
+                     e.rel_disc_two_exp == 0 and e.two_splitting == "split", ga, gb))
+    return np.array(cols, dtype=np.int64).reshape(len(exts), 5).T
+
+
 def greedy_cover_ints(rows, full_mask):
     """The reference greedy max-coverage over Python-int bitmask rows:
     picked indices in order, or None if some bit of full_mask is in no row.

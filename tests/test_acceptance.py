@@ -61,6 +61,7 @@ from oracles import (
     brute_squarefree_part,
     brute_splitting_q,
     brute_symbol_qi,
+    ext_columns,
     lattice_zeta_qi,
     naive_prime_sets,
     sieve_primes,
@@ -162,7 +163,7 @@ def test_criterion_3_exclusions_do_not_depend_on_call_order(monkeypatch):
     # climbing the ladder grows that list, descending it builds it once
     reports = {}
     for order in ("ascending", "descending"):
-        monkeypatch.setattr(gaussian, "_exts_memo", (0, [], gaussian._ext_columns([]), []))
+        monkeypatch.setattr(gaussian, "_exts_memo", (0, [], ext_columns([]), []))
         rows = sorted(VOLUME_ROWS, reverse=order == "descending")
         reports[order] = {l: verify_exclusion_3d(norms, l).to_json()
                           for l, norms, _ in rows}

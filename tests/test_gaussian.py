@@ -34,6 +34,7 @@ from oracles import (
     brute_even_split_qi,
     brute_squarefree_part,
     brute_symbol_qi,
+    ext_columns,
     recursive_quad_exts,
     sieve_primes,
 )
@@ -319,17 +320,19 @@ def test_conjugation_class_counts_at_large_bound():
 MEMO_BOUNDS = [0, 8, 9, 9.5, 50, *(math.exp(6 + k / 5) for k in range(21)), 22026.0]
 
 
-EMPTY_MEMO = (0, [], gaussian._ext_columns([]), [])
+EMPTY_MEMO = (0, [], ext_columns([]), [])
 
 
 @pytest.fixture(scope="module")
 def fresh_exts():
     # the level walk itself, once per limit, bypassing the process memo, and
-    # equal to the reference's recursive descent at every limit
+    # equal to the reference's recursive descent at every limit, with the
+    # columns read off its extensions
     walks = {}
     for limit in sorted({math.floor(b) for b in MEMO_BOUNDS}):
         walks[limit] = gaussian._quad_exts_up_to(limit, gaussian._odd_generators(0, limit))
-        assert walks[limit] == recursive_quad_exts(limit), limit
+        assert walks[limit][0] == recursive_quad_exts(limit), limit
+        assert np.array_equal(walks[limit][1], ext_columns(walks[limit][0])), limit
     return walks
 
 
@@ -343,10 +346,36 @@ def test_extension_memo_matches_a_fresh_enumeration(order, fresh_exts, monkeypat
         request = math.floor(bound)
         before = gaussian._exts_memo[0]
         exts, cols = gaussian._exts_and_columns(bound)
-        assert exts == fresh_exts[request], bound
-        assert np.array_equal(cols, gaussian._ext_columns(exts)), bound
+        assert exts == fresh_exts[request][0], bound
+        assert np.array_equal(cols, fresh_exts[request][1]), bound
         held = gaussian._exts_memo[0]
         assert max(before, request) <= held <= max(2 * before, request), (bound, before, held)
+
+
+def test_walk_columns_match_the_extensions_as_the_memo_grows(monkeypatch):
+    # e^6, e^8 and e^10 grow the memo three times, so its columns are three
+    # appended pieces of the walk; each prefix is the oracle's columns
+    monkeypatch.setattr(gaussian, "_exts_memo", EMPTY_MEMO)
+    helds = []
+    for bound in (math.exp(6), math.exp(8), math.exp(10)):
+        exts, cols = gaussian._exts_and_columns(bound)
+        assert cols.dtype == np.int64 and cols.shape == (5, len(exts))
+        assert np.array_equal(cols, ext_columns(exts)), bound
+        helds.append(gaussian._exts_memo[0])
+    assert helds == [403, 2980, 22026] and len(exts) == 5745
+    # the generator column is the product of the odd generators, whose
+    # canonical associate is the odd part of the relative discriminant
+    for e, (x, y) in zip(exts, cols[3:].T.tolist()):
+        product = GaussianInt(1, 0)
+        for g in e.gens:
+            if g.norm % 2:
+                product = product * g
+        assert GaussianInt(x, y) == product, e
+        assert canonical_associate(product) == e.rel_disc_odd, e
+    # extensions built one by one from their deltas give the same columns
+    rebuilt = [quad_ext(e.delta) for e in exts[::7]]
+    assert np.array_equal(ext_columns(rebuilt), cols[:, ::7])
+    assert set(cols[2].tolist()) == {0, 1} and set(cols[2, ::7].tolist()) == {0, 1}
 
 
 def test_extension_memo_hands_out_new_lists(monkeypatch):
@@ -368,9 +397,9 @@ def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
     calls = []
 
     def spy(limit, odd, above=0):
-        exts = descent(limit, odd, above)
+        exts, cols = descent(limit, odd, above)
         calls.append((above, limit, exts))
-        return exts
+        return exts, cols
 
     monkeypatch.setattr(gaussian, "_quad_exts_up_to", spy)
     for bound in sorted(MEMO_BOUNDS):
@@ -416,10 +445,12 @@ def test_gaussian_primes_above_a_norm(above, bound):
                                          (2980, 5960)])
 def test_descent_builds_only_the_norms_above(above, limit):
     odd = gaussian._odd_generators(0, limit)
-    whole = gaussian._quad_exts_up_to(limit, odd)
+    whole, cols = gaussian._quad_exts_up_to(limit, odd)
     assert whole == recursive_quad_exts(limit)
-    assert gaussian._quad_exts_up_to(limit, odd, above) == recursive_quad_exts(limit, above) == [
+    piece, piece_cols = gaussian._quad_exts_up_to(limit, odd, above)
+    assert piece == recursive_quad_exts(limit, above) == [
         e for e in whole if e.rel_disc_norm > above]
+    assert np.array_equal(piece_cols, cols[:, len(whole) - len(piece):])
 
 
 def test_extension_list_at_e10_is_pinned():

@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,15 +24,15 @@ from sysarith.errors import (
 from sysarith.gaussian import (
     SPLIT,
     GaussianInt,
-    _ext_columns,
     gaussian_primes_up_to_norm,
     ideal_above,
     quad_ext,
     quad_exts_with_disc_below,
+    quad_residue_symbol,
     splitting_in_ext,
 )
-from sysarith.quaternion import QuaternionAlgebraQi, algebra_q, algebra_qi
-from sysarith.real_quadratic import fields_with_regulator_below
+from sysarith.quaternion import TORSION_QI, QuaternionAlgebraQi, algebra_q, algebra_qi
+from sysarith.real_quadratic import fields_with_regulator_below, is_prime
 from sysarith.search import (
     _IdealPool,
     _MaskMatrix,
@@ -47,6 +49,7 @@ from oracles import (
     brute_is_squarefree,
     brute_splitting_q,
     brute_splits_qi,
+    ext_columns,
     int_words,
     max_ram_cardinality,
     naive_minimal_sets,
@@ -519,7 +522,7 @@ def test_split_rows_qi_match_brute_oracle():
     pool = gaussian_primes_up_to_norm(200)
     assert {P.norm for P in pool} >= {2, 9, 49, 121}
     assert any(P.gen in e.gens for P in pool for e in exts)
-    rows = word_ints(_split_rows_qi(pool, exts, _ext_columns(exts)))
+    rows = word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))
     assert len(rows) == len(pool)
     for P, row in zip(pool, rows):
         assert row_bits(row, len(exts)) == [
@@ -533,7 +536,7 @@ def test_split_rows_qi_match_splitting_in_ext_on_the_cover_window():
     exts = quad_exts_with_disc_below(math.exp(8))
     pool = gaussian_primes_up_to_norm(3 * max(e.rel_disc_norm for e in exts))
     assert len(pool) == 1116
-    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts, _ext_columns(exts)))):
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))):
         assert row_bits(row, len(exts)) == [
             splitting_in_ext(P, e) == SPLIT for e in exts], str(P.gen)
 
@@ -544,10 +547,10 @@ def test_split_rows_qi_reject_a_zero_residue_outside_the_generators(delta, p):
     # lost its generators breaks that, and the rows say so
     ext = quad_ext(delta)
     P = ideal_above(p)
-    assert P.gen in ext.gens and word_ints(_split_rows_qi([P], [ext], _ext_columns([ext]))) == [0]
+    assert P.gen in ext.gens and word_ints(_split_rows_qi([P], [ext], ext_columns([ext]))) == [0]
     lost = dataclasses.replace(ext, gens=())
     with pytest.raises(SysarithError, match="residue symbol"):
-        _split_rows_qi([P], [lost], _ext_columns([lost]))
+        _split_rows_qi([P], [lost], ext_columns([lost]))
 
 
 @pytest.mark.parametrize("n_exts", [63, 64, 65])
@@ -555,7 +558,7 @@ def test_split_rows_qi_leave_the_padding_bits_clear(n_exts):
     # one word more at 65 extensions; no bit past the last extension is set
     exts = quad_exts_with_disc_below(math.exp(8))[:n_exts]
     pool = gaussian_primes_up_to_norm(200)
-    words = _split_rows_qi(pool, exts, _ext_columns(exts))
+    words = _split_rows_qi(pool, exts, ext_columns(exts))
     assert words.dtype == np.uint64 and words.shape == (len(pool), 1 if n_exts < 65 else 2)
     for P, row in zip(pool, word_ints(words)):
         assert row >> n_exts == 0, str(P.gen)
@@ -564,8 +567,105 @@ def test_split_rows_qi_leave_the_padding_bits_clear(n_exts):
 
 def test_split_rows_qi_of_no_extension_are_one_zero_word():
     pool = gaussian_primes_up_to_norm(50)
-    words = _split_rows_qi(pool, [], _ext_columns([]))
+    words = _split_rows_qi(pool, [], ext_columns([]))
     assert words.shape == (len(pool), 1) and not words.any()
+
+
+def lost_gens(delta, gens=()):
+    """quad_ext(delta) with its generators replaced: a zero residue at an
+    ideal that is not among them is no longer allowed."""
+    return dataclasses.replace(quad_ext(delta), gens=gens)
+
+
+@pytest.mark.parametrize("norm,exts,message", [
+    # split: the lost extensions are zero at 2+3i (ext 1) and 3+2i (exts 3
+    # and 4); 3+2i comes first in the pool, and ext 3 first at it
+    (13, [quad_ext(3), lost_gens(GaussianInt(2, 3)), quad_ext(GaussianInt(2, 1)),
+          lost_gens(GaussianInt(3, 2)), lost_gens(GaussianInt(-2, 3))],
+     "residue symbol of 3+2i at unramified 3+2i is 0"),
+    # inert: zero at (7) (exts 0 and 3) and at (3) (exts 2 and 3); (3) comes
+    # first in the pool, and ext 2 first at it
+    (49, [lost_gens(7), quad_ext(3), lost_gens(GaussianInt(0, 3)), lost_gens(21)],
+     "residue symbol of 3i at unramified 3 is 0"),
+])
+def test_split_rows_qi_name_the_first_offender_in_pool_order(norm, exts, message):
+    pool = gaussian_primes_up_to_norm(norm)
+    assert len(pool) > 4 and pool[0].norm == 2
+    with pytest.raises(SysarithError) as err:
+        _split_rows_qi(pool, exts, ext_columns(exts))
+    assert str(err.value) == message
+    # the same extensions with their generators kept give the oracle's rows
+    kept = [quad_ext(e.delta) for e in exts]
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, kept, ext_columns(kept)))):
+        assert row_bits(row, len(kept)) == [
+            brute_splits_qi(P, e.delta.a, e.delta.b) for e in kept], str(P.gen)
+
+
+@pytest.mark.parametrize("p", [5, 13, 1009])
+def test_split_rows_qi_check_zeros_at_each_conjugate_apart(p):
+    # delta = P.gen is zero at P alone, not at its conjugate: each conjugate
+    # reads its own i = r mod it, for the residues and for the generator
+    # column, so an extension listing the other conjugate's generator fails
+    pair = list(gaussian._ideals_above(p))
+    for P, other in (pair, pair[::-1]):
+        ext = quad_ext(P.gen)
+        assert ext.gens == (P.gen,) and quad_residue_symbol(ext.delta, other) != 0
+        rows = word_ints(_split_rows_qi(pair, [ext], ext_columns([ext])))
+        assert rows == [int(splitting_in_ext(Q, ext) == SPLIT) for Q in pair]
+        assert rows[pair.index(P)] == 0
+        wrong = dataclasses.replace(ext, gens=(other.gen,))
+        with pytest.raises(SysarithError, match=re.escape(f"at unramified {P.gen} is 0")):
+            _split_rows_qi(pair, [wrong], ext_columns([wrong]))
+
+
+# the symbols at these primes come by Euler's criterion, not from a table of
+# all their residues: in int64 at 100000037 and 1000003 (an inert norm of
+# 13 digits), in Python ints past (q - 1)^2 >= 2^63; past 10^18 the
+# residues a + b*r leave int64 too, and past 2^63 so does r
+@pytest.mark.parametrize("p", [100_000_037, 1_000_003, 5_000_000_029, 5_000_000_039,
+                               10**18 + 9, 10**20 + 129])
+def test_split_rows_qi_at_large_norms_match_splitting_in_ext(p):
+    assert p >= _accel._TABLE_BELOW and is_prime(p)
+    exts = quad_exts_with_disc_below(math.exp(6))
+    pool = list(gaussian._ideals_above(p))
+    exts.append(gaussian._ext_from_parts(0, (pool[-1].gen,)))  # zero at pool[-1] alone
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))):
+        assert row_bits(row, len(exts)) == [splitting_in_ext(P, e) == SPLIT for e in exts]
+
+
+def test_verify_exclusion_3d_at_a_10_digit_norm_stays_small():
+    # a Legendre table over all residues of 5000000029 would ask for 18.6 GiB
+    quad_exts_with_disc_below(math.exp(6))  # the list is built outside the bound
+    tracemalloc.start()
+    try:
+        report = verify_exclusion_3d([2, 5_000_000_029], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert report.tested_extensions == 103 and len(report.assignments) == 2
+    exts = quad_exts_with_disc_below(math.exp(6))
+    for a in report.assignments:
+        P = a.ideals[1]
+        open_ = [e for e in exts if all(splitting_in_ext(Q, e) != SPLIT for Q in a.ideals)]
+        assert a.valid == (not open_) and a.failing_ext == (open_[0] if open_ else None)
+        assert P.norm == 5_000_000_029
+
+
+def test_torsion_conditions_are_the_split_bits_of_sqrt_i_and_sqrt_3():
+    # (2/P) = (i/P) at every odd P, since 2 = -i(1+i)^2, so TORSION_QI asks
+    # for an odd P split in Q(i)(sqrt i) and one split in Q(i)(sqrt 3); (1+i)
+    # meets neither condition and splits in neither extension
+    pool = gaussian_primes_up_to_norm(20_000)
+    assert len(pool) == 2269 and {P.kind for P in pool} == {"ramified", "split", "inert"}
+    exts = [quad_ext(GaussianInt(0, 1)), quad_ext(3)]
+    rows = word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))
+    for P, row in zip(pool, rows):
+        assert row_bits(row, 2) == [cond(P) for cond in TORSION_QI], str(P.gen)
+    sample = pool[:12] + random.Random(18).sample(pool, 60)
+    for P in sample:
+        assert row_bits(rows[pool.index(P)], 2) == [
+            brute_splits_qi(P, e.delta.a, e.delta.b) for e in exts], str(P.gen)
 
 
 @pytest.mark.parametrize("n_bits", [100, 129, 192])
