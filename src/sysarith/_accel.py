@@ -174,28 +174,22 @@ def _symbol(q: int) -> np.ndarray:
     return sym
 
 
-# a prime q from here on gets its symbols from euler_symbols, not from a
-# table of all its residues, whose bytes and time grow with q: at 2^18 the
-# table costs about as much (2.4 ms) as Euler's criterion at both conjugates
-# over the 15,609 extensions of the greedy Q(i) cover at x = 4.5 (3.4 ms)
+# a prime q below this gets its symbols from a Legendre table of all its
+# residues, one past it by Euler's criterion at the residues read: the table
+# holds q bytes and its build peaks at 13q bytes with its int64 scratch
+# (3.4 MB here), so its memory grows with q, while Euler's keeps one Python
+# int per residue read.  The pool searches and the greedy Q(i) cover build
+# tables below this (up to 179,573 at x = 4.5); past it lie the large norms
+# given to verify_exclusion_3d
 _TABLE_BELOW = 1 << 18
 
 
 def euler_symbols(res: np.ndarray, q: int) -> np.ndarray:
     """(r/q) for each residue 0 <= r < q in res, q an odd prime, as int8, by
-    Euler's criterion r^((q-1)/2) mod q: in int64 while (q - 1)^2 < 2^63,
-    in Python ints past that."""
+    Euler's criterion: r^((q-1)/2) mod q is 0, 1 or q - 1, by one Python pow
+    per residue, exact at every size."""
     e = (q - 1) // 2
-    if (q - 1) ** 2 < 1 << 63:
-        x, s = res.astype(np.int64), np.ones(len(res), dtype=np.int64)
-        while e:
-            if e & 1:
-                s = s * x % q
-            x = x * x % q
-            e >>= 1
-    else:
-        s = np.array([pow(r, e, q) for r in res.tolist()], dtype=object)
-    return np.where(s == 1, 1, np.where(s == 0, 0, -1)).astype(np.int8)
+    return np.array([(pow(r, e, q) + 1) % q - 1 for r in res.tolist()], dtype=np.int8)
 
 
 def character_table(disc: int, spf: np.ndarray) -> np.ndarray:

@@ -277,16 +277,21 @@ def _split_rows_qi(pool, exts, cols) -> np.ndarray:
     delta is a nonzero square mod it: for a degree-1 ideal of norm p with
     i = r mod it, iff a + b*r is a square mod p; for an inert (q), iff
     a^2 + b^2 is a square mod q.  Each ideal reads the symbols of its
-    residues from one Legendre table, or by Euler's criterion past
-    _accel._TABLE_BELOW, and its bits are packed into its row's bytes; (1+i)
-    reads the third column.  A zero residue is allowed only where the ideal
-    also divides ga + gb*i, that is where it ramifies: the residues of the
-    generator column at the zeros are checked at once, and the first other
-    one in (ideal, extension) order raises SysarithError.  No exts give one
-    zero word.
+    residues from one Legendre table over its residue field, or by Euler's
+    criterion once that field has _accel._TABLE_BELOW elements or more, and
+    its bits are packed into its row's bytes; (1+i) reads the third column.
+    A zero residue is allowed only where the ideal also divides ga + gb*i:
+    the residues of the generator column at the zeros are checked at once,
+    and the first other one in (ideal, extension) order raises
+    SysarithError.  On the walk's own columns this check cannot fire, since
+    delta is ga + gb*i times a unit and a power of 1+i, both units at an
+    odd ideal: it holds the columns to themselves, and the tests that
+    compare the walk's columns with ones read off the objects' gens
+    (oracles.ext_columns) hold the objects to the columns.  No exts give
+    one zero word.
     """
     a, b, two_split, ga, gb = cols
-    m = int(np.abs(cols).max(initial=0))
+    m = max(-int(cols.min(initial=0)), int(cols.max(initial=0)))  # no copy of cols
     rows = np.zeros((len(pool), len(_full(len(exts)))), dtype="<u8")
     q, leg = 0, None
     for i, P in enumerate(pool):

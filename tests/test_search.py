@@ -618,14 +618,15 @@ def test_split_rows_qi_check_zeros_at_each_conjugate_apart(p):
             _split_rows_qi(pair, [wrong], ext_columns([wrong]))
 
 
-# the symbols at these primes come by Euler's criterion, not from a table of
-# all their residues: in int64 at 100000037 and 1000003 (an inert norm of
-# 13 digits), in Python ints past (q - 1)^2 >= 2^63; past 10^18 the
-# residues a + b*r leave int64 too, and past 2^63 so does r
-@pytest.mark.parametrize("p", [100_000_037, 1_000_003, 5_000_000_029, 5_000_000_039,
-                               10**18 + 9, 10**20 + 129])
+# the symbols at the primes from 262147 on come by Euler's criterion, not
+# from a table of all their residues; 262133 (split) and 262139 (inert) are
+# the last below the table's bound, 262147 (inert) and 262153 (split) the
+# first past it.  1000003 is an inert norm of 13 digits; past 10^18 the
+# residues a + b*r leave int64, and past 2^63 so does r
+@pytest.mark.parametrize("p", [262_133, 262_139, 262_147, 262_153, 100_000_037, 1_000_003,
+                               5_000_000_029, 5_000_000_039, 10**18 + 9, 10**20 + 129])
 def test_split_rows_qi_at_large_norms_match_splitting_in_ext(p):
-    assert p >= _accel._TABLE_BELOW and is_prime(p)
+    assert is_prime(p) and (p < _accel._TABLE_BELOW) == (p < 262_140)
     exts = quad_exts_with_disc_below(math.exp(6))
     pool = list(gaussian._ideals_above(p))
     exts.append(gaussian._ext_from_parts(0, (pool[-1].gen,)))  # zero at pool[-1] alone
