@@ -326,7 +326,7 @@ def cover_algebra_3d(x: float, require_torsion_free: bool = False) -> CoverResul
 
     def rows_in(window):
         pool = gaussian_primes_up_to_norm(window)
-        return _split_rows_qi(pool, exts, cols), pool
+        return _split_rows_qi(pool, cols), pool
 
     window = max(200, 3 * max((e.rel_disc_norm for e in exts), default=0))
     roles = _greedy_roles(len(exts), window, rows_in,

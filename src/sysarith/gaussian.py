@@ -9,7 +9,6 @@ plus a set of distinct canonical prime generators.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .real_quadratic import INERT, RAMIFIED, SPLIT, _prime_factors, is_prime
 from . import _accel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianInt:
     """a + b*i with exact integer components."""
 
@@ -290,7 +289,7 @@ def _two_type(a: int, b: int) -> tuple[int, str]:
         f"2-adic defect of {GaussianInt(a, b)} is {defect}, expected 1 or 3")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianQuadExt:
     """Q(i)(sqrt(delta)) for delta in a canonical nontrivial square class."""
 
@@ -363,22 +362,56 @@ def splitting_in_ext(P: GaussianPrimeIdeal, ext: GaussianQuadExt) -> str:
 
 
 # the largest discriminant bound of an extension list, and of the covers:
-# the list holds about 0.26 extensions per unit of norm, at about 0.8 KB each
+# the list holds about 0.26 extensions per unit of norm, at about 0.12 KB each
+# as columns and 0.4 KB more once built as an object (slotted dataclasses)
 _DISC_CAP = 10_000_000
 
-_KINDS = (SPLIT, INERT, RAMIFIED)  # the splittings of (1+i), by their index in the walk
+# The extension walk hands out one int64 column per extension.  Its first
+# _SPLIT_ROWS rows are what split rows read: delta = a + bi as a and b, 1
+# where (1+i) splits, and the product ga + gb*i of the odd generators, which
+# an odd prime ideal divides iff it ramifies in the extension.  Then come the
+# (1+i)-exponent of the relative discriminant and the walk's sort keys: the
+# relative discriminant norm, the unit exponent and, from row _GENS on, the
+# indices of the odd generators, ascending and padded with -1.
+_SPLIT_ROWS, _TWO_EXP, _NORM, _GENS = 5, 5, 6, 8
+
+# (limit, the walk's columns of every extension with rel_disc_norm <= limit,
+# sorted, the (a, b) columns of every odd prime generator of norm <= limit,
+# sorted, the extensions built as objects so far, a prefix of that sorted
+# list, and the generators they share as GaussianInts, a prefix of the
+# generator columns); rebound as one tuple, so a reader never pairs one
+# limit's columns with another's.  The objects cover only the longest prefix
+# a caller has asked for as objects: verify_exclusion_3d reads the columns
+# alone.
+_EMPTY_MEMO = (0, np.zeros((_GENS, 0), np.int64), np.zeros((2, 0), np.int64), [], [])
+_exts_memo: tuple[int, np.ndarray, np.ndarray, list[GaussianQuadExt], list[GaussianInt]] = (
+    _EMPTY_MEMO)
 
 
-# (limit, every extension with rel_disc_norm <= limit, sorted, their
-# columns from the level walk (_quad_exts_up_to), and the generator of every
-# odd prime of norm <= limit, sorted); rebound as one tuple, so a reader
-# never pairs a limit with another limit's lists, and each generator is built
-# once.  The columns are int64 of shape (5, len(list)): each delta = a + bi
-# as a and b, 1 where (1+i) splits, and the product ga + gb*i of the
-# extension's odd generators, which an odd prime ideal divides iff it
-# ramifies in the extension
-_exts_memo: tuple[int, list[GaussianQuadExt], np.ndarray, list[GaussianInt]] = (
-    0, [], np.zeros((5, 0), dtype=np.int64), [])
+def _walk_columns(bound: float) -> np.ndarray:
+    """The walk's columns (see _GENS) of every extension with rel_disc_norm
+    <= bound, a view of the memo's, in the order of quad_exts_with_disc_below.
+
+    A bound past the kept limit extends the columns to max(floor(bound), 2 *
+    kept limit), or to _DISC_CAP if that is less: the walk's key starts with
+    the norm, so the columns of one level walk (_quad_exts_up_to) over the
+    norms past the old limit sort after every kept one and are appended, as
+    are the generator columns of _odd_generators past it.  So the memo walks
+    each extension once, and no call walks past twice its own bound.  A bound
+    past _DISC_CAP raises InputError.
+    """
+    global _exts_memo
+    if check_real(bound, "bound", 0) > _DISC_CAP:
+        raise InputError(f"discriminant norm bound {bound:.3g} exceeds "
+                         f"the supported cap {_DISC_CAP}")
+    limit = math.floor(bound)
+    held, cols, gen_cols, exts, gens = _exts_memo
+    if held < limit:
+        grown = min(max(limit, 2 * held), _DISC_CAP)
+        gen_cols = np.concatenate([gen_cols, _odd_generators(held, grown)], axis=1)
+        cols = _padded([cols, _quad_exts_up_to(grown, gen_cols, held)])
+        _exts_memo = grown, cols, gen_cols, exts, gens
+    return cols[:, :cols[_NORM].searchsorted(limit, side="right")]
 
 
 def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
@@ -386,117 +419,131 @@ def quad_exts_with_disc_below(bound: float) -> list[GaussianQuadExt]:
 
     Sorted by (rel_disc_norm, delta norm, unit_exp, generator keys); the
     smallest possible norm is 9 (delta = 3), so small bounds give [].  The
-    process keeps the extensions up to the largest limit asked for, with the
-    walk's columns (delta, the (1+i) splitting and the odd generators'
-    product; see _exts_memo), and each call returns a new list sliced from them.
-    A bound past the kept limit extends the list to max(floor(bound), 2 *
-    kept limit), or to _DISC_CAP if that is less: the key starts with the
-    norm, so the extensions past the old limit, built by one level walk
-    (_quad_exts_up_to), sort after every kept one and are appended, and so
-    are their columns.  So the memo builds each extension once, and no call
-    builds past twice its own bound.  A bound past _DISC_CAP raises
-    InputError.
+    process keeps the walk's columns up to the largest limit asked for
+    (_walk_columns), and the extensions as objects only up to the largest
+    bound asked for here: the missing ones of a longer prefix are built from
+    their columns in one pass, sharing one GaussianInt per odd generator.
+    Each call returns a new list sliced from the kept one.  A bound past
+    _DISC_CAP raises InputError.
     """
     global _exts_memo
-    if check_real(bound, "bound", 0) > _DISC_CAP:
-        raise InputError(f"discriminant norm bound {bound:.3g} exceeds "
-                         f"the supported cap {_DISC_CAP}")
-    limit = math.floor(bound)
-    held, exts, cols, odd = _exts_memo
-    if held < limit:
-        grown = min(max(limit, 2 * held), _DISC_CAP)
-        odd = odd + _odd_generators(held, grown)
-        piece, piece_cols = _quad_exts_up_to(grown, odd, held)
-        exts = exts + piece
-        _exts_memo = grown, exts, np.concatenate([cols, piece_cols], axis=1), odd
-    return exts[:bisect.bisect_right(exts, limit, key=lambda e: e.rel_disc_norm)]
+    count = _walk_columns(bound).shape[1]
+    held, cols, gen_cols, exts, gens = _exts_memo
+    if len(exts) < count:
+        new = cols[:, len(exts):count]
+        top = int(new[_GENS:].max(initial=-1)) + 1
+        gens = gens + [GaussianInt(a, b) for a, b in gen_cols[:, len(gens):top].T.tolist()]
+        exts = exts + _exts_from_columns(new, gens)
+        _exts_memo = held, cols, gen_cols, exts, gens
+    return exts[:count]
 
 
 def _exts_and_columns(bound: float) -> tuple[list[GaussianQuadExt], np.ndarray]:
-    """quad_exts_with_disc_below(bound) and its columns (see _exts_memo), a
-    view of the memo's: the list is a prefix of the kept one, which grows
-    only at its end."""
+    """quad_exts_with_disc_below(bound) and the split rows' columns of its
+    extensions (see _GENS), a view of the memo's."""
     exts = quad_exts_with_disc_below(bound)
-    return exts, _exts_memo[2][:, :len(exts)]
+    return exts, _exts_memo[1][:_SPLIT_ROWS, :len(exts)]
 
 
-def _odd_generators(above: int, limit: int) -> list[GaussianInt]:
-    """The generator of each odd prime with above < norm <= limit, by (norm, b, a)."""
-    return [P.gen for P in _gaussian_primes(above, limit) if P.norm % 2]
+def _ext_at(k: int) -> GaussianQuadExt:
+    """The extension at index k of the kept list, built from its columns
+    alone, with only its own generators."""
+    cols, gen_cols = _exts_memo[1:3]
+    gens = {i: GaussianInt(*gen_cols[:, i].tolist()) for i in cols[_GENS:, k].tolist() if i >= 0}
+    return _exts_from_columns(cols[:, k:k + 1], gens)[0]
+
+
+def _exts_from_columns(cols: np.ndarray, gens) -> list[GaussianQuadExt]:
+    """The extensions whose walk columns (see _GENS) are cols, each odd
+    generator gens[its index]: (1+i) is a generator exactly where the
+    exponent is 5, the odd part is the first-quadrant associate of the
+    generator product, and (1+i) ramifies wherever the exponent is not 0."""
+    pi = GaussianInt(1, 1)
+    exts = []
+    for x, y, split, ga, gb, exp, norm, unit, idx in zip(*cols[:_GENS].tolist(),
+                                                         cols[_GENS:].T.tolist()):
+        odd = tuple([gens[i] for i in idx if i >= 0])
+        exts.append(GaussianQuadExt(
+            GaussianInt(x, y), unit, (pi,) + odd if exp == 5 else odd,
+            GaussianInt(*_first_quadrant(ga, gb)), exp, norm,
+            RAMIFIED if exp else SPLIT if split else INERT))
+    return exts
+
+
+def _odd_generators(above: int, limit: int) -> np.ndarray:
+    """The generator a + bi of each odd prime with above < norm <= limit, by
+    (norm, b, a), as int64 columns (a, b) of shape (2, count): from one
+    sieve, Cornacchia's a > b > 0 and then b + ai for each split p, and
+    (q, 0) for each inert q with q^2 in range."""
+    primes = _accel.primes_up_to(limit)
+    split = primes[(primes % 4 == 1) & (primes > above)]
+    inert = primes[primes % 4 == 3]
+    inert = inert[(inert * inert > above) & (inert * inert <= limit)]
+    big, small = np.array([_sum_two_squares(p) for p in split.tolist()],
+                          dtype=np.int64).reshape(-1, 2).T
+    a = np.concatenate([big, small, inert])
+    b = np.concatenate([small, big, np.zeros_like(inert)])
+    order = np.lexsort((b, np.concatenate([split, split, inert * inert])))
+    return np.stack([a[order], b[order]])
+
+
+def _padded(blocks: list[np.ndarray]) -> np.ndarray:
+    """int64 column blocks side by side, each padded below with -1 (no
+    generator) to the tallest."""
+    height = max(len(c) for c in blocks)
+    return np.concatenate([np.pad(c, ((0, height - len(c)), (0, 0)), constant_values=-1)
+                           for c in blocks], axis=1)
 
 
 @functools.cache
 def _two_type_table() -> np.ndarray:
-    """_two_type over the residues a + bi mod 16, as int64 (exponent, index
-    in _KINDS) of shape (2, 16, 16); only the odd residues are filled."""
+    """_two_type over the residues a + bi mod 16, as int64 (exponent, 1 where
+    (1+i) splits) of shape (2, 16, 16); only the odd residues are filled."""
     table = np.zeros((2, 16, 16), dtype=np.int64)
     for a in range(16):
         for b in range(1 - a % 2, 16, 2):
             exp, kind = _two_type(a, b)
-            table[:, a, b] = exp, _KINDS.index(kind)
+            table[:, a, b] = exp, kind == SPLIT
     return table
 
 
-def _quad_exts_up_to(limit: int, odd: list[GaussianInt],
-                     above: int = 0) -> tuple[list[GaussianQuadExt], np.ndarray]:
-    """The sorted extensions with above < rel_disc_norm <= limit, by a level
-    walk, and their int64 columns of shape (5, len(extensions)).
+def _quad_exts_up_to(limit: int, gens: np.ndarray, above: int = 0) -> np.ndarray:
+    """The walk's columns (see _GENS) of the extensions with above <
+    rel_disc_norm <= limit, sorted, by a level walk.
 
-    odd is _odd_generators(0, n) for some n >= limit.  Level k holds every
+    gens is _odd_generators(0, n) for some n >= limit.  Level k holds every
     product of k of them with norm at most limit as int64 arrays: its parts
     (a, b), its norm and its generators' indices, ascending; all of them
     grow at once into level k + 1 by each later generator that fits
     (_accel.runs).  A product, times 1 or i and times (1+i) or not, gives
     four deltas: an odd one's (1+i)-exponent and splitting are read off its
     residue mod 16 (_two_type_table), and (1+i) times it has exponent 5.
-    Only a delta whose norm lies in the interval becomes GaussianInts and a
-    GaussianQuadExt, level by level, and one lexsort puts the extensions of
-    all levels in (norm, unit, odd generator indices) order.  The norm fixes
-    the delta norm, the (1+i) factor and the level, so keys that compare
-    them would never decide.  The columns come from the same arrays, in the
-    same order: each delta's parts, 1 where (1+i) splits (exponent 0 and
-    split), and the level's product a + bi of the odd generators.
+    Each delta whose norm lies in the interval gives a column, and one
+    lexsort of the key rows puts the columns of all levels in (norm, unit,
+    odd generator indices) order.  The norm fixes the delta norm, the (1+i)
+    factor and the level, so keys that compare them would never decide.
     """
-    pi = GaussianInt(1, 1)
-    ga, gb = np.array([(g.a, g.b) for g in odd], dtype=np.int64).reshape(-1, 2).T
+    ga, gb = gens
     gn = ga * ga + gb * gb
     two = _two_type_table()
     a, b, n = np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
     starts, members = np.zeros(1, np.int64), []
-    exts: list[GaussianQuadExt] = []
-    keys = []  # per level: norm, unit and generator indices of its extensions
-    cols = []  # per level: the columns of its extensions
+    levels = []
     while len(n):
         # the deltas a + bi, (1+i)(a + bi), i(a + bi) and (1+i)i(a + bi)
         da, db = np.stack([a, a - b, -b, -a - b]), np.stack([b, a + b, a, a - b])
         exp = np.full(da.shape, 5, dtype=np.int64)
-        kind = np.full(da.shape, _KINDS.index(RAMIFIED), dtype=np.int64)
-        exp[::2], kind[::2] = two[:, da[::2] % 16, db[::2] % 16]
+        split = np.zeros(da.shape, dtype=np.int64)
+        exp[::2], split[::2] = two[:, da[::2] % 16, db[::2] % 16]
         norm = n << exp
         keep = (above < norm) & (norm <= limit)
         keep[0] &= bool(members)  # delta = 1 is a square
         v, p = keep.nonzero()
-        used, at = np.unique(p, return_inverse=True)
-        odd_parts = [GaussianInt(*_first_quadrant(x, y))
-                     for x, y in zip(a[used].tolist(), b[used].tolist())]
-        gens = list(zip(*(map(odd.__getitem__, c[used].tolist()) for c in members)))
-        gens = gens or [()] * len(used)
-        for x, y, u, with_pi, i, e, m, s in zip(
-                da[v, p].tolist(), db[v, p].tolist(), (v >> 1).tolist(), (v & 1).tolist(),
-                at.tolist(), exp[v, p].tolist(), norm[v, p].tolist(), kind[v, p].tolist()):
-            exts.append(GaussianQuadExt(GaussianInt(x, y), u, (pi,) + gens[i] if with_pi
-                                        else gens[i], odd_parts[i], e, m, _KINDS[s]))
-        keys.append(np.stack([norm[v, p], v >> 1, *(c[p] for c in members)]))
-        cols.append(np.stack([da[v, p], db[v, p],
-                              (exp[v, p] == 0) & (kind[v, p] == _KINDS.index(SPLIT)),
-                              a[p], b[p]]))
+        levels.append(np.stack([da[v, p], db[v, p], split[v, p], a[p], b[p],
+                                exp[v, p], norm[v, p], v >> 1, *(c[p] for c in members)]))
         k, j = _accel.runs(starts, gn.searchsorted(limit // n, side="right"))
         a, b, n = a[k] * ga[j] - b[k] * gb[j], a[k] * gb[j] + b[k] * ga[j], n[k] * gn[j]
         starts, members = j + 1, [c[k] for c in members] + [j]
-    height = max(len(key) for key in keys)
-    key = np.concatenate([np.pad(key, ((0, height - len(key)), (0, 0)), constant_values=-1)
-                          for key in keys], axis=1)
-    order = np.lexsort(key[::-1])
-    del keys, key  # freed before the columns are joined and sorted: 8 MB at limit 10^6
-    cols = np.concatenate(cols, axis=1)
-    return [exts[i] for i in order.tolist()], cols[:, order]
+    cols = _padded(levels)
+    del levels  # freed before the columns are sorted
+    return cols[:, np.lexsort(cols[:_TWO_EXP:-1])]

@@ -27,9 +27,9 @@ below the optimum, from the optimum alone, by the sweep's prefix walk.
 The exact cover over Q and the 3-manifold search over Q(i) run the same
 sweep, on split rows of uint64 words.  Over Q(i) it ranges over the even
 subsets of a pool of prime ideals of bounded norm, whose split rows are
-read from Legendre symbols at the delta columns that the extension walk
-hands out beside its list, and checked at zero residues against its column
-of generator products; the result is least over the
+read from Legendre symbols at the delta columns of the extension walk,
+and checked at zero residues against its column of generator products;
+the result is least over the
 pool and certified, and best-effort because an ideal outside the pool
 could do better.  The search stops with NoCandidateError once the ranges
 pass the product of the whole pool, or the int64 limit of the sweep.
@@ -56,11 +56,15 @@ from .errors import (
 )
 from .gaussian import (
     SPLIT,
+    _SPLIT_ROWS,
+    GaussianInt,
     GaussianPrimeIdeal,
     GaussianQuadExt,
+    _ext_at,
     _exts_and_columns,
     _ideal_key,
     _ideals_above,
+    _walk_columns,
     gaussian_primes_up_to_norm,
     splitting_in_ext,
 )
@@ -245,10 +249,10 @@ class _IdealPool:
     N - 1 of each ideal, `rows` its words, tested a word at a time: the pool
     is small and not ranked by rarity, so a word-0 filter would not pay."""
 
-    def __init__(self, pool: list[GaussianPrimeIdeal], exts, cols):
+    def __init__(self, pool: list[GaussianPrimeIdeal], cols):
         self.facs = np.array([P.norm - 1 for P in pool], dtype=np.int64)
-        self.rows = _split_rows_qi(pool, exts, cols)
-        self.target = _full(len(exts))
+        self.rows = _split_rows_qi(pool, cols)
+        self.target = _full(cols.shape[1])
 
     def hold(self, c: int) -> None:
         """The pool holds every ideal from the start."""
@@ -268,10 +272,11 @@ class _IdealPool:
         return [found.get(k) for k in range(len(need))]
 
 
-def _split_rows_qi(pool, exts, cols) -> np.ndarray:
-    """Bit e of row i is set iff pool[i] splits in exts[e], in uint64 words.
+def _split_rows_qi(pool, cols) -> np.ndarray:
+    """Bit e of row i is set iff pool[i] splits in extension e, in uint64
+    words, one extension per column of cols.
 
-    cols holds the extension walk's columns of exts (gaussian._exts_memo):
+    The first _SPLIT_ROWS rows of cols are the extension walk's (gaussian._GENS):
     each delta = a + bi as int64 arrays a and b, where (1+i) splits, and
     the product ga + gb*i of the odd generators.  An odd ideal splits iff
     delta is a nonzero square mod it: for a degree-1 ideal of norm p with
@@ -287,12 +292,12 @@ def _split_rows_qi(pool, exts, cols) -> np.ndarray:
     delta is ga + gb*i times a unit and a power of 1+i, both units at an
     odd ideal: it holds the columns to themselves, and the tests that
     compare the walk's columns with ones read off the objects' gens
-    (oracles.ext_columns) hold the objects to the columns.  No exts give
-    one zero word.
+    (oracles.ext_columns) hold the objects to the columns.  No extensions
+    give one zero word.
     """
-    a, b, two_split, ga, gb = cols
+    a, b, two_split, ga, gb = cols = cols[:_SPLIT_ROWS]
     m = max(-int(cols.min(initial=0)), int(cols.max(initial=0)))  # no copy of cols
-    rows = np.zeros((len(pool), len(_full(len(exts)))), dtype="<u8")
+    rows = np.zeros((len(pool), len(_full(cols.shape[1]))), dtype="<u8")
     q, leg = 0, None
     for i, P in enumerate(pool):
         if P.norm % 2 == 0:
@@ -311,8 +316,8 @@ def _split_rows_qi(pool, exts, cols) -> np.ndarray:
                 k = np.flatnonzero(sym == 0)
                 bad = k[_residues(ga[k], gb[k], r, p, m) != 0]
                 if len(bad):
-                    raise SysarithError(
-                        f"residue symbol of {exts[bad[0]].delta} at unramified {P.gen} is 0")
+                    delta = GaussianInt(int(a[bad[0]]), int(b[bad[0]]))
+                    raise SysarithError(f"residue symbol of {delta} at unramified {P.gen} is 0")
             split = sym == 1
         packed = np.packbits(split, bitorder="little")
         rows.view(np.uint8)[i, :len(packed)] = packed
@@ -742,7 +747,7 @@ def valid_algebra_3d(l: float, pool_norm_bound: int) -> SearchResult:
     check_real(pool_norm_bound, "pool norm bound", 2)
     exts, cols = _exts_and_columns(math.exp(2.0 * (l + 2.0)))
     pool = gaussian_primes_up_to_norm(pool_norm_bound)
-    masks = _IdealPool(pool, exts, cols)
+    masks = _IdealPool(pool, cols)
     total = math.prod(P.norm - 1 for P in pool)
     lo = 2
     while True:
@@ -854,6 +859,9 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     1.466.  As in valid_algebra_3d, an l above about 6.06 raises InputError,
     and so does a multiset with more than 2^16 assignments, before any
     extension or row is built: k distinct split norms give 2^k.
+    The rows read the extension walk's columns alone (gaussian._walk_columns),
+    and tested_extensions counts them; the only extension built as an
+    object is each failing assignment's first one, from its column.
     """
     check_real(l, "systole bound", 0, strict=True)
     norms, options = _norm_options(ram_norm_multiset)
@@ -861,21 +869,21 @@ def verify_exclusion_3d(ram_norm_multiset, l: float) -> ExclusionReport:
     if count > _ASSIGNMENT_CAP:
         raise InputError(f"norm multiset {norms} has {count} conjugate assignments, "
                          f"more than the {_ASSIGNMENT_CAP} supported")
-    exts, cols = _exts_and_columns(math.exp(2.0 * (l + 2.0)))
+    cols = _walk_columns(math.exp(2.0 * (l + 2.0)))
 
     combos = [tuple(sorted((P for group in combo for P in group), key=_ideal_key))
               for combo in itertools.product(*options)]
     union = sorted({P for ideals in combos for P in ideals}, key=_ideal_key)
-    rows = _split_rows_qi(union, exts, cols)
+    rows = _split_rows_qi(union, cols)
     at = {P: i for i, P in enumerate(union)}
-    target = _full(len(exts))
+    target = _full(cols.shape[1])
     reports = []
     for ideals in combos:
         left = target & ~np.bitwise_or.reduce(rows[[at[P] for P in ideals]], axis=0)
         w = np.flatnonzero(left)  # the lowest open bit is the first failing extension
         low = int(left[w[0]]) if len(w) else 0
-        failing = exts[64 * int(w[0]) + (low & -low).bit_length() - 1] if low else None
+        failing = _ext_at(64 * int(w[0]) + (low & -low).bit_length() - 1) if low else None
         reports.append(AssignmentReport(ideals=ideals, valid=not low, failing_ext=failing))
     return ExclusionReport(
         norms=tuple(norms), l=float(l), valid=any(a.valid for a in reports),
-        assignments=tuple(reports), tested_extensions=len(exts))
+        assignments=tuple(reports), tested_extensions=cols.shape[1])

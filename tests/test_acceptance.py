@@ -61,7 +61,6 @@ from oracles import (
     brute_squarefree_part,
     brute_splitting_q,
     brute_symbol_qi,
-    ext_columns,
     lattice_zeta_qi,
     naive_prime_sets,
     sieve_primes,
@@ -159,11 +158,11 @@ VOLUME_ROWS = [
 
 
 def test_criterion_3_exclusions_do_not_depend_on_call_order(monkeypatch):
-    # quad_exts_with_disc_below keeps one list per process and slices it;
-    # climbing the ladder grows that list, descending it builds it once
+    # the process keeps the extension walk's columns and slices them;
+    # climbing the ladder grows them, descending it walks them once
     reports = {}
     for order in ("ascending", "descending"):
-        monkeypatch.setattr(gaussian, "_exts_memo", (0, [], ext_columns([]), []))
+        monkeypatch.setattr(gaussian, "_exts_memo", gaussian._EMPTY_MEMO)
         rows = sorted(VOLUME_ROWS, reverse=order == "descending")
         reports[order] = {l: verify_exclusion_3d(norms, l).to_json()
                           for l, norms, _ in rows}

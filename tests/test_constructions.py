@@ -434,7 +434,7 @@ def test_cover_3d_lost_certificate_raises_a_package_error(monkeypatch):
     # rows that claim a cover no ideal gives: the certificate step must
     # raise a SysarithError, not leak StopIteration
     monkeypatch.setattr(constructions, "_split_rows_qi",
-                        lambda pool, exts, cols: int_words([(1 << len(exts)) - 1] * len(pool)))
+                        lambda pool, cols: int_words([(1 << cols.shape[1]) - 1] * len(pool)))
     monkeypatch.setattr(search, "splitting_in_ext", lambda P, ext: "inert")
     with pytest.raises(SysarithError, match="certificate"):
         cover_algebra_3d(0.5)

@@ -28,6 +28,7 @@ from sysarith.gaussian import (
     splitting_in_qi,
 )
 from sysarith.real_quadratic import INERT, RAMIFIED, SPLIT, is_prime
+from sysarith.search import verify_exclusion_3d
 
 from oracles import (
     biquadratic_rel_disc_norm,
@@ -320,19 +321,35 @@ def test_conjugation_class_counts_at_large_bound():
 MEMO_BOUNDS = [0, 8, 9, 9.5, 50, *(math.exp(6 + k / 5) for k in range(21)), 22026.0]
 
 
-EMPTY_MEMO = (0, [], ext_columns([]), [])
+EMPTY_MEMO = gaussian._EMPTY_MEMO
+
+
+def odd_generator_pairs(above, bound):
+    """(a, b) of the generator of each odd prime with above < norm <= bound,
+    read off the ideals."""
+    return [(P.gen.a, P.gen.b) for P in gaussian_primes_up_to_norm(bound)
+            if P.norm % 2 and P.norm > above]
+
+
+def walk_objects(cols, gens):
+    """The extensions built from the walk's columns, their generators from
+    the (a, b) generator columns."""
+    return gaussian._exts_from_columns(cols, [GaussianInt(a, b) for a, b in gens.T.tolist()])
 
 
 @pytest.fixture(scope="module")
 def fresh_exts():
-    # the level walk itself, once per limit, bypassing the process memo, and
-    # equal to the reference's recursive descent at every limit, with the
-    # columns read off its extensions
+    # the level walk itself, once per limit, bypassing the process memo: the
+    # extensions built from its columns are the reference's recursive descent
+    # at every limit, and its split-row columns are the ones read off them
     walks = {}
     for limit in sorted({math.floor(b) for b in MEMO_BOUNDS}):
-        walks[limit] = gaussian._quad_exts_up_to(limit, gaussian._odd_generators(0, limit))
-        assert walks[limit][0] == recursive_quad_exts(limit), limit
-        assert np.array_equal(walks[limit][1], ext_columns(walks[limit][0])), limit
+        gens = gaussian._odd_generators(0, limit)
+        cols = gaussian._quad_exts_up_to(limit, gens)
+        exts = walk_objects(cols, gens)
+        assert exts == recursive_quad_exts(limit), limit
+        assert np.array_equal(cols[:5], ext_columns(exts)), limit
+        walks[limit] = exts, cols[:5]
     return walks
 
 
@@ -350,6 +367,38 @@ def test_extension_memo_matches_a_fresh_enumeration(order, fresh_exts, monkeypat
         assert np.array_equal(cols, fresh_exts[request][1]), bound
         held = gaussian._exts_memo[0]
         assert max(before, request) <= held <= max(2 * before, request), (bound, before, held)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_lazy_extension_objects_are_the_eager_ones(order, fresh_exts, monkeypatch):
+    # calls that read the columns alone (verify_exclusion_3d, or the columns
+    # themselves where its l would not be positive) take turns with calls
+    # for objects; only the latter build objects, the kept objects are always
+    # a prefix of the fresh walk's, and every prefix of columns is its columns
+    bounds = sorted(MEMO_BOUNDS, reverse=order == "descending")
+    if order == "shuffled":
+        random.Random(1).shuffle(bounds)
+    monkeypatch.setattr(gaussian, "_exts_memo", EMPTY_MEMO)
+    longest = fresh_exts[max(fresh_exts)][0]
+    for k, bound in enumerate(bounds):
+        request = math.floor(bound)
+        built = len(gaussian._exts_memo[3])
+        if k % 2:
+            exts = quad_exts_with_disc_below(bound)
+            assert exts == fresh_exts[request][0], bound
+            assert len(gaussian._exts_memo[3]) == max(built, len(exts)), bound
+        else:
+            if bound > math.exp(4):
+                l = math.log(bound) / 2 - 2
+                report = verify_exclusion_3d([2, 5, 9, 13], l)
+                cols = gaussian._walk_columns(math.exp(2 * (l + 2)))
+                assert report.tested_extensions == cols.shape[1], bound
+                assert all(a.failing_ext in longest[:cols.shape[1]]
+                           for a in report.assignments), bound
+            assert len(gaussian._exts_memo[3]) == built, bound
+        assert np.array_equal(gaussian._walk_columns(bound)[:5], fresh_exts[request][1]), bound
+        kept = gaussian._exts_memo[3]
+        assert kept == longest[:len(kept)], bound
 
 
 def test_walk_columns_match_the_extensions_as_the_memo_grows(monkeypatch):
@@ -396,61 +445,86 @@ def test_extension_memo_grows_by_contiguous_descents(monkeypatch):
     descent = gaussian._quad_exts_up_to
     calls = []
 
-    def spy(limit, odd, above=0):
-        exts, cols = descent(limit, odd, above)
-        calls.append((above, limit, exts))
-        return exts, cols
+    def spy(limit, gens, above=0):
+        cols = descent(limit, gens, above)
+        calls.append((above, limit, cols))
+        return cols
 
     monkeypatch.setattr(gaussian, "_quad_exts_up_to", spy)
     for bound in sorted(MEMO_BOUNDS):
         quad_exts_with_disc_below(bound)
-    # each descent starts where the last one ended, so no extension is built
-    # twice and the appended pieces are exactly the held list
+    # each descent starts where the last one ended, so no extension is walked
+    # twice and the appended pieces are exactly the held columns, each padded
+    # below with -1 to the tallest piece's generator rows
     assert [above for above, _, _ in calls] == [0] + [limit for _, limit, _ in calls[:-1]]
     assert all(above < limit for above, limit, _ in calls)
-    held, exts, _, _ = gaussian._exts_memo
+    held, cols, _, exts, _ = gaussian._exts_memo
     assert held == calls[-1][1]
-    assert [e for _, _, piece in calls for e in piece] == exts
+    assert cols.shape[1] == sum(piece.shape[1] for _, _, piece in calls)
+    at = 0
+    for _, _, piece in calls:
+        block = cols[:, at:at + piece.shape[1]]
+        assert np.array_equal(block[:len(piece)], piece) and (block[len(piece):] == -1).all()
+        at += piece.shape[1]
+    assert exts == recursive_quad_exts(math.floor(max(MEMO_BOUNDS)))
 
 
 def test_descents_build_each_generator_once(monkeypatch):
-    # the descents read their odd generators from a kept list that grows by
-    # the ideals past its limit, so an ascending ladder builds each ideal once
+    # the descents read their odd generators from kept columns that grow by
+    # the generators past their limit, so an ascending ladder builds each
+    # generator once, and the objects share one GaussianInt per generator
     monkeypatch.setattr(gaussian, "_exts_memo", EMPTY_MEMO)
-    build = gaussian._gaussian_primes
+    build = gaussian._odd_generators
     calls = []
 
     def spy(above, bound):
-        ideals = build(above, bound)
-        calls.append((above, bound, ideals))
-        return ideals
+        gens = build(above, bound)
+        calls.append((above, bound, gens))
+        return gens
 
-    monkeypatch.setattr(gaussian, "_gaussian_primes", spy)
+    monkeypatch.setattr(gaussian, "_odd_generators", spy)
     for bound in sorted(MEMO_BOUNDS):
         quad_exts_with_disc_below(bound)
     assert [above for above, _, _ in calls] == [0] + [bound for _, bound, _ in calls[:-1]]
-    built = [P for _, _, piece in calls for P in piece]
-    assert built == gaussian_primes_up_to_norm(calls[-1][1])
-    assert gaussian._exts_memo[3] == [P.gen for P in built if P.norm % 2]
+    built = [tuple(g) for _, _, piece in calls for g in piece.T.tolist()]
+    assert built == odd_generator_pairs(0, calls[-1][1])
+    _, _, gen_cols, exts, gens = gaussian._exts_memo
+    assert [tuple(g) for g in gen_cols.T.tolist()] == built
+    assert gens == [GaussianInt(*g) for g in built[:len(gens)]]
+    shared = {id(g) for g in gens}
+    assert all(id(g) in shared for e in exts for g in e.gens if g.norm % 2)
 
 
-@pytest.mark.parametrize("above,bound", [(0, 1), (1, 2), (2, 9), (8, 9), (9, 50), (24, 25),
-                                         (48, 49), (49, 121), (100, 23840)])
+# the (above, bound) pairs of the two builders of the primes of Z[i] past a
+# norm: the inert q^2 edges 9, 49 and 121, and the walk's doubling 23,840
+PRIME_RANGES = [(0, 1), (1, 2), (2, 9), (8, 9), (9, 50), (24, 25), (48, 49), (49, 121),
+                (100, 23840)]
+
+
+@pytest.mark.parametrize("above,bound", PRIME_RANGES)
 def test_gaussian_primes_above_a_norm(above, bound):
     assert gaussian._gaussian_primes(above, bound) == [
         P for P in gaussian_primes_up_to_norm(bound) if P.norm > above]
 
 
+@pytest.mark.parametrize("above,bound", PRIME_RANGES)
+def test_odd_generator_columns_are_the_ideals_generators(above, bound):
+    gens = gaussian._odd_generators(above, bound)
+    assert gens.dtype == np.int64 and gens.shape[0] == 2
+    assert [tuple(g) for g in gens.T.tolist()] == odd_generator_pairs(above, bound)
+
+
 @pytest.mark.parametrize("above,limit", [(0, 50), (9, 50), (31, 500), (403, 3000),
                                          (2980, 5960)])
 def test_descent_builds_only_the_norms_above(above, limit):
-    odd = gaussian._odd_generators(0, limit)
-    whole, cols = gaussian._quad_exts_up_to(limit, odd)
+    gens = gaussian._odd_generators(0, limit)
+    cols = gaussian._quad_exts_up_to(limit, gens)
+    whole = walk_objects(cols, gens)
     assert whole == recursive_quad_exts(limit)
-    piece, piece_cols = gaussian._quad_exts_up_to(limit, odd, above)
-    assert piece == recursive_quad_exts(limit, above) == [
+    piece = gaussian._quad_exts_up_to(limit, gens, above)
+    assert walk_objects(piece, gens) == recursive_quad_exts(limit, above) == [
         e for e in whole if e.rel_disc_norm > above]
-    assert np.array_equal(piece_cols, cols[:, len(whole) - len(piece):])
+    assert np.array_equal(piece, cols[:, cols.shape[1] - piece.shape[1]:])
 
 
 def test_extension_list_at_e10_is_pinned():

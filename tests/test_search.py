@@ -447,7 +447,7 @@ def test_prefix_walk_matches_the_combinations_in_range():
 def test_sets_below_counts_the_even_pool_subsets_with_tied_factors():
     # conjugate ideals of one norm give tied factors
     pool = gaussian_primes_up_to_norm(30)
-    masks = _IdealPool(pool, *gaussian._exts_and_columns(20))
+    masks = _IdealPool(pool, gaussian._exts_and_columns(20)[1])
     facs = masks.facs.tolist()
     assert facs == [1, 4, 4, 8, 12, 12, 16, 16, 28, 28]
     factors = sorted(math.prod(c) for k in range(2, len(facs) + 1, 2)
@@ -522,7 +522,7 @@ def test_split_rows_qi_match_brute_oracle():
     pool = gaussian_primes_up_to_norm(200)
     assert {P.norm for P in pool} >= {2, 9, 49, 121}
     assert any(P.gen in e.gens for P in pool for e in exts)
-    rows = word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))
+    rows = word_ints(_split_rows_qi(pool, ext_columns(exts)))
     assert len(rows) == len(pool)
     for P, row in zip(pool, rows):
         assert row_bits(row, len(exts)) == [
@@ -536,7 +536,7 @@ def test_split_rows_qi_match_splitting_in_ext_on_the_cover_window():
     exts = quad_exts_with_disc_below(math.exp(8))
     pool = gaussian_primes_up_to_norm(3 * max(e.rel_disc_norm for e in exts))
     assert len(pool) == 1116
-    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))):
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, ext_columns(exts)))):
         assert row_bits(row, len(exts)) == [
             splitting_in_ext(P, e) == SPLIT for e in exts], str(P.gen)
 
@@ -547,10 +547,10 @@ def test_split_rows_qi_reject_a_zero_residue_outside_the_generators(delta, p):
     # lost its generators breaks that, and the rows say so
     ext = quad_ext(delta)
     P = ideal_above(p)
-    assert P.gen in ext.gens and word_ints(_split_rows_qi([P], [ext], ext_columns([ext]))) == [0]
+    assert P.gen in ext.gens and word_ints(_split_rows_qi([P], ext_columns([ext]))) == [0]
     lost = dataclasses.replace(ext, gens=())
     with pytest.raises(SysarithError, match="residue symbol"):
-        _split_rows_qi([P], [lost], ext_columns([lost]))
+        _split_rows_qi([P], ext_columns([lost]))
 
 
 @pytest.mark.parametrize("n_exts", [63, 64, 65])
@@ -558,7 +558,7 @@ def test_split_rows_qi_leave_the_padding_bits_clear(n_exts):
     # one word more at 65 extensions; no bit past the last extension is set
     exts = quad_exts_with_disc_below(math.exp(8))[:n_exts]
     pool = gaussian_primes_up_to_norm(200)
-    words = _split_rows_qi(pool, exts, ext_columns(exts))
+    words = _split_rows_qi(pool, ext_columns(exts))
     assert words.dtype == np.uint64 and words.shape == (len(pool), 1 if n_exts < 65 else 2)
     for P, row in zip(pool, word_ints(words)):
         assert row >> n_exts == 0, str(P.gen)
@@ -567,7 +567,7 @@ def test_split_rows_qi_leave_the_padding_bits_clear(n_exts):
 
 def test_split_rows_qi_of_no_extension_are_one_zero_word():
     pool = gaussian_primes_up_to_norm(50)
-    words = _split_rows_qi(pool, [], ext_columns([]))
+    words = _split_rows_qi(pool, ext_columns([]))
     assert words.shape == (len(pool), 1) and not words.any()
 
 
@@ -592,11 +592,11 @@ def test_split_rows_qi_name_the_first_offender_in_pool_order(norm, exts, message
     pool = gaussian_primes_up_to_norm(norm)
     assert len(pool) > 4 and pool[0].norm == 2
     with pytest.raises(SysarithError) as err:
-        _split_rows_qi(pool, exts, ext_columns(exts))
+        _split_rows_qi(pool, ext_columns(exts))
     assert str(err.value) == message
     # the same extensions with their generators kept give the oracle's rows
     kept = [quad_ext(e.delta) for e in exts]
-    for P, row in zip(pool, word_ints(_split_rows_qi(pool, kept, ext_columns(kept)))):
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, ext_columns(kept)))):
         assert row_bits(row, len(kept)) == [
             brute_splits_qi(P, e.delta.a, e.delta.b) for e in kept], str(P.gen)
 
@@ -610,12 +610,12 @@ def test_split_rows_qi_check_zeros_at_each_conjugate_apart(p):
     for P, other in (pair, pair[::-1]):
         ext = quad_ext(P.gen)
         assert ext.gens == (P.gen,) and quad_residue_symbol(ext.delta, other) != 0
-        rows = word_ints(_split_rows_qi(pair, [ext], ext_columns([ext])))
+        rows = word_ints(_split_rows_qi(pair, ext_columns([ext])))
         assert rows == [int(splitting_in_ext(Q, ext) == SPLIT) for Q in pair]
         assert rows[pair.index(P)] == 0
         wrong = dataclasses.replace(ext, gens=(other.gen,))
         with pytest.raises(SysarithError, match=re.escape(f"at unramified {P.gen} is 0")):
-            _split_rows_qi(pair, [wrong], ext_columns([wrong]))
+            _split_rows_qi(pair, ext_columns([wrong]))
 
 
 # the symbols at the primes from 262147 on come by Euler's criterion, not
@@ -630,7 +630,7 @@ def test_split_rows_qi_at_large_norms_match_splitting_in_ext(p):
     exts = quad_exts_with_disc_below(math.exp(6))
     pool = list(gaussian._ideals_above(p))
     exts.append(gaussian._ext_from_parts(0, (pool[-1].gen,)))  # zero at pool[-1] alone
-    for P, row in zip(pool, word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))):
+    for P, row in zip(pool, word_ints(_split_rows_qi(pool, ext_columns(exts)))):
         assert row_bits(row, len(exts)) == [splitting_in_ext(P, e) == SPLIT for e in exts]
 
 
@@ -660,7 +660,7 @@ def test_torsion_conditions_are_the_split_bits_of_sqrt_i_and_sqrt_3():
     pool = gaussian_primes_up_to_norm(20_000)
     assert len(pool) == 2269 and {P.kind for P in pool} == {"ramified", "split", "inert"}
     exts = [quad_ext(GaussianInt(0, 1)), quad_ext(3)]
-    rows = word_ints(_split_rows_qi(pool, exts, ext_columns(exts)))
+    rows = word_ints(_split_rows_qi(pool, ext_columns(exts)))
     for P, row in zip(pool, rows):
         assert row_bits(row, 2) == [cond(P) for cond in TORSION_QI], str(P.gen)
     sample = pool[:12] + random.Random(18).sample(pool, 60)
@@ -772,9 +772,9 @@ def test_valid_algebra_3d_stops_at_the_int64_limit(monkeypatch):
     def pool(bound):
         return [P for P in gaussian_primes_up_to_norm(bound) if P.norm == 2 or P.norm > 256]
 
-    def rows(pool, exts, cols):
+    def rows(pool, cols):
         k = len(pool) - 2
-        return int_words([0] + [1 << b for b in range(k)] + [((1 << len(exts)) - 1) >> k << k])
+        return int_words([0] + [1 << b for b in range(k)] + [((1 << cols.shape[1]) - 1) >> k << k])
 
     monkeypatch.setattr(search, "gaussian_primes_up_to_norm", pool)
     monkeypatch.setattr(search, "_split_rows_qi", rows)
@@ -864,6 +864,36 @@ def test_verify_exclusion_matches_a_brute_scan(norms, l, valid, n_assignments):
     assert rep.valid is valid is any(a.valid for a in rep.assignments)
     assert sorted({exts.index(a.failing_ext) for a in rep.assignments if not a.valid}) == {
         1.1: [109, 110], 2.8: [457, 458], 1.3: [165]}[l]
+
+
+def test_verify_exclusion_builds_one_extension_per_failing_assignment(monkeypatch):
+    # on a memo with no objects the check reads the walk's columns alone: the
+    # only extensions it builds are the failing assignments' ones, one each,
+    # and it keeps none of them
+    monkeypatch.setattr(gaussian, "_exts_memo", gaussian._EMPTY_MEMO)
+    real, built = gaussian.GaussianQuadExt, []
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gaussian, "GaussianQuadExt", spy)
+    for l, norms, n_assignments in [(3.0, (2, 5, 5, 9, 17, 49, 73, 89, 89, 97), 8),
+                                    (1.1, (2, 5, 5, 9, 13, 29), 4)]:
+        built.clear()
+        report = verify_exclusion_3d(norms, l)
+        failing = [a for a in report.assignments if not a.valid]
+        assert len(report.assignments) == n_assignments and failing
+        assert built == [a.failing_ext for a in failing]
+        assert gaussian._exts_memo[3] == []
+        exts = quad_exts_with_disc_below(math.exp(2.0 * (l + 2.0)))
+        assert report.tested_extensions == len(exts) == {3.0: 5745, 1.1: 130}[l]
+        for a in failing:
+            k = next(k for k, e in enumerate(exts)
+                     if all(splitting_in_ext(P, e) != SPLIT for P in a.ideals))
+            assert a.failing_ext == exts[k], (l, k)
+        monkeypatch.setattr(gaussian, "_exts_memo", gaussian._EMPTY_MEMO)
+    assert report.valid and len(failing) == 2  # the l = 1.1 multiset has valid assignments too
 
 
 def test_verify_exclusion_input_errors():
