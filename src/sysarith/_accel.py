@@ -29,6 +29,11 @@ pairwise coprime, so tables fold into wheels over the product of their
 moduli (Pritchard, Acta Inf. 17, 1982), and a prime reads one residue per
 wheel, not one per field.
 
+`split_words` builds every word of the greedy cover's rows from the same
+factorization: each prime discriminant's symbol is read once at every
+prime, as a row of bits where it reads -1, and a field's split bits are
+the complement of the XOR of its parts' rows, so no field has a table.
+
 `runs` expands index runs [starts[k], ends[k]) into (k, j) pairs: the
 range sweep's prefix walk and the walk over products of Gaussian prime
 generators each grow all their prefixes by one member with it.
@@ -133,7 +138,7 @@ def _legendre_table(q: int) -> np.ndarray:
     leg = np.full(q, -1, dtype=np.int8)
     leg[0] = 0
     r = np.arange(1, (q + 1) // 2, dtype=np.int64)
-    leg[r * r % q] = 1
+    leg[_mod(r * r, q, r)] = 1
     return leg
 
 
@@ -154,8 +159,9 @@ def _prime_discs(disc: int, spf: np.ndarray) -> list[int]:
 
 # the symbols of the prime discriminants q with |q| below this are kept,
 # read-only, once built: 1.1 MB for all of them.  Keeping every q met would
-# hold 96 MB more at the greedy cover of x = 4.5 (peak 112 -> 215 MB), and
-# keeping those below 2^14 15 MB more, for no time gained
+# hold 92 MB more at the greedy cover of x = 4.5 (peak 90 -> 182 MB), and
+# keeping those below 2^14 13 MB more, for no time gained: that cover reads
+# each symbol once per window
 _SYMBOL_MEMO_BELOW = 1 << 12
 _symbols: dict[int, np.ndarray] = dict(_TWO_PARTS)
 for _part in _symbols.values():
@@ -263,6 +269,66 @@ def build_split_masks(primes: np.ndarray, tables: list[np.ndarray]) -> np.ndarra
                 np.left_shift(h, np.uint64(b), out=g, dtype=np.uint64)
                 out |= g
     return np.ascontiguousarray(words.T)
+
+
+def _part_matrix(discs: list[int], spf: np.ndarray) -> np.ndarray:
+    """_prime_discs(disc, spf) of each disc as one int64 row, at once: the
+    2-part in column 0, then the odd primes ascending; 0 where there is no
+    part."""
+    disc = np.asarray(discs, dtype=np.int64)
+    low = disc & -disc
+    odd = np.abs(disc // low)
+    cols = [np.where(low == 1, 0, np.where(low == 4, -4, np.where(disc // 8 % 4 == 1, 8, -8)))]
+    while odd.max() > 1:
+        q = spf[odd]
+        cols.append(np.where(odd > 1, q, 0))
+        odd //= q
+    return np.stack(cols, axis=1)
+
+
+def split_words(primes: np.ndarray, discs: list[int]) -> np.ndarray:
+    """build_split_masks(primes, character_tables(discs)) for ascending
+    primes, read from the discs' prime discriminants (see _prime_discs), not
+    from a character table per field.
+
+    Each distinct prime discriminant gets one row, packed along the primes,
+    of where its symbol reads -1.  A field splits at p iff an even number of
+    its parts read -1 there and p does not divide its disc, so a word of 64
+    fields is the complement of the XOR of their parts' rows, unpacked to a
+    byte per (field, prime) and packed again along the fields.  The primes
+    that divide a disc are cleared last, as in wheel_words.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    n, width = len(primes), (len(discs) + 63) // 64
+    words = np.zeros((n, width), dtype=np.uint64)
+    if not n or not width:
+        return words
+    qs, part = np.unique(_part_matrix(discs, smallest_factor_table(max(map(abs, discs)))),
+                         return_inverse=True)
+    part = part.reshape(len(discs), -1)  # part[f, k]: the row of field f's k-th part
+    rows = np.zeros((len(qs), (n + 63) // 64), dtype=np.uint64)
+    packed = rows.view(np.uint8)
+    residue = np.empty(n, dtype=np.int64)
+    for i, q in enumerate(qs.tolist()):
+        if q:  # the row of no part reads no -1
+            sym = _symbol(q)
+            packed[i, :(n + 7) // 8] = np.packbits(
+                sym[_mod(primes, len(sym), residue)] == -1, bitorder="little")
+    odd = np.empty((64, rows.shape[1]), dtype=np.uint64)
+    for w in range(width):
+        block = part[64 * w:64 * w + 64]
+        np.bitwise_xor.reduce(rows[block], axis=1, out=odd[:len(block)])
+        split = np.unpackbits(~odd.view(np.uint8), axis=1, count=n, bitorder="little")
+        split[len(block):] = 0  # the bits past the last field
+        words[:, w] = np.packbits(np.ascontiguousarray(split.T), axis=1,
+                                  bitorder="little").view("<u8")[:, 0]
+    # a prime dividing a disc is ramified in its field
+    p = np.where(qs % 2 == 1, qs, 2 * (qs != 0))  # the prime of each part; 0 for none
+    at = np.minimum(primes.searchsorted(p), n - 1)
+    f, k = np.nonzero((primes[at] == p)[part])
+    np.bitwise_and.at(words, (at[part[f, k]], f // 64),
+                      ~np.left_shift(np.uint64(1), (f % 64).astype(np.uint64)))
+    return words
 
 
 # ---------------------------------------------------------------------------

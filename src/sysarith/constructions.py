@@ -186,18 +186,6 @@ def real_fields_with_disc_below(bound: float) -> list[QuadFieldQ]:
     return [QuadFieldQ(*f) for f in zip(d[keep].tolist(), disc[keep].tolist())]
 
 
-def _split_rows_q(primes: np.ndarray, discs: list[int], spf: np.ndarray) -> np.ndarray:
-    """build_split_masks(primes, character_tables(discs)), built one word
-    at a time: the character tables of 64 fields are made, read into their
-    word of every row and dropped, so no more than 64 are held at once.
-    spf is a smallest-factor table reaching every |disc|."""
-    words = np.empty((len(primes), (len(discs) + 63) // 64), dtype=np.uint64)
-    for w in range(words.shape[1]):
-        tables = [_accel.character_table(disc, spf) for disc in discs[64 * w:64 * w + 64]]
-        words[:, w] = _accel.build_split_masks(primes, tables)[:, 0]
-    return words
-
-
 def _greedy_cover(words, n_bits):
     """Greedy max-coverage of bits [0, n_bits) over the rows of a uint64
     word matrix; returns the picked row indices in order, or None if some
@@ -281,9 +269,9 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
     Greedy (x <= 4.5) by default; `exact` (x <= 1.5) finds the minimal-factor set.
     """
     bound = _cover_bound(x)
-    # the caps guard time: greedy holds the tables of 64 fields at a time and
-    # one copy of the rows, so x = 4.5 peaks at 83 MB, but it takes 3-4.5 s,
-    # and its tables and rows grow about as e^(4+4x)
+    # the caps guard time: greedy holds one Legendre row per prime
+    # discriminant and one copy of the split rows, so x = 4.5 peaks at 90 MB,
+    # but it takes 0.8-1.5 s, and its rows grow about as e^(4+4x)
     kind, cap = ("exact", 1.5) if exact else ("greedy", 4.5)
     if x > cap:
         raise InputError(f"{kind} cover is supported only for x <= {cap}, got {x}")
@@ -293,15 +281,13 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
         _, sets, _ = _minimal_sets(discs, require_torsion_free)
         roles = [(p, ROLE_COVER) for p in sets[0]]
     else:
-        spf = _accel.smallest_factor_table(max(discs, default=1))
-
         def rows_in(window):
             """The split rows of the primes up to window, and those primes.
-            A wider window builds every table again, a word at a time; the
-            first window covers at every x = 0, 0.25, ..., 4.5, with and
-            without the torsion conditions."""
+            A wider window reads every symbol again; the first window
+            covers at every x = 0, 0.25, ..., 4.5, with and without the
+            torsion conditions."""
             primes = _accel.primes_up_to(window)
-            return _split_rows_q(primes, discs, spf), primes.tolist()
+            return _accel.split_words(primes, discs), primes.tolist()
 
         window = max(1000, 3 * max(discs, default=0))
         roles = _greedy_roles(len(fields), window, rows_in,

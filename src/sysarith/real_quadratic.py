@@ -50,13 +50,31 @@ _MR_TIERS = (
 )
 
 
+# is_prime reads n below this from a sieve, so the splitting tests of a
+# certificate, one per (field, member), run no Miller-Rabin on small members
+_SIEVE_BELOW = 1 << 16
+
+
+@functools.cache
+def _small_primes() -> bytes:
+    """flags[n] = 1 iff n is prime, for 0 <= n < _SIEVE_BELOW: the sieve of
+    Eratosthenes, built on the first call, not at import."""
+    flags = bytearray([1]) * _SIEVE_BELOW
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(_SIEVE_BELOW - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, _SIEVE_BELOW, p)))
+    return bytes(flags)
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first k prime bases, k the least whose bound psi_k
-    (see _MR_TIERS) exceeds n: deterministic for every
-    n < psi_13 = 3317044064679887385961981, about 3.3e24.  Above psi_13 it
-    is a strong probable-prime test to the 13 bases 2 ... 41."""
-    if n < 2:
-        return False
+    """Below _SIEVE_BELOW, a sieve lookup; above it, Miller-Rabin to the
+    first k prime bases, k the least whose bound psi_k (see _MR_TIERS)
+    exceeds n: deterministic for every n < psi_13 =
+    3317044064679887385961981, about 3.3e24.  Above psi_13 it is a strong
+    probable-prime test to the 13 bases 2 ... 41."""
+    if n < _SIEVE_BELOW:
+        return n >= 2 and _small_primes()[n] == 1
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

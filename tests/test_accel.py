@@ -14,6 +14,7 @@ from sysarith._accel import (
     prime_segments,
     primes_up_to,
     smallest_factor_table,
+    split_words,
     wheel_words,
 )
 from sysarith.quaternion import TORSION_Q
@@ -130,6 +131,66 @@ def test_wheel_words_match_the_table_kernel(n_discs):
     assert kinds == {1, 5, 4, 9, 11, -3, -4, -8}
 
 
+# fundamental discriminants of five and six prime parts, with every 2-part:
+# 4 * 3 * 5 * 7 * 11 (-4), 8 * 3 * 5 * 7 * 11 (-8), 8 * 3 * 5 * 7 * 13 (8),
+# 3 * 5 * 7 * 11 * 19 (odd) and 4 * 3 * 5 * 7 * 11 * 13
+MANY_PARTS = [4 * 1155, 8 * 1155, 8 * 1365, 21945, 4 * 15015]
+
+
+@pytest.mark.parametrize("n_discs", [1, 63, 64, 65, 130])
+def test_split_words_match_the_table_kernel(n_discs):
+    # over the primes from 2, which meet every prime dividing a disc, and
+    # over a segment past them; field counts on both sides of a word
+    rng = random.Random(n_discs)
+    low = primes_up_to(70_000)
+    high = next(prime_segments(10 ** 7, 10 ** 7 + 10 ** 4))
+    for _ in range(3):
+        discs = random_discs(rng, n_discs - 1) + [rng.choice(MANY_PARTS)]
+        rng.shuffle(discs)
+        tables = character_tables(discs)
+        for primes in (low, high):
+            words = split_words(primes, discs)
+            assert words.dtype == np.uint64 and words.shape == (len(primes), (n_discs + 63) // 64)
+            assert np.array_equal(words, build_split_masks(primes, tables)), discs
+            if n_discs % 64:  # the bits past the last field
+                assert not (words[:, -1] >> np.uint64(n_discs % 64)).any()
+
+
+def test_split_words_read_each_prime_discriminant():
+    # the symbol of 4099 is past the memo, built afresh
+    discs = MANY_PARTS + [5, 12, 8, 24, 40, 56, 3 * 4099, 4 * 4099, -3, -4, -8]
+    primes = primes_up_to(70_000)
+    words = split_words(primes, discs)
+    assert np.array_equal(words, build_split_masks(primes, character_tables(discs)))
+    spf = smallest_factor_table(max(map(abs, discs)))
+    parts = _accel._part_matrix(discs, spf).tolist()
+    for disc, row in zip(discs, parts, strict=True):
+        assert sorted(q for q in row if q) == sorted(_accel._prime_discs(disc, spf)), disc
+    assert [sum(1 for q in row if q) for row in parts[:5]] == [5, 5, 5, 5, 6]
+    # each 2-part: -4 for disc = 4u, and for disc = 8u 8 if u = 1 mod 4, else -8
+    assert [row[0] for row in parts[:6]] == [-4, -8, 8, 0, -4, 0]
+    assert [row[0] for row in parts[7:11]] == [8, -8, 8, -8]
+    for f, (disc, row) in enumerate(zip(discs, parts)):
+        bit = (words[:, f // 64] >> np.uint64(f % 64)) & np.uint64(1)
+        # the primes dividing the disc, 2 when it is even, are ramified
+        ramified = [p for p in primes.tolist() if disc % p == 0]
+        assert ramified == sorted(q if q % 2 else 2 for q in row if q), disc
+        assert not bit[np.isin(primes, ramified)].any(), disc
+        # 2 splits in the field of an odd disc iff disc = 1 mod 8
+        assert bit[0] == (disc % 8 == 1), disc
+
+
+def test_split_words_agree_with_the_residue_oracle():
+    rng = random.Random(7)
+    fields = rng.sample(fundamental_fields(40), 70)
+    primes = np.array(sorted({*rng.sample(sieve_primes(2000), 40), 2, 3, 5, 7}), dtype=np.int64)
+    words = split_words(primes, [disc for _, disc in fields])
+    for f, (d, _) in enumerate(fields):
+        bit = (words[:, f // 64] >> np.uint64(f % 64)) & np.uint64(1)
+        assert bit.astype(bool).tolist() == [brute_splitting_q(d, p) == "split"
+                                            for p in primes.tolist()], d
+
+
 @pytest.mark.parametrize("segment", [1, 7, 997, _accel._SEGMENT])
 def test_prime_segments_match_the_oracle_sieve(segment, monkeypatch):
     # 997 is prime, so no segment boundary falls on a multiple of a small
@@ -181,6 +242,9 @@ def test_split_masks_empty_inputs():
     assert build_split_masks(np.empty(0, dtype=np.int64),
                              character_tables([5, 8])).shape == (0, 1)
     assert character_tables([]) == []
+    assert split_words(np.array([2, 3, 5], dtype=np.int64), []).shape == (3, 0)
+    assert split_words(np.empty(0, dtype=np.int64), [5, 8]).shape == (0, 1)
+    assert split_words(np.empty(0, dtype=np.int64), [5, 8]).dtype == np.uint64
 
 
 def test_smallest_factor_table_matches_trial_division():

@@ -1,6 +1,7 @@
 """Same-systole families, cover algebras, and explicit bound evaluators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,16 +142,37 @@ def test_real_fields_with_disc_below_refuses_what_the_scan_refuses(bound):
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("x", [1, 2, 3])
-def test_greedy_rows_built_a_word_at_a_time_equal_the_full_table_rows(x):
+def greedy_window(x):
+    """The discriminants of the greedy cover at x, and its first window's primes."""
     discs = [f.disc for f in real_fields_with_disc_below(math.exp(2 + 2 * x))]
-    primes = _accel.primes_up_to(3 * max(discs))
-    spf = _accel.smallest_factor_table(max(discs))
-    words = constructions._split_rows_q(primes, discs, spf)
+    return discs, _accel.primes_up_to(max(1000, 3 * max(discs)))
+
+
+@pytest.mark.parametrize("x", [0, 0.25, 0.5, 0.75, 1, 1.25, 1.5, 1.75, 2, 2.25, 2.5, 2.75, 3])
+def test_greedy_rows_built_a_word_at_a_time_equal_the_full_table_rows(x):
+    discs, primes = greedy_window(x)
+    words = _accel.split_words(primes, discs)
     assert words.dtype == np.uint64
     assert np.array_equal(words, _accel.build_split_masks(primes, _accel.character_tables(discs)))
     if x == 3:
         assert (len(discs), words.shape[1]) == (905, 15)
+
+
+def test_greedy_row_build_holds_no_fields_by_primes_temporary():
+    # at x = 3.0 the words are 1,110 primes x 15 words, 133,200 bytes; the
+    # row build it replaced (character tables 64 fields at a time, read by
+    # build_split_masks) peaked at 574,230 bytes under tracemalloc, symbols
+    # memoized.  One byte per field and prime would be 1,004,550 more
+    discs, primes = greedy_window(3.0)
+    _accel.split_words(primes, discs)  # fills the symbol memo
+    tracemalloc.start()
+    try:
+        words = _accel.split_words(primes, discs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.nbytes == 133_200
+    assert peak < 574_230, peak
 
 
 def verify_cover_2d(cover):

@@ -1,7 +1,10 @@
 """Real quadratic fields: units, regulators, splitting, and the field scan."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -31,6 +34,7 @@ from oracles import (
     brute_is_squarefree,
     brute_splitting_q,
     brute_squarefree_part,
+    sieve_primes,
     walk_unit_logs,
 )
 
@@ -86,6 +90,23 @@ def test_is_prime_matches_sympy_around_each_tier_limit():
         for n in ns:
             assert is_prime(n) == sympy.isprime(n), n
         assert any(n < psi for n in ns) and any(n > psi for n in ns)
+
+
+def test_is_prime_reads_small_n_from_a_sieve_built_on_first_use():
+    # every n up to 2^10 past the sieve's end, against the oracle sieve
+    end = real_quadratic._SIEVE_BELOW
+    assert [n for n in range(-2, end + 1024) if is_prime(n)] == sieve_primes(end + 1023)
+    assert not is_prime(end) and is_prime(65537) and end == 65536
+    # kronecker_symbol still refuses a composite p below the sieve's end
+    for p in (1, 4, 9, 65535):
+        with pytest.raises(InputError, match=f"{p} is not prime"):
+            kronecker_symbol(5, p)
+    # importing the package builds no sieve
+    code = "import sysarith.real_quadratic as r; print(r._small_primes.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(real_quadratic.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"
 
 
 def test_prime_factors_against_sympy():
