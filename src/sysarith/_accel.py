@@ -11,16 +11,22 @@ and a sweep over the ranges [2^k, 2^(k+1)) extends the primes it has
 without re-sieving from 2.  `primes_up_to` joins its segments, and
 `squarefree_up_to` strikes the multiples of the squares of its primes.
 
-`character_table` builds the Kronecker character of a fundamental
-discriminant as the product of the Legendre tables of the odd primes
-dividing it and a character mod 8 for its 2-part (Cohen, A Course in
-Computational Algebraic Number Theory, §1.4); the tables of small primes
-are built once and shared, read-only.
+`_part_matrix` is the one factorization: it splits every discriminant of a
+list into its prime discriminants at once, from one smallest-factor table,
+and numbers the distinct ones.  `character_table` builds the Kronecker
+character of a fundamental discriminant as the product of the Legendre
+tables of the odd primes dividing it and a character mod 8 for its 2-part
+(Cohen, A Course in Computational Algebraic Number Theory, §1.4); the
+tables of small primes are built once and shared, read-only.
+
+`build_split_masks` is the one kernel for split rows over Q.  χ_d(p) = 1
+iff an even number of the symbols whose product it is read -1, so each
+distinct prime discriminant's symbol is read once at every prime, as a row
+of bits where it reads -1, and a field's split bits are the complement of
+the XOR of its parts' rows: no field has a table.
 
 `legendre_wheels` and `wheel_words` read word 0 of a search's held primes
-from the same factorization, one Legendre table per prime divisor, not one
-character table per field.  χ_d(p) = 1 iff an even number of the symbols
-whose product it is read -1.  So each odd q dividing one of up to 64
+from the same factorization.  Each odd q dividing one of up to 64
 discriminants gets a uint64 table over its residues that holds, at the
 non-residues, the bits of the fields q divides, and the 2-parts share one
 such table mod 8; a prime's word is the complement of the XOR of these
@@ -28,11 +34,6 @@ tables at p, less the bits of the fields p divides.  The moduli are
 pairwise coprime, so tables fold into wheels over the product of their
 moduli (Pritchard, Acta Inf. 17, 1982), and a prime reads one residue per
 wheel, not one per field.
-
-`split_words` builds every word of the greedy cover's rows from the same
-factorization: each prime discriminant's symbol is read once at every
-prime, as a row of bits where it reads -1, and a field's split bits are
-the complement of the XOR of its parts' rows, so no field has a table.
 
 `runs` expands index runs [starts[k], ends[k]) into (k, j) pairs: the
 range sweep's prefix walk and the walk over products of Gaussian prime
@@ -142,19 +143,28 @@ def _legendre_table(q: int) -> np.ndarray:
     return leg
 
 
-def _prime_discs(disc: int, spf: np.ndarray) -> list[int]:
-    """The prime discriminants whose product is disc, a fundamental
-    discriminant: one of -4, 8, -8 when disc is even (8 for disc = 8u with
-    u = 1 mod 4, -8 for u = 3 mod 4), then each odd prime q dividing it,
-    standing for q* = ±q, whose character (q*/r) is the Legendre symbol
-    (r/q).  spf is a smallest-factor table reaching |disc|."""
-    d = abs(disc)
-    odd = d >> ((d & -d).bit_length() - 1)
-    parts = [] if d == odd else [-4 if d == 4 * odd else 8 if (disc // 8) % 4 == 1 else -8]
-    while odd > 1:
-        parts.append(int(spf[odd]))
-        odd //= parts[-1]
-    return parts
+def _part_matrix(discs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The prime discriminants whose product is each of discs, fundamental
+    discriminants, all at once: (qs, part), qs the distinct ones ascending
+    and part[f, k] the index in qs of disc f's k-th part.
+
+    An even disc has one of -4, 8, -8 in column 0 (8 for disc = 8u with
+    u = 1 mod 4, -8 for u = 3 mod 4); then come the odd primes q dividing
+    it, ascending, each standing for q* = ±q, whose character (q*/r) is the
+    Legendre symbol (r/q).  A 0 in qs stands for no part.  The odd primes
+    are read from one smallest-factor table reaching max |disc|.
+    """
+    disc = np.asarray(discs, dtype=np.int64)
+    spf = smallest_factor_table(int(np.abs(disc).max(initial=1)))
+    low = disc & -disc
+    odd = np.abs(disc // low)
+    cols = [np.where(low == 1, 0, np.where(low == 4, -4, np.where(disc // 8 % 4 == 1, 8, -8)))]
+    while odd.max(initial=1) > 1:
+        q = spf[odd]
+        cols.append(np.where(odd > 1, q, 0))
+        odd //= q
+    qs, part = np.unique(np.stack(cols, axis=1), return_inverse=True)
+    return qs, part.reshape(len(disc), len(cols))
 
 
 # the symbols of the prime discriminants q with |q| below this are kept,
@@ -169,7 +179,7 @@ for _part in _symbols.values():
 
 
 def _symbol(q: int) -> np.ndarray:
-    """The character of the prime discriminant q (see _prime_discs) over one
+    """The character of the prime discriminant q (see _part_matrix) over one
     period; read-only if it comes from the memo."""
     sym = _symbols.get(q)
     if sym is None:
@@ -198,19 +208,19 @@ def euler_symbols(res: np.ndarray, q: int) -> np.ndarray:
     return np.array([(pow(r, e, q) + 1) % q - 1 for r in res.tolist()], dtype=np.int8)
 
 
-def character_table(disc: int, spf: np.ndarray) -> np.ndarray:
-    """chi[r] = (disc/r) for 0 <= r < |disc|, disc a fundamental discriminant.
+def character_table(disc: int, parts: list[int]) -> np.ndarray:
+    """chi[r] = (disc/r) for 0 <= r < |disc|, disc a fundamental discriminant
+    and parts its prime discriminants (see _part_matrix).
 
     chi is the Kronecker symbol as a character periodic mod |disc|, so
     chi[p mod |disc|] answers split/inert for any prime p not dividing
     disc: the product of the characters of its prime discriminants.  Each
     symbol's period m divides |disc|, so it multiplies chi in place through
     the (|disc|/m, m) view, with no tiled copy; the symbols of small q come
-    from a memo (_symbol).  spf is a smallest-factor table reaching |disc|
-    (see smallest_factor_table).
+    from a memo (_symbol).
     """
     chi = np.empty(abs(disc), dtype=np.int8)
-    for i, q in enumerate(_prime_discs(disc, spf)):
+    for i, q in enumerate(parts):
         sym = _symbol(q)
         rows = chi.reshape(-1, len(sym))  # a view
         if i:
@@ -221,17 +231,16 @@ def character_table(disc: int, spf: np.ndarray) -> np.ndarray:
 
 
 def character_tables(discs: list[int]) -> list[np.ndarray]:
-    """character_table(disc) for each disc, sharing one smallest-factor table."""
-    if not discs:
-        return []
-    spf = smallest_factor_table(max(abs(d) for d in discs))
-    return [character_table(disc, spf) for disc in discs]
+    """character_table(disc) for each disc, from one _part_matrix."""
+    qs, part = _part_matrix(discs)
+    return [character_table(disc, [q for q in row if q])
+            for disc, row in zip(discs, qs[part].tolist())]
 
 
 # ---------------------------------------------------------------------------
 # packed split masks: bit f of row i set iff primes[i] splits in field f
 
-_MASK_BLOCK = 1 << 15  # primes per pass over the tables, keeps the block in cache
+_MASK_BLOCK = 1 << 15  # primes per block of the split-row and word-0 kernels
 
 
 def _mod(block: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
@@ -242,70 +251,26 @@ def _mod(block: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(block, out, out=out)
 
 
-def build_split_masks(primes: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """uint64 words of shape (len(primes), ceil(len(tables)/64)).
+def build_split_masks(primes: np.ndarray, discs: list[int]) -> np.ndarray:
+    """uint64 words of shape (len(primes), ceil(len(discs)/64)): bit f of
+    row i is set iff primes[i], ascending, splits in the field of disc
+    discs[f], a fundamental discriminant.
 
-    tables[f] is field f's character table (see character_tables); its
-    length is |disc|, the period of the character.  Bit f is set where
-    the table reads 1, so any periodic 0/1 table can stand in for a field.
-    """
-    width = (len(tables) + 63) // 64
-    primes = np.asarray(primes, dtype=np.int64)
-    words = np.zeros((width, len(primes)), dtype=np.uint64)
-    n = min(len(primes), _MASK_BLOCK)
-    residue = np.empty(n, dtype=np.int64)
-    hit = np.empty(n, dtype=np.uint8)
-    bit = np.empty(n, dtype=np.uint64)
-    for w in range(width):
-        # one word's fields at a time, each as a 0/1 byte table
-        split = [(chi == 1).view(np.uint8) for chi in tables[64 * w:64 * w + 64]]
-        for b0 in range(0, len(primes), _MASK_BLOCK):
-            block = primes[b0:b0 + _MASK_BLOCK]
-            k = len(block)
-            r, h, g = residue[:k], hit[:k], bit[:k]
-            out = words[w, b0:b0 + k]
-            for b, table in enumerate(split):
-                np.take(table, _mod(block, len(table), r), out=h)
-                np.left_shift(h, np.uint64(b), out=g, dtype=np.uint64)
-                out |= g
-    return np.ascontiguousarray(words.T)
-
-
-def _part_matrix(discs: list[int], spf: np.ndarray) -> np.ndarray:
-    """_prime_discs(disc, spf) of each disc as one int64 row, at once: the
-    2-part in column 0, then the odd primes ascending; 0 where there is no
-    part."""
-    disc = np.asarray(discs, dtype=np.int64)
-    low = disc & -disc
-    odd = np.abs(disc // low)
-    cols = [np.where(low == 1, 0, np.where(low == 4, -4, np.where(disc // 8 % 4 == 1, 8, -8)))]
-    while odd.max() > 1:
-        q = spf[odd]
-        cols.append(np.where(odd > 1, q, 0))
-        odd //= q
-    return np.stack(cols, axis=1)
-
-
-def split_words(primes: np.ndarray, discs: list[int]) -> np.ndarray:
-    """build_split_masks(primes, character_tables(discs)) for ascending
-    primes, read from the discs' prime discriminants (see _prime_discs), not
-    from a character table per field.
-
-    Each distinct prime discriminant gets one row, packed along the primes,
-    of where its symbol reads -1.  A field splits at p iff an even number of
-    its parts read -1 there and p does not divide its disc, so a word of 64
-    fields is the complement of the XOR of their parts' rows, unpacked to a
-    byte per (field, prime) and packed again along the fields.  The primes
-    that divide a disc are cleared last, as in wheel_words.
+    Each distinct prime discriminant (see _part_matrix) gets one row,
+    packed along the primes, of where its symbol reads -1.  A field splits
+    at p iff an even number of its parts read -1 there and p does not
+    divide its disc, so a word of 64 fields is the complement of the XOR of
+    their parts' rows, unpacked to a byte per (field, prime) and packed
+    again along the fields, _MASK_BLOCK primes at a time, so that no
+    temporary grows with the fields times the primes.  The primes that
+    divide a disc are cleared last, as in wheel_words.
     """
     primes = np.asarray(primes, dtype=np.int64)
     n, width = len(primes), (len(discs) + 63) // 64
     words = np.zeros((n, width), dtype=np.uint64)
     if not n or not width:
         return words
-    qs, part = np.unique(_part_matrix(discs, smallest_factor_table(max(map(abs, discs)))),
-                         return_inverse=True)
-    part = part.reshape(len(discs), -1)  # part[f, k]: the row of field f's k-th part
+    qs, part = _part_matrix(discs)  # part[f, k]: the row of field f's k-th part
     rows = np.zeros((len(qs), (n + 63) // 64), dtype=np.uint64)
     packed = rows.view(np.uint8)
     residue = np.empty(n, dtype=np.int64)
@@ -314,14 +279,16 @@ def split_words(primes: np.ndarray, discs: list[int]) -> np.ndarray:
             sym = _symbol(q)
             packed[i, :(n + 7) // 8] = np.packbits(
                 sym[_mod(primes, len(sym), residue)] == -1, bitorder="little")
-    odd = np.empty((64, rows.shape[1]), dtype=np.uint64)
     for w in range(width):
-        block = part[64 * w:64 * w + 64]
-        np.bitwise_xor.reduce(rows[block], axis=1, out=odd[:len(block)])
-        split = np.unpackbits(~odd.view(np.uint8), axis=1, count=n, bitorder="little")
-        split[len(block):] = 0  # the bits past the last field
-        words[:, w] = np.packbits(np.ascontiguousarray(split.T), axis=1,
-                                  bitorder="little").view("<u8")[:, 0]
+        fields = part[64 * w:64 * w + 64]
+        for b0 in range(0, n, _MASK_BLOCK):
+            k = min(_MASK_BLOCK, n - b0)
+            odd = np.bitwise_xor.reduce(rows[fields, b0 // 64:(b0 + k + 63) // 64], axis=1)
+            split = np.zeros((64, odd.shape[1]), dtype=np.uint64)  # no bits past the last field
+            np.invert(odd, out=split[:len(fields)])
+            bits = np.unpackbits(split.view(np.uint8), axis=1, count=k, bitorder="little")
+            words[b0:b0 + k, w] = np.packbits(np.ascontiguousarray(bits.T), axis=1,
+                                              bitorder="little").view("<u8")[:, 0]
     # a prime dividing a disc is ramified in its field
     p = np.where(qs % 2 == 1, qs, 2 * (qs != 0))  # the prime of each part; 0 for none
     at = np.minimum(primes.searchsorted(p), n - 1)
@@ -350,11 +317,12 @@ def legendre_wheels(discs: list[int]) -> tuple[list[np.ndarray], np.ndarray, np.
     field bit.  qs are the primes dividing some disc, ascending, and
     ramified[i] the bits of the fields that qs[i] divides.
     """
-    spf = smallest_factor_table(max((abs(d) for d in discs), default=1))
+    qs, part = _part_matrix(discs)
     bits: dict[int, int] = {}  # prime discriminant -> the fields it divides
-    for f, disc in enumerate(discs):
-        for q in _prime_discs(disc, spf):
-            bits[q] = bits.get(q, 0) | 1 << f
+    for f, row in enumerate(qs[part].tolist()):
+        for q in row:
+            if q:
+                bits[q] = bits.get(q, 0) | 1 << f
     tables: dict[int, np.ndarray] = {}  # modulus -> its XOR table
     ramified: dict[int, int] = {}  # prime -> the fields it divides
     for q, b in bits.items():
@@ -379,7 +347,7 @@ def legendre_wheels(discs: list[int]) -> tuple[list[np.ndarray], np.ndarray, np.
 def wheel_words(primes: np.ndarray, plan) -> np.ndarray:
     """Word 0 of the rows of `primes`, an int64 array of primes: bit f set
     iff primes[i] splits in field f of the plan's legendre_wheels(discs),
-    as build_split_masks over their character tables reads it.  A composite
+    as build_split_masks(primes, discs) reads it.  A composite
     n could meet the zero of a symbol, which only the fix-up at the primes
     qs clears."""
     wheels, qs, ramified = plan

@@ -287,7 +287,7 @@ def cover_algebra_2d(x: float, require_torsion_free: bool = False,
             covers at every x = 0, 0.25, ..., 4.5, with and without the
             torsion conditions."""
             primes = _accel.primes_up_to(window)
-            return _accel.split_words(primes, discs), primes.tolist()
+            return _accel.build_split_masks(primes, discs), primes.tolist()
 
         window = max(1000, 3 * max(discs, default=0))
         roles = _greedy_roles(len(fields), window, rows_in,

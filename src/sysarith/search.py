@@ -8,11 +8,13 @@ its range [lo, hi), as does a pair {p, q} with p >= 11; so the masks hold
 every prime whose factor is below hi/8, and the pairs past them are found
 apart.  A set of six or more reads only primes below hi/480, so the masks
 sieve and hold the primes up to hi/8 after those sets have run and lowered
-hi to their best.  The masks are built only as far as the sweep reads them:
-full rows for the small primes that open a set, and for every held prime a
-single word 0 holding the 64 fields that the fewest small primes split,
-read from Legendre wheels: one residue per group of the odd primes and the
-2-parts that divide those fields' discriminants, not one per field.
+hi to their best.  The masks are built only as far as the sweep reads them,
+and both kinds of row are read from the prime discriminants dividing the
+fields' discriminants, not from a table per field: full rows for the small
+primes that open a set, one Legendre row per prime discriminant, and for
+every held prime a single word 0 holding the 64 fields that the fewest
+small primes split, read from Legendre wheels: one residue per group of the
+odd primes and the 2-parts that divide those fields' discriminants.
 The sets of one size are walked a member at a time, all prefixes at once;
 the last primes of a chunk of them are filtered on word 0, each slice of
 at least _IN_PLACE_ROWS rows read in place and the shorter ones in one
@@ -123,15 +125,16 @@ class _MaskMatrix:
 
     Bits are ordered so that word 0 holds the 64 fields that the fewest
     small primes split; the other fields follow, then the torsion bits,
-    the characters of -4 and -3.  `tables` lists their character tables in
-    that order; a bit is set where its table reads 1, and `passing` is the
-    one test of those bits that reads the tables themselves.  Every held
-    prime gets its word 0 (`_w0`), read from the Legendre wheels of word
-    0's discriminants (`_accel.legendre_wheels`), and stored next to its
-    factor p - 1 (`facs`), the one array the sweep searches; the buffers
-    grow geometrically.  Full rows are built from the tables only
-    for the prime indices [0, n) that `prefix_rows(n)` asks for: the
-    sweep's prefixes.  `first_passes` filters the last primes of a chunk of
+    the characters of -4 and -3.  `discs` lists their discriminants and
+    `tables` their character tables in that order; a bit is set where its
+    table reads 1, and `passing` is the one test of those bits that reads
+    the tables themselves.  Every held prime gets its word 0 (`_w0`), read
+    from the Legendre wheels of word 0's discriminants
+    (`_accel.legendre_wheels`), and stored next to its factor p - 1
+    (`facs`), the one array the sweep searches; the buffers grow
+    geometrically.  Full rows are built from the discriminants
+    (`_accel.build_split_masks`) only for the prime indices [0, n) that
+    `prefix_rows(n)` asks for: the sweep's prefixes.  `first_passes` filters the last primes of a chunk of
     sets on word 0 alone, reading each slice of at least _IN_PLACE_ROWS
     rows in place and gathering the shorter ones, and the few survivors
     are re-checked by `passing` on the bits above word 0 that their prefix
@@ -145,8 +148,9 @@ class _MaskMatrix:
         small = _accel.primes_up_to(_WORD0_RANK_BOUND)
         split = [int((chi[small % len(chi)] == 1).sum()) for chi in tables[:n]]
         order = [*np.argsort(split, kind="stable").tolist(), *range(n, len(discs))]
+        self.discs = [discs[f] for f in order]
         self.tables = [tables[f] for f in order]
-        self._wheels = _accel.legendre_wheels([discs[f] for f in order[:64]])
+        self._wheels = _accel.legendre_wheels(self.discs[:64])
         self.target = _full(len(self.tables))
         self.held = self.n = 0
         self._facs = np.empty(0, dtype=np.int64)
@@ -178,8 +182,8 @@ class _MaskMatrix:
         if n_rows > have:
             want = min(self.n, max(n_rows, 2 * have))
             rows = np.zeros((want - have, len(self.target)), dtype=np.uint64)
-            built = _accel.build_split_masks(self._facs[have:want] + 1, self.tables)
-            rows[:, :built.shape[1]] = built  # no table gives no word: one zero word
+            built = _accel.build_split_masks(self._facs[have:want] + 1, self.discs)
+            rows[:, :built.shape[1]] = built  # no field gives no word: one zero word
             self._prefix = np.concatenate([self._prefix, rows])
         return self._prefix
 

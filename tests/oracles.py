@@ -46,6 +46,19 @@ def word_ints(words) -> list[int]:
             for row in np.asarray(words).tolist()]
 
 
+def table_words(primes, tables) -> np.ndarray:
+    """uint64 words of shape (len(primes), ceil(len(tables)/64)): bit f of
+    row i set iff tables[f], a periodic table, reads 1 at primes[i] modulo
+    its length.  One field at a time over every prime, with no blocking:
+    the reference the split-row kernels are held to."""
+    primes = np.asarray(primes, dtype=np.int64)
+    words = np.zeros((len(primes), (len(tables) + 63) // 64), dtype=np.uint64)
+    for f, chi in enumerate(tables):
+        hit = (chi[primes % len(chi)] == 1).astype(np.uint64)
+        words[:, f // 64] |= hit << np.uint64(f % 64)
+    return words
+
+
 def brute_is_squarefree(n: int) -> bool:
     n = abs(n)
     if n == 0:

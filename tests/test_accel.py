@@ -1,6 +1,7 @@
 """The numeric kernels against the independent residue oracle."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,19 +9,17 @@ import pytest
 from sysarith import _accel
 from sysarith._accel import (
     build_split_masks,
-    character_table,
     character_tables,
     legendre_wheels,
     prime_segments,
     primes_up_to,
     smallest_factor_table,
-    split_words,
     wheel_words,
 )
 from sysarith.quaternion import TORSION_Q
 from sysarith.real_quadratic import kronecker
 
-from oracles import brute_is_squarefree, brute_splitting_q, sieve_primes
+from oracles import brute_is_squarefree, brute_splitting_q, sieve_primes, table_words
 
 
 def fundamental_fields(per_class):
@@ -42,9 +41,10 @@ def test_split_masks_match_residue_oracle():
     fields = fundamental_fields(13)
     assert len(fields) == 39
     primes = np.array(sieve_primes(2999), dtype=np.int64)
-    tables = character_tables([disc for _, disc in fields])
+    discs = [disc for _, disc in fields]
+    tables = character_tables(discs)
     # the list twice over, so bits run into the second word
-    words = build_split_masks(primes, tables * 2)
+    words = build_split_masks(primes, discs * 2)
     assert words.shape == (len(primes), 2) and words.dtype == np.uint64
     symbol = {"split": 1, "inert": -1, "ramified": 0}
     for i, ((d, disc), chi) in enumerate(zip(fields, tables)):
@@ -63,9 +63,7 @@ def test_character_table_is_the_kronecker_symbol():
              if brute_is_squarefree(d)]
     discs = [disc for disc in discs if disc < 3000] + [-3, -4, -8]
     assert {disc % 8 for disc in discs} == {0, 1, 4, 5}
-    spf = smallest_factor_table(max(discs))
-    for disc in discs:
-        chi = character_table(disc, spf)
+    for disc, chi in zip(discs, character_tables(discs), strict=True):
         assert chi.dtype == np.int8
         assert chi.tolist() == [kronecker(disc, r) for r in range(abs(disc))], disc
 
@@ -109,7 +107,7 @@ def random_discs(rng, n):
 
 @pytest.mark.parametrize("n_discs", [0, 1, 63, 64])
 def test_wheel_words_match_the_table_kernel(n_discs):
-    # word 0 of the wheels is build_split_masks's over the character tables:
+    # word 0 of the wheels is the table oracle's over the character tables:
     # over the primes from 2, which meet every prime dividing a disc (the
     # ramified fix-up) and cross a _MASK_BLOCK boundary, and over a segment
     # past every such prime
@@ -124,7 +122,7 @@ def test_wheel_words_match_the_table_kernel(n_discs):
         tables = character_tables(discs)
         for primes in (low, high):
             # word 0; with no table there is no word, and zeros stand for it
-            want = build_split_masks(primes, tables)[:, :1].sum(axis=1, dtype=np.uint64)
+            want = table_words(primes, tables)[:, :1].sum(axis=1, dtype=np.uint64)
             assert wheel_words(primes, plan).tolist() == want.tolist(), discs
     # disc mod 8, or 8 + u mod 4 for disc = 8u: every kind is drawn
     kinds = {d if d < 0 else d % 8 or 8 + d // 8 % 4 for d in random_discs(rng, 200)}
@@ -149,23 +147,63 @@ def test_split_words_match_the_table_kernel(n_discs):
         rng.shuffle(discs)
         tables = character_tables(discs)
         for primes in (low, high):
-            words = split_words(primes, discs)
+            words = build_split_masks(primes, discs)
             assert words.dtype == np.uint64 and words.shape == (len(primes), (n_discs + 63) // 64)
-            assert np.array_equal(words, build_split_masks(primes, tables)), discs
+            assert np.array_equal(words, table_words(primes, tables)), discs
             if n_discs % 64:  # the bits past the last field
                 assert not (words[:, -1] >> np.uint64(n_discs % 64)).any()
+
+
+def test_split_masks_hold_no_fields_by_primes_temporary():
+    # 2^18 primes x 64 fields: one byte per (field, prime) is 16 MB, and the
+    # unpacked bits with their transposed copy 32 MB; the kernel unpacks
+    # _MASK_BLOCK primes at a time, and peaked at 10.4 MB (43.7 MB
+    # unblocked), symbols memoized
+    primes = primes_up_to(4_000_000)[:1 << 18]
+    assert len(primes) == 1 << 18 > 4 * _accel._MASK_BLOCK
+    discs = random_discs(random.Random(64), 64)
+    build_split_masks(primes[:100], discs)  # fills the symbol memo
+    tracemalloc.start()
+    try:
+        words = build_split_masks(primes, discs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.shape == (len(primes), 1)
+    assert peak < 64 * len(primes), peak
+    assert np.array_equal(words[::97], table_words(primes[::97], character_tables(discs)))
+
+
+def trial_parts(disc):
+    """The prime discriminants whose product is disc, by trial division: -4
+    for disc = 4u with u odd, 8 or -8 for disc = 8u with u = 1 or 3 mod 4,
+    then each odd prime dividing disc."""
+    parts = []
+    if disc % 8 == 4:
+        parts.append(-4)
+    elif disc % 8 == 0:
+        parts.append(8 if disc // 8 % 4 == 1 else -8)
+    m = abs(disc)
+    while m % 2 == 0:
+        m //= 2
+    for k in range(3, m + 1, 2):
+        if m % k == 0:
+            parts.append(k)
+            m //= k
+    return parts
 
 
 def test_split_words_read_each_prime_discriminant():
     # the symbol of 4099 is past the memo, built afresh
     discs = MANY_PARTS + [5, 12, 8, 24, 40, 56, 3 * 4099, 4 * 4099, -3, -4, -8]
     primes = primes_up_to(70_000)
-    words = split_words(primes, discs)
-    assert np.array_equal(words, build_split_masks(primes, character_tables(discs)))
-    spf = smallest_factor_table(max(map(abs, discs)))
-    parts = _accel._part_matrix(discs, spf).tolist()
+    words = build_split_masks(primes, discs)
+    assert np.array_equal(words, table_words(primes, character_tables(discs)))
+    qs, part = _accel._part_matrix(discs)
+    assert qs.tolist() == sorted(set(qs.tolist())) and part.shape[0] == len(discs)
+    parts = qs[part].tolist()
     for disc, row in zip(discs, parts, strict=True):
-        assert sorted(q for q in row if q) == sorted(_accel._prime_discs(disc, spf)), disc
+        assert sorted(q for q in row if q) == sorted(trial_parts(disc)), disc
     assert [sum(1 for q in row if q) for row in parts[:5]] == [5, 5, 5, 5, 6]
     # each 2-part: -4 for disc = 4u, and for disc = 8u 8 if u = 1 mod 4, else -8
     assert [row[0] for row in parts[:6]] == [-4, -8, 8, 0, -4, 0]
@@ -184,7 +222,7 @@ def test_split_words_agree_with_the_residue_oracle():
     rng = random.Random(7)
     fields = rng.sample(fundamental_fields(40), 70)
     primes = np.array(sorted({*rng.sample(sieve_primes(2000), 40), 2, 3, 5, 7}), dtype=np.int64)
-    words = split_words(primes, [disc for _, disc in fields])
+    words = build_split_masks(primes, [disc for _, disc in fields])
     for f, (d, _) in enumerate(fields):
         bit = (words[:, f // 64] >> np.uint64(f % 64)) & np.uint64(1)
         assert bit.astype(bool).tolist() == [brute_splitting_q(d, p) == "split"
@@ -236,15 +274,15 @@ def test_prime_segments_run_no_nested_sieve(monkeypatch):
 
 
 def test_split_masks_empty_inputs():
-    assert build_split_masks(np.array([2, 3, 5], dtype=np.int64), []).shape == (3, 0)
-    assert wheel_words(np.array([2, 3, 5], dtype=np.int64), legendre_wheels([])).tolist() == [0] * 3
-    assert wheel_words(np.empty(0, dtype=np.int64), legendre_wheels([5, 8])).shape == (0,)
-    assert build_split_masks(np.empty(0, dtype=np.int64),
-                             character_tables([5, 8])).shape == (0, 1)
+    three, none = np.array([2, 3, 5], dtype=np.int64), np.empty(0, dtype=np.int64)
+    assert wheel_words(three, legendre_wheels([])).tolist() == [0] * 3
+    assert wheel_words(none, legendre_wheels([5, 8])).shape == (0,)
     assert character_tables([]) == []
-    assert split_words(np.array([2, 3, 5], dtype=np.int64), []).shape == (3, 0)
-    assert split_words(np.empty(0, dtype=np.int64), [5, 8]).shape == (0, 1)
-    assert split_words(np.empty(0, dtype=np.int64), [5, 8]).dtype == np.uint64
+    # the shapes of the table oracle's: no field gives no word
+    for primes, discs in [(three, []), (none, [5, 8])]:
+        words = build_split_masks(primes, discs)
+        want = table_words(primes, character_tables(discs))
+        assert words.dtype == np.uint64 and words.shape == want.shape, (primes, discs)
 
 
 def test_smallest_factor_table_matches_trial_division():

@@ -47,6 +47,7 @@ from oracles import (
     int_words,
     naive_minimal_sets,
     sieve_primes,
+    table_words,
 )
 
 
@@ -151,9 +152,9 @@ def greedy_window(x):
 @pytest.mark.parametrize("x", [0, 0.25, 0.5, 0.75, 1, 1.25, 1.5, 1.75, 2, 2.25, 2.5, 2.75, 3])
 def test_greedy_rows_built_a_word_at_a_time_equal_the_full_table_rows(x):
     discs, primes = greedy_window(x)
-    words = _accel.split_words(primes, discs)
+    words = _accel.build_split_masks(primes, discs)
     assert words.dtype == np.uint64
-    assert np.array_equal(words, _accel.build_split_masks(primes, _accel.character_tables(discs)))
+    assert np.array_equal(words, table_words(primes, _accel.character_tables(discs)))
     if x == 3:
         assert (len(discs), words.shape[1]) == (905, 15)
 
@@ -164,10 +165,10 @@ def test_greedy_row_build_holds_no_fields_by_primes_temporary():
     # build_split_masks) peaked at 574,230 bytes under tracemalloc, symbols
     # memoized.  One byte per field and prime would be 1,004,550 more
     discs, primes = greedy_window(3.0)
-    _accel.split_words(primes, discs)  # fills the symbol memo
+    _accel.build_split_masks(primes, discs)  # fills the symbol memo
     tracemalloc.start()
     try:
-        words = _accel.split_words(primes, discs)
+        words = _accel.build_split_masks(primes, discs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -31,7 +31,7 @@ from sysarith.gaussian import (
     quad_residue_symbol,
     splitting_in_ext,
 )
-from sysarith.quaternion import TORSION_QI, QuaternionAlgebraQi, algebra_q, algebra_qi
+from sysarith.quaternion import TORSION_Q, TORSION_QI, QuaternionAlgebraQi, algebra_q, algebra_qi
 from sysarith.real_quadratic import fields_with_regulator_below, is_prime
 from sysarith.search import (
     _IdealPool,
@@ -56,6 +56,7 @@ from oracles import (
     naive_prime_sets,
     naive_valid_sets_qi,
     sieve_primes,
+    table_words,
     word_ints,
 )
 
@@ -236,7 +237,7 @@ def test_mask_matrix_passing_matches_the_split_oracle(torsion):
 
 @pytest.mark.parametrize("torsion", [False, True])
 def test_word_0_of_every_hold_is_the_table_kernels(torsion, monkeypatch):
-    # the wheels' word 0 of every prime a hold adds is build_split_masks's
+    # the wheels' word 0 of every prime a hold adds is the table oracle's
     # over the first 64 tables, bit for bit: at l = 0.3 with no field (no
     # bit at all, or the torsion bits alone), with the torsion bits in word
     # 0, and with fields above it; l = 0.3 passes at its least even set
@@ -246,7 +247,7 @@ def test_word_0_of_every_hold_is_the_table_kernels(torsion, monkeypatch):
     def spy(self, c):
         n = self.n
         hold(self, c)
-        want = _accel.build_split_masks(self.facs[n:] + 1, self.tables[:64])
+        want = table_words(self.facs[n:] + 1, self.tables[:64])
         holds.append((self._w0[n:self.n].tolist(),
                       want[:, :1].sum(axis=1, dtype=np.uint64).tolist()))
 
@@ -258,6 +259,31 @@ def test_word_0_of_every_hold_is_the_table_kernels(torsion, monkeypatch):
         _minimal_sets(discs, torsion)
     assert len(discs) > 64 and sum(len(w) for w, _ in holds) > 1000
     assert all(got == want for got, want in holds)
+
+
+@pytest.mark.parametrize("torsion", [False, True])
+@pytest.mark.parametrize("l", [2.2, 4.0])
+def test_prefix_rows_follow_the_rank_order(l, torsion):
+    # the first passes take the prefix rows as ground truth, so their bits
+    # are re-derived here: the fields ranked by how few primes below 2^10
+    # split them, ties in the order of the field list, then the torsion
+    # bits; bit b of prime i's row is set iff p_i splits in field b, and
+    # passing reads the same bit from field b's table
+    fields = fields_with_regulator_below(l)
+    masks = _MaskMatrix([f.disc for f in fields], torsion)
+    masks.hold(1023)
+    primes = sieve_primes(1023)
+    split = {(f.d, p): brute_splitting_q(f.d, p) == "split" for f in fields for p in primes}
+    ranked = sorted(fields, key=lambda f: sum(split[f.d, p] for p in primes))
+    bits = [lambda p, d=f.d: split[d, p] for f in ranked] + (list(TORSION_Q) if torsion else [])
+    rows = word_ints(masks.prefix_rows(masks.n)[:masks.n])
+    assert (masks.facs + 1).tolist() == primes and len(rows) == len(primes)
+    assert len(bits) == len(masks.tables)
+    assert masks.discs == [f.disc for f in ranked] + ([-4, -3] if torsion else [])
+    for b, splits in enumerate(bits):
+        want = [p for p in primes if splits(p)]
+        assert [p for p, row in zip(primes, rows) if row >> b & 1] == want, b
+        assert masks.passing(masks.facs + 1, [b]).tolist() == want, b
 
 
 @pytest.mark.parametrize("n_fields", [40, 127])
